@@ -15,11 +15,10 @@ from .orders import OrderDistribution, is_doubly_stochastic
 from .qos import (OptResult, QosSpec, maximize_secondary_throughput,
                   minimize_relay_count, recover_schedule,
                   solve_feasibility_saturated)
-from .rates import (EPS_STAB, RateReport, StrategyParams,
-                    apply_sensing_errors, end_to_end_delays,
-                    max_service_rates, primary_service_rate, queue_delay,
-                    rate_report, relay_arrival_rates, relay_service_rates,
-                    secondary_rate_cap, secondary_service_rate)
+from .rates import (EPS_STAB, Evaluation, RateReport, StrategyParams,
+                    apply_sensing_errors, end_to_end_delays, evaluate,
+                    max_service_rates, queue_delay, rate_report,
+                    relay_service_rates, secondary_rate_cap)
 from .sim import (SimEstimate, SlotOutcome, conditional_service,
                   derive_replication_seed, run, run_replicated)
 

@@ -46,11 +46,12 @@ class SlotTiming:
     bandwidth_hz: float          # W
 
     def __post_init__(self):
-        if self.slot_seconds <= 0:
+        # each check is written so that NaN fails it
+        if not self.slot_seconds > 0:
             raise ConfigError("slot_seconds must be > 0")
-        if self.sensing_seconds < 0 or self.feedback_seconds < 0:
+        if not (self.sensing_seconds >= 0 and self.feedback_seconds >= 0):
             raise ConfigError("sensing/feedback durations must be >= 0")
-        if self.packet_bits <= 0 or self.bandwidth_hz <= 0:
+        if not (self.packet_bits > 0 and self.bandwidth_hz > 0):
             raise ConfigError("packet_bits and bandwidth_hz must be > 0")
 
 
@@ -63,7 +64,7 @@ class LinkParams:
     sigma: float
 
     def __post_init__(self):
-        if self.gamma <= 0 or self.sigma <= 0:
+        if not (self.gamma > 0 and self.sigma > 0):
             raise ConfigError("gamma and sigma must be > 0")
 
 

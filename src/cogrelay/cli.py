@@ -11,13 +11,9 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .channel import StrategyKind
 from .errors import CogRelayError, SpecParseError
-from .experiments import (compare_analytic_sim, load_spec, run_min_relays,
-                          run_optimize, run_sweep, write_rows)
-
-_STRATEGY_FLAGS = {"od": StrategyKind.ORDERED, "rd": StrategyKind.RANDOM,
-                   "rr": StrategyKind.ROUND_ROBIN}
+from .experiments import (STRATEGY_NAMES, compare_analytic_sim, load_spec,
+                          run_min_relays, run_optimize, run_sweep, write_rows)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -38,7 +34,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--slots", type=int, help="override slots per run")
         p.add_argument("--replications", type=int,
                        help="override replication count")
-        p.add_argument("--strategy", choices=sorted(_STRATEGY_FLAGS),
+        p.add_argument("--strategy", choices=sorted(STRATEGY_NAMES),
                        help="restrict to one strategy")
     return parser
 
@@ -53,7 +49,7 @@ def _apply_overrides(spec, args):
         sim = replace(sim, replications=args.replications)
     spec.sim = sim
     if args.strategy is not None:
-        spec.strategies = [_STRATEGY_FLAGS[args.strategy]]
+        spec.strategies = [STRATEGY_NAMES[args.strategy]]
     return spec
 
 

@@ -60,16 +60,15 @@ from .network import (NetworkConfig, OutageTable, PhysicalChannels,
                       SensingErrorParams, TrafficParams)
 from .orders import OrderDistribution
 from .qos import QosSpec, maximize_secondary_throughput, minimize_relay_count
-from .rates import (StrategyParams, apply_sensing_errors, end_to_end_delays,
-                    rate_report)
+from .rates import Evaluation, StrategyParams, evaluate
 from .sim import run, run_replicated
 
 CSV_COLUMNS = ("scenario", "strategy", "method", "sweep_var", "sweep_value",
                "mu_p", "mu_s", "pi_p0", "pi_s0", "d_p_total", "d_s_total",
                "min_relays", "status", "ci_half_width", "seed", "build")
 
-_STRATEGY_NAMES = {"od": StrategyKind.ORDERED, "rd": StrategyKind.RANDOM,
-                   "rr": StrategyKind.ROUND_ROBIN}
+STRATEGY_NAMES = {"od": StrategyKind.ORDERED, "rd": StrategyKind.RANDOM,
+                  "rr": StrategyKind.ROUND_ROBIN}
 
 
 @dataclass
@@ -77,6 +76,12 @@ class SimSettings:
     slots: int = 200_000
     replications: int = 1
     seed: int = 1
+
+    def __post_init__(self):
+        if self.slots < 1 or self.replications < 1:
+            raise ConfigError("slots and replications must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
 
 @dataclass
@@ -164,7 +169,7 @@ class _Section:
 
     def integer(self, key: str, default=None):
         value = self.number(key, default)
-        if value != int(value):
+        if not math.isfinite(value) or value != int(value):
             raise SpecParseError(f"{key!r} must be an integer")
         return int(value)
 
@@ -263,7 +268,10 @@ def _build_params(strategy_section: dict, kind: StrategyKind,
 
 def load_spec(path: str | Path) -> ExperimentSpec:
     """Parse and validate an experiment spec file."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as err:
+        raise SpecParseError(f"spec file is not UTF-8 text: {err.reason}")
     sections = _parse_sections(text)
 
     exp = _Section("experiment", sections.get("experiment", {}))
@@ -271,9 +279,9 @@ def load_spec(path: str | Path) -> ExperimentSpec:
     strategies = []
     for name in (exp.get("strategies", "od") or "od").split(","):
         name = name.strip().lower()
-        if name not in _STRATEGY_NAMES:
+        if name not in STRATEGY_NAMES:
             raise SpecParseError(f"unknown strategy {name!r}")
-        strategies.append(_STRATEGY_NAMES[name])
+        strategies.append(STRATEGY_NAMES[name])
 
     network, n = _build_network(_Section("network", sections.get("network", {})))
     traffic_sec = _Section("traffic", sections.get("traffic", {}))
@@ -287,8 +295,10 @@ def load_spec(path: str | Path) -> ExperimentSpec:
     start = exp.number("sweep_start", getattr(traffic, sweep_var))
     stop = exp.number("sweep_stop", start)
     step = exp.number("sweep_step", 1.0)
-    if step <= 0:
+    if not step > 0:
         raise SpecParseError("sweep_step must be > 0")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise SpecParseError("sweep_start and sweep_stop must be finite")
     if stop < start:
         raise SpecParseError("sweep_stop must be >= sweep_start")
     values = []
@@ -386,28 +396,19 @@ def _analytic_row(spec: ExperimentSpec, kind: StrategyKind,
     row = Row(spec.scenario, kind.value, "analytic", spec.sweep_var, value,
               seed=spec.sim.seed)
     try:
-        params = spec.params_for(kind)
-        report = rate_report(network.outages(kind), params, network.traffic)
-        if network.sensing is not None:
-            report = apply_sensing_errors(report, params, network.sensing)
-        row.mu_p, row.mu_s = report.mu_p, report.mu_s
-        row.pi_p0, row.pi_s0 = report.pi_p0, report.pi_s0
-        if not (report.stable_p and report.stable_s):
-            row.status = ("unstable:primary" if not report.stable_p
-                          else "unstable:secondary")
-            row.d_p_total = math.inf
-            row.d_s_total = math.inf
-            return row
-        try:
-            row.d_p_total, row.d_s_total = end_to_end_delays(
-                report, network.traffic)
-        except UnstableQueueError as err:
-            row.status = f"unstable:{err.queue}"
-            row.d_p_total = math.inf
-            row.d_s_total = math.inf
-    except (ConfigError, UnstableQueueError) as err:
+        _fill_analytic(row, evaluate(network.outages(kind),
+                                     spec.params_for(kind), network.traffic,
+                                     network.sensing))
+    except ConfigError as err:
         row.status = f"error:{err}"
     return row
+
+
+def _fill_analytic(row: Row, ev: Evaluation) -> None:
+    row.mu_p, row.mu_s = ev.report.mu_p, ev.report.mu_s
+    row.pi_p0, row.pi_s0 = ev.report.pi_p0, ev.report.pi_s0
+    row.d_p_total, row.d_s_total = ev.d_p, ev.d_s
+    row.status = ev.status
 
 
 def _simulated_row(spec: ExperimentSpec, kind: StrategyKind,
@@ -456,16 +457,9 @@ def run_optimize(spec: ExperimentSpec) -> list[Row]:
                 network, kind, qos, budget=spec.optimizer.budget,
                 restarts=spec.optimizer.restarts, seed=spec.sim.seed)
             if result.feasible:
-                report = rate_report(network.outages(kind),
-                                     result.best_params, network.traffic)
-                if network.sensing is not None:
-                    report = apply_sensing_errors(report, result.best_params,
-                                                  network.sensing)
-                row.mu_p, row.mu_s = report.mu_p, report.mu_s
-                row.pi_p0, row.pi_s0 = report.pi_p0, report.pi_s0
-                row.d_p_total, row.d_s_total = end_to_end_delays(
-                    report, network.traffic)
-                row.status = "ok"
+                _fill_analytic(row, evaluate(
+                    network.outages(kind), result.best_params,
+                    network.traffic, network.sensing))
             else:
                 row.status = f"infeasible:{result.first_violation}"
             rows.append(row)
@@ -505,37 +499,30 @@ class Comparison:
 
 
 def compare_point(network: NetworkConfig, params: StrategyParams,
-                  *, slots: int, seed: int,
-                  abs_floor: float = 0.01) -> list[Comparison]:
+                  *, slots: int, seed: int) -> list[Comparison]:
     """Analytic vs simulated values for one operating point.
 
     The primary service rate is measured with a saturated source; the
     secondary-side quantities and relay arrival rates come from a
     true-queue run.  A quantity passes when the gap is within
-    max(3 * CI half-width, abs_floor).
+    max(3 * CI half-width, 0.01).
     """
     traffic = network.traffic
+    saturated = TrafficParams(1.0, 0.0)
     outages = network.outages(params.strategy)
-    report = rate_report(outages, params, traffic)
-    mode = "true_queues"
-    if network.sensing is not None:
-        report = apply_sensing_errors(report, params, network.sensing)
-        mode = "saturated_relays"
+    report = evaluate(outages, params, traffic, network.sensing).report
+    sat_report = evaluate(outages, params, saturated, network.sensing).report
+    mode = "true_queues" if network.sensing is None else "saturated_relays"
 
-    sat = run(network, params, TrafficParams(1.0, 0.0), mode=mode,
-              slots=slots, seed=seed)
+    sat = run(network, params, saturated, mode=mode, slots=slots, seed=seed)
     est = run(network, params, traffic, mode=mode, slots=slots, seed=seed + 1)
-
-    sat_report = rate_report(outages, params, TrafficParams(1.0, 0.0))
-    if network.sensing is not None:
-        sat_report = apply_sensing_errors(sat_report, params, network.sensing)
 
     out = []
 
     def check(quantity, analytic, simulated, ci):
         if math.isnan(simulated):  # queue never nonempty: nothing to compare
             return
-        tol = max(3 * ci, abs_floor)
+        tol = max(3 * ci, 0.01)
         gap = abs(analytic - simulated)
         out.append(Comparison("", 0.0, quantity, analytic, simulated, ci,
                               tol, bool(gap <= tol)))

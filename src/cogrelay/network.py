@@ -17,7 +17,7 @@ def _prob_vector(values, n: int, name: str) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     if v.shape != (n,):
         raise ConfigError(f"{name} must have length {n}, got shape {v.shape}")
-    if np.any(v < 0) or np.any(v > 1):
+    if not (np.all(v >= 0) and np.all(v <= 1)):  # NaN fails too
         raise ConfigError(f"{name} entries must lie in [0, 1]")
     return v
 

@@ -45,10 +45,10 @@ class OrderDistribution:
         for perm, prob in self.entries.items():
             if len(perm) != self.n_relays or set(perm) != ranks:
                 problems.append(f"key {perm} is not a bijection on 1..{self.n_relays}")
-            if prob < 0:
-                problems.append(f"probability {prob} < 0 for {perm}")
+            if not prob >= 0:
+                problems.append(f"probability {prob} for {perm} is not >= 0")
             mass += prob
-        if abs(mass - 1.0) > MASS_TOL:
+        if not abs(mass - 1.0) <= MASS_TOL:
             problems.append(f"mass {mass:.12g} != 1")
         return problems
 
@@ -76,7 +76,7 @@ class OrderDistribution:
         """
         beta = np.asarray(beta, dtype=float)
         n = beta.size
-        if np.any(beta < 0) or abs(beta.sum() - 1.0) > MASS_TOL:
+        if not (np.all(beta >= 0) and abs(beta.sum() - 1.0) <= MASS_TOL):
             raise ConfigError(
                 f"first-rank profile must be a probability vector, got {beta}")
         entries: dict[tuple[int, ...], float] = {}

@@ -24,8 +24,8 @@ from .channel import StrategyKind
 from .errors import ConfigError, InfeasibleError, NoFeasibleRelayCount
 from .network import NetworkConfig, OutageTable, TrafficParams
 from .orders import DENSE_LIMIT, OrderDistribution
-from .rates import (EPS_STAB, StrategyParams, apply_sensing_errors,
-                    end_to_end_delays, primary_rate_bound, rate_report)
+from .rates import (EPS_STAB, StrategyParams, evaluate, primary_rate_bound,
+                    rate_report)
 
 DENSE_ORDER_LIMIT = 5  # optimize the full N!-simplex only up to here
 _BIG = 1e6             # stands in for an infinite violation in the merit
@@ -40,7 +40,7 @@ class QosSpec:
     traffic: TrafficParams
 
     def __post_init__(self):
-        if self.d_p_max <= 0 or self.d_s_max <= 0:
+        if not (self.d_p_max > 0 and self.d_s_max > 0):
             raise ConfigError("delay ceilings must be positive")
 
 
@@ -143,34 +143,31 @@ class _Evaluator:
     """
 
     def __init__(self, network: NetworkConfig, strategy: StrategyKind,
-                 qos: QosSpec, eps_stab: float):
+                 qos: QosSpec):
         self.outages = network.outages(strategy)
         self.sensing = network.sensing
         self.qos = qos
         self.traffic = qos.traffic
-        self.eps = eps_stab
         self.evaluations = 0
 
     def residuals(self, params: StrategyParams) -> tuple[dict, float]:
         self.evaluations += 1
-        report = rate_report(self.outages, params, self.traffic)
-        if self.sensing is not None:
-            report = apply_sensing_errors(report, params, self.sensing)
+        ev = evaluate(self.outages, params, self.traffic, self.sensing)
+        report = ev.report
         res = {
-            "stability_p": report.mu_p - self.traffic.lambda_p - self.eps,
-            "stability_s": report.mu_s - self.traffic.lambda_s - self.eps,
+            "stability_p": report.mu_p - self.traffic.lambda_p - EPS_STAB,
+            "stability_s": report.mu_s - self.traffic.lambda_s - EPS_STAB,
         }
         for k in range(params.n_relays):
             res[f"stability_pk{k + 1}"] = (
                 math.inf if report.lambda_pk[k] == 0.0
-                else report.mu_pk[k] - report.lambda_pk[k] - self.eps)
+                else report.mu_pk[k] - report.lambda_pk[k] - EPS_STAB)
             res[f"stability_sk{k + 1}"] = (
                 math.inf if report.lambda_sk[k] == 0.0
-                else report.mu_sk[k] - report.lambda_sk[k] - self.eps)
+                else report.mu_sk[k] - report.lambda_sk[k] - EPS_STAB)
         if all(v >= 0 for v in res.values()):
-            d_p, d_s = end_to_end_delays(report, self.traffic)
-            res["delay_p"] = self.qos.d_p_max - d_p
-            res["delay_s"] = self.qos.d_s_max - d_s
+            res["delay_p"] = self.qos.d_p_max - ev.d_p
+            res["delay_s"] = self.qos.d_s_max - ev.d_s
         else:
             res["delay_p"] = -math.inf
             res["delay_s"] = -math.inf
@@ -290,7 +287,6 @@ def _designed_starts(space: _Space, outages: OutageTable) -> list[dict]:
 def maximize_secondary_throughput(
         network: NetworkConfig, strategy: StrategyKind, qos: QosSpec, *,
         budget: int = 20_000, restarts: int = 8, seed: int = 0,
-        eps_stab: float = EPS_STAB,
         extra_starts: tuple[StrategyParams, ...] = ()) -> OptResult:
     """Best feasible secondary service rate found within `budget` rate
     evaluations, or the least-infeasible point when none is found.
@@ -304,18 +300,18 @@ def maximize_secondary_throughput(
     if strategy is StrategyKind.ORDERED and n > DENSE_LIMIT:
         raise ConfigError(f"ordered-strategy search supports at most "
                           f"{DENSE_LIMIT} relays")
-    evaluator = _Evaluator(network, strategy, qos, eps_stab)
+    evaluator = _Evaluator(network, strategy, qos)
 
     # a primary queue that cannot be stabilized even at the rate bound
     # makes the whole problem infeasible outright
     mu_p_cap = primary_rate_bound(evaluator.outages, strategy)
     if network.sensing is not None and n > 0:
         mu_p_cap *= float(np.max(1.0 - network.sensing.p_md_primary ** 2))
-    if qos.traffic.lambda_p >= mu_p_cap - eps_stab:
+    if qos.traffic.lambda_p >= mu_p_cap - EPS_STAB:
         return OptResult(
             best_params=None, best_mu_s=0.0, feasible=False,
             constraint_residuals={"stability_p":
-                                  mu_p_cap - qos.traffic.lambda_p - eps_stab},
+                                  mu_p_cap - qos.traffic.lambda_p - EPS_STAB},
             restarts_used=0, evaluations=0, budget_exhausted=False,
             first_violation="stability")
 
@@ -366,9 +362,7 @@ def maximize_secondary_throughput(
 
 
 def solve_feasibility_saturated(outages: OutageTable, params: StrategyParams,
-                                qos: QosSpec, *,
-                                eps_stab: float = EPS_STAB
-                                ) -> tuple[np.ndarray, np.ndarray]:
+                                qos: QosSpec) -> tuple[np.ndarray, np.ndarray]:
     """Feasible relay-schedule split with saturated acceptance (f = 1).
 
     With all acceptance probabilities one, the user rates and the relay
@@ -400,12 +394,12 @@ def solve_feasibility_saturated(outages: OutageTable, params: StrategyParams,
             if c_p[k] <= 0:
                 bad.append(f"primary-relay-{k + 1} stability")
                 continue
-            lb_z[k] = (report.lambda_pk[k] + eps_stab) / c_p[k]
+            lb_z[k] = (report.lambda_pk[k] + EPS_STAB) / c_p[k]
         if report.lambda_sk[k] > 0:
             if c_s[k] <= 0:
                 bad.append(f"secondary-relay-{k + 1} stability")
                 continue
-            lb_y[k] = (report.lambda_sk[k] + eps_stab) / c_s[k]
+            lb_y[k] = (report.lambda_sk[k] + EPS_STAB) / c_s[k]
     if bad:
         raise InfeasibleError(bad)
     surplus = 1.0 - lb_z.sum() - lb_y.sum()
@@ -425,34 +419,23 @@ def recover_schedule(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return omega, alpha
 
 
-def minimize_relay_count(cfg_family, strategy: StrategyKind, qos: QosSpec,
-                         n_max: int, *, budget: int = 20_000,
+def minimize_relay_count(network: NetworkConfig, strategy: StrategyKind,
+                         qos: QosSpec, n_max: int, *, budget: int = 20_000,
                          restarts: int = 8, seed: int = 0) -> int:
-    """Smallest relay count in 0..n_max with a feasible operating point.
-
-    `cfg_family` maps a relay count to its NetworkConfig; a single
-    NetworkConfig is restricted to its first n relays.  The solution
-    found at each count seeds the next search, so feasibility can only
-    get easier as relays are added.
+    """Smallest relay count in 0..n_max with a feasible operating point,
+    searching `network` restricted to its first n relays.  Counts beyond
+    the network's relays are skipped.  The solution found at each count
+    seeds the next search, so feasibility can only get easier as relays
+    are added.
     """
-    if callable(cfg_family):
-        family = cfg_family
-    elif isinstance(cfg_family, NetworkConfig):
-        family = cfg_family.take
-    else:
-        mapping = dict(cfg_family)
-
-        def family(n):
-            return mapping[n]
-
     carried: tuple[StrategyParams, ...] = ()
     for n in range(n_max + 1):
         try:
-            network = family(n)
-        except (KeyError, ConfigError):
+            restricted = network.take(n)
+        except ConfigError:
             continue
         result = maximize_secondary_throughput(
-            network, strategy, qos, budget=budget, restarts=restarts,
+            restricted, strategy, qos, budget=budget, restarts=restarts,
             seed=seed, extra_starts=carried)
         if result.feasible:
             return n
@@ -467,13 +450,15 @@ def _extend(params: StrategyParams, strategy: StrategyKind) -> StrategyParams:
     the incumbent's rates as a warm start for the larger search."""
     n = params.n_relays + 1
     # growing from zero relays: the newcomer takes the (unused) schedule
-    omega = np.append(params.omega, 0.0 if params.n_relays else 1.0)
+    # and, under random assignment, the whole assignment
+    newcomer = 0.0 if params.n_relays else 1.0
+    omega = np.append(params.omega, newcomer)
     alpha = np.append(params.alpha, 0.5)
     f_p = np.append(params.f_p, 0.0)
     f_s = np.append(params.f_s, 0.0)
     kw = {}
     if strategy is StrategyKind.RANDOM:
-        kw["beta"] = np.append(params.beta, 0.0)
+        kw["beta"] = np.append(params.beta, newcomer)
     if strategy is StrategyKind.ORDERED:
         for name in ("order_p", "order_s"):
             dist = getattr(params, name)

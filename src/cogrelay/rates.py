@@ -3,6 +3,8 @@
 Mean service and arrival rates for every queue in the system (two user
 queues plus two relaying queues per relay), empty-queue probabilities,
 best-case rate bounds, queueing delays and the sensing-error corrections.
+`evaluate` runs the whole chain for one operating point and is what the
+sweeps, the comparison harness and the QoS search call.
 
 The system is triangular: the primary queue is a plain Geo/Geo/1 queue, the
 secondary sees service only when the primary is empty, and the relaying
@@ -13,6 +15,7 @@ no fixed-point iteration is involved.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -55,10 +58,11 @@ class StrategyParams:
             v = np.asarray(getattr(self, name), dtype=float)
             if v.shape != (n,):
                 raise ConfigError(f"{name} must have length {n}")
-            if np.any(v < 0) or np.any(v > 1):
+            # written so that NaN fails every range and sum check
+            if not (np.all(v >= 0) and np.all(v <= 1)):
                 raise ConfigError(f"{name} entries must lie in [0, 1]")
             object.__setattr__(self, name, v)
-        if n > 0 and abs(self.omega.sum() - 1.0) > 1e-9:
+        if n > 0 and not abs(self.omega.sum() - 1.0) <= 1e-9:
             raise ConfigError(f"omega must sum to 1, got {self.omega.sum():.12g}")
         if self.strategy is StrategyKind.ORDERED:
             if n > 0 and (self.order_p is None or self.order_s is None):
@@ -73,7 +77,8 @@ class StrategyParams:
                 if self.beta is None:
                     raise ConfigError("random assignment requires beta")
                 b = np.asarray(self.beta, dtype=float)
-                if b.shape != (n,) or np.any(b < 0) or abs(b.sum() - 1.0) > 1e-9:
+                if b.shape != (n,) or not (np.all(b >= 0)
+                                           and abs(b.sum() - 1.0) <= 1e-9):
                     raise ConfigError("beta must be a probability vector over relays")
                 object.__setattr__(self, "beta", b)
         elif self.strategy is StrategyKind.ROUND_ROBIN:
@@ -119,21 +124,12 @@ class RateReport:
     stable_s: bool
     stable_pk: np.ndarray
     stable_sk: np.ndarray
-    mu_p_max: float
-    mu_s_max: float
 
 
 def is_stable(lam: float, mu: float) -> bool:
     """Stability with the shared numerical margin; an empty arrival stream
     is stable regardless of service."""
     return lam == 0.0 or lam <= mu - EPS_STAB
-
-
-def empty_probability(lam: float, mu: float, queue: str) -> float:
-    if not is_stable(lam, mu):
-        raise UnstableQueueError(queue, f"lambda {lam:.6g} >= mu {mu:.6g}"
-                                        f" - {EPS_STAB:g}")
-    return 1.0 if lam == 0.0 else 1.0 - lam / mu
 
 
 def capture_weights(outage_relay: np.ndarray, f: np.ndarray,
@@ -161,43 +157,6 @@ def capture_weights(outage_relay: np.ndarray, f: np.ndarray,
             weights[k] += prob * accept[k] * miss
             miss *= 1.0 - accept[k]
     return weights
-
-
-def primary_service_rate(outages: OutageTable, params: StrategyParams) -> float:
-    """A head-of-line primary packet departs when the direct link succeeds
-    or, failing that, some relay decodes and admits it."""
-    capture = capture_weights(outages.pu_relay, params.f_p, params, "p")
-    return (1.0 - outages.pu_pd) + outages.pu_pd * capture.sum()
-
-
-def secondary_bracket(outages: OutageTable, params: StrategyParams) -> float:
-    """Secondary departure probability conditioned on the primary being
-    silent and the secondary queue nonempty."""
-    capture = capture_weights(outages.su_relay, params.f_s, params, "s")
-    return (1.0 - outages.su_sd) + outages.su_sd * capture.sum()
-
-
-def secondary_service_rate(outages: OutageTable, params: StrategyParams,
-                           traffic: TrafficParams) -> float:
-    """Requires a stable primary queue; raises UnstableQueueError otherwise."""
-    mu_p = primary_service_rate(outages, params)
-    pi_p0 = empty_probability(traffic.lambda_p, mu_p, "primary")
-    return pi_p0 * secondary_bracket(outages, params)
-
-
-def relay_arrival_rates(outages: OutageTable, params: StrategyParams,
-                        traffic: TrafficParams) -> tuple[np.ndarray, np.ndarray]:
-    """Mean arrival rate into each relaying queue.  Both user queues must
-    be stable for the empty-queue probabilities to exist."""
-    mu_p = primary_service_rate(outages, params)
-    pi_p0 = empty_probability(traffic.lambda_p, mu_p, "primary")
-    mu_s = pi_p0 * secondary_bracket(outages, params)
-    pi_s0 = empty_probability(traffic.lambda_s, mu_s, "secondary")
-    cap_p = capture_weights(outages.pu_relay, params.f_p, params, "p")
-    cap_s = capture_weights(outages.su_relay, params.f_s, params, "s")
-    lambda_pk = (1.0 - pi_p0) * outages.pu_pd * cap_p
-    lambda_sk = (1.0 - pi_s0) * pi_p0 * outages.su_sd * cap_s
-    return lambda_pk, lambda_sk
 
 
 def relay_service_rates(outages: OutageTable, params: StrategyParams,
@@ -260,6 +219,13 @@ def queue_delay(lam: float, mu: float) -> float:
     return (1.0 - lam) / (mu - lam)
 
 
+def _stable_flags(lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Per-relay `is_stable`, over plain floats: comparing numpy scalars
+    one by one costs more than the `tolist` conversion."""
+    return np.array([is_stable(l, m) for l, m in zip(lam.tolist(), mu.tolist())],
+                    dtype=bool)
+
+
 def _flagged_pi0(lam: float, mu: float) -> tuple[bool, float]:
     """(stable, empty probability), with unstable mapped to never-empty."""
     if lam == 0.0:
@@ -286,25 +252,13 @@ def rate_report(outages: OutageTable, params: StrategyParams,
     lambda_sk = (1.0 - pi_s0) * pi_p0 * outages.su_sd * cap_s
     mu_pk, mu_sk = relay_service_rates(outages, params, pi_p0, pi_s0)
 
-    mu_p_max = 1.0
-    mu_s_max = 1.0
-    try:
-        mu_p_max, mu_s_max = max_service_rates(outages, traffic, params.strategy)
-    except UnstableQueueError:
-        mu_p_max = max_service_rates(
-            outages, TrafficParams(0.0, traffic.lambda_s), params.strategy)[0]
-        mu_s_max = 0.0
-
     return RateReport(
         strategy=params.strategy, traffic=traffic,
         mu_p=mu_p, mu_s=mu_s, pi_p0=pi_p0, pi_s0=pi_s0,
         lambda_pk=lambda_pk, lambda_sk=lambda_sk, mu_pk=mu_pk, mu_sk=mu_sk,
         stable_p=stable_p, stable_s=stable_s,
-        stable_pk=np.array([is_stable(l, m) for l, m in zip(lambda_pk, mu_pk)],
-                           dtype=bool),
-        stable_sk=np.array([is_stable(l, m) for l, m in zip(lambda_sk, mu_sk)],
-                           dtype=bool),
-        mu_p_max=mu_p_max, mu_s_max=mu_s_max)
+        stable_pk=_stable_flags(lambda_pk, mu_pk),
+        stable_sk=_stable_flags(lambda_sk, mu_sk))
 
 
 def end_to_end_delays(report: RateReport,
@@ -398,8 +352,53 @@ def apply_sensing_errors(report: RateReport, params: StrategyParams,
         mu_p=mu_p, mu_s=mu_s, pi_p0=pi_p0, pi_s0=pi_s0,
         lambda_pk=lambda_pk, lambda_sk=lambda_sk, mu_pk=mu_pk, mu_sk=mu_sk,
         stable_p=stable_p, stable_s=stable_s,
-        stable_pk=np.array([is_stable(l, m) for l, m in zip(lambda_pk, mu_pk)],
-                           dtype=bool),
-        stable_sk=np.array([is_stable(l, m) for l, m in zip(lambda_sk, mu_sk)],
-                           dtype=bool),
-        mu_s_max=report.mu_s_max if stable_p else 0.0)
+        stable_pk=_stable_flags(lambda_pk, mu_pk),
+        stable_sk=_stable_flags(lambda_sk, mu_sk))
+
+
+@dataclass(frozen=True)
+class Evaluation:
+    """One operating point through the whole analytic chain.
+
+    `status` is "ok" or "unstable:<queue>", naming the first queue that
+    cannot sustain its load in the order primary, secondary,
+    primary-relay-k, secondary-relay-k.  A user queue with no arrivals
+    and no service passes the stability flags, and the delay law reports
+    it as "unstable:queue".  The delays are inf unless the status is "ok".
+    """
+
+    report: RateReport
+    d_p: float
+    d_s: float
+    status: str
+
+
+def _unstable_queue(report: RateReport) -> str | None:
+    if not report.stable_p:
+        return "primary"
+    if not report.stable_s:
+        return "secondary"
+    for user, flags in (("primary", report.stable_pk),
+                        ("secondary", report.stable_sk)):
+        if not flags.all():
+            return f"{user}-relay-{int(np.argmin(flags)) + 1}"
+    return None
+
+
+def evaluate(outages: OutageTable, params: StrategyParams,
+             traffic: TrafficParams,
+             sensing: SensingErrorParams | None = None) -> Evaluation:
+    """Rates, sensing-error correction (when `sensing` is given), status
+    and end-to-end delays at one operating point.  The delays are worked
+    out only when every queue is stable."""
+    report = rate_report(outages, params, traffic)
+    if sensing is not None:
+        report = apply_sensing_errors(report, params, sensing)
+    queue = _unstable_queue(report)
+    if queue is None:
+        try:
+            d_p, d_s = end_to_end_delays(report, traffic)
+            return Evaluation(report, d_p, d_s, "ok")
+        except UnstableQueueError as err:
+            queue = err.queue
+    return Evaluation(report, math.inf, math.inf, f"unstable:{queue}")

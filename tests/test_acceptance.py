@@ -22,9 +22,8 @@ from cogrelay.orders import OrderDistribution
 from cogrelay.qos import (QosSpec, maximize_secondary_throughput,
                           minimize_relay_count)
 from cogrelay.rates import (StrategyParams, apply_sensing_errors,
-                            max_service_rates, primary_service_rate,
-                            rate_report, secondary_rate_cap,
-                            secondary_service_rate)
+                            max_service_rates, rate_report,
+                            secondary_rate_cap)
 from cogrelay.sim import run
 from support import (delay_limited_secondary_ceiling, oracle_user_rates,
                      random_order_distribution, random_sensing_errors,
@@ -35,6 +34,7 @@ TABLE_ROWS12 = OutageTable(0.1, 0.2, [0.1, 0.02], [0.1, 0.1],
                            [0.1, 0.1], [0.1, 0.1])
 STRATEGIES = (StrategyKind.ORDERED, StrategyKind.RANDOM,
               StrategyKind.ROUND_ROBIN)
+IDLE = TrafficParams(0.0, 0.0)  # mu_p does not depend on the traffic
 
 
 def report(num, name, ok, detail=""):
@@ -62,9 +62,9 @@ def stable_random_case(rng):
     params = StrategyParams(kind, random_simplex(rng, n),
                             rng.uniform(0, 1, n), rng.uniform(0.9, 1, n),
                             rng.uniform(0.9, 1, n), **kw)
-    mu_p = primary_service_rate(out, params)
+    mu_p = rate_report(out, params, IDLE).mu_p
     lam_p = rng.uniform(0.05, 0.2) * mu_p
-    mu_s = secondary_service_rate(out, params, TrafficParams(lam_p, 0.0))
+    mu_s = rate_report(out, params, TrafficParams(lam_p, 0.0)).mu_s
     lam_s = rng.uniform(0.1, 0.5) * mu_s
     return out, params, TrafficParams(lam_p, lam_s)
 
@@ -157,7 +157,7 @@ def test_criterion_04_ordered_dominance():
                               order_p=order, order_s=order)
         p_rd = StrategyParams(StrategyKind.RANDOM, omega, alpha, f_p, f_s,
                               beta=beta)
-        mu_rd = primary_service_rate(out, p_rd)
+        mu_rd = rate_report(out, p_rd, IDLE).mu_p
         traffic = TrafficParams(rng.uniform(0, 0.9) * mu_rd,
                                 rng.uniform(0, 0.5))
         se = random_sensing_errors(rng, n)
@@ -195,7 +195,7 @@ def test_criterion_05_secondary_cap():
         params = StrategyParams(kind, random_simplex(rng, n),
                                 rng.uniform(0, 1, n), rng.uniform(0, 1, n),
                                 rng.uniform(0, 1, n), **kw)
-        mu_p = primary_service_rate(out, params)
+        mu_p = rate_report(out, params, IDLE).mu_p
         traffic = TrafficParams(rng.uniform(0, 0.999) * mu_p,
                                 rng.uniform(0, 1))
         report_ = rate_report(out, params, traffic)
@@ -232,11 +232,12 @@ def test_criterion_06_exhaustive_oracle():
         params = StrategyParams(kind, random_simplex(rng, n),
                                 rng.uniform(0, 1, n), rng.uniform(0, 1, n),
                                 rng.uniform(0, 1, n), **kw)
-        mu_p = primary_service_rate(out, params)
+        mu_p = rate_report(out, params, IDLE).mu_p
         traffic = TrafficParams(rng.uniform(0, 0.9) * mu_p, 0.0)
         mu_p_o, mu_s_o, _, _ = oracle_user_rates(out, params, traffic)
-        mu_s = secondary_service_rate(out, params, traffic)
-        worst = max(worst, abs(mu_p - mu_p_o), abs(mu_s - mu_s_o))
+        analytic = rate_report(out, params, traffic)
+        worst = max(worst, abs(analytic.mu_p - mu_p_o),
+                    abs(analytic.mu_s - mu_s_o))
     report(6, "closed forms equal the exhaustive slot-outcome oracle",
            worst <= 1e-10, f"worst gap {worst:.2e}")
 

@@ -101,3 +101,20 @@ def test_timing_validation():
         SlotTiming(T, -1e-5, 0.0, 1000, 1e7)
     with pytest.raises(ConfigError):
         LinkParams(0.0, 1.0)
+
+
+@pytest.mark.parametrize("field", ["slot_seconds", "sensing_seconds",
+                                   "feedback_seconds", "packet_bits",
+                                   "bandwidth_hz"])
+def test_timing_rejects_nan(field):
+    kw = dict(slot_seconds=T, sensing_seconds=0.0, feedback_seconds=0.0,
+              packet_bits=1000, bandwidth_hz=1e7)
+    kw[field] = math.nan
+    with pytest.raises(ConfigError):
+        SlotTiming(**kw)
+
+
+@pytest.mark.parametrize("gamma, sigma", [(math.nan, 1.0), (1.0, math.nan)])
+def test_link_rejects_nan(gamma, sigma):
+    with pytest.raises(ConfigError):
+        LinkParams(gamma, sigma)

@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-import cogrelay.experiments as experiments
+import cogrelay.rates as rates
 from cogrelay.channel import StrategyKind
 from cogrelay.cli import main
 from cogrelay.errors import ConfigError, SpecParseError
@@ -115,6 +116,22 @@ class TestLoadSpec:
             load_spec(write_spec(tmp_path, text))
         assert "omega" in str(err.value)
 
+    @pytest.mark.parametrize("old, new", [
+        ("sweep_step = 0.1", "sweep_step = nan"),
+        ("sweep_start = 0.1", "sweep_start = nan"),
+        ("sweep_stop = 0.2", "sweep_stop = inf"),
+        ("sweep_start = 0.1", "sweep_start = -inf"),
+    ])
+    def test_sweep_bounds_rejected(self, tmp_path, old, new):
+        with pytest.raises(SpecParseError):
+            load_spec(write_spec(tmp_path, GOOD_SPEC.replace(old, new)))
+
+    def test_binary_file_is_parse_error(self, tmp_path):
+        path = tmp_path / "binary.cfg"
+        path.write_bytes(b"\xff\xfe\x00[experiment]")
+        with pytest.raises(SpecParseError):
+            load_spec(path)
+
     def test_unknown_strategy(self, tmp_path):
         text = GOOD_SPEC.replace("strategies = od, rd", "strategies = xx")
         with pytest.raises(SpecParseError):
@@ -161,13 +178,14 @@ class TestCompare:
         spec.sweep_values = [0.1]
         spec.strategies = [StrategyKind.RANDOM]
         spec.sim.slots = 100_000
-        true_report = experiments.rate_report
+        true_report = rates.rate_report
 
         def corrupted(outages, params, traffic):
             report = true_report(outages, params, traffic)
-            return experiments.replace(report, mu_s=report.mu_s + 0.05)
+            return replace(report, mu_s=report.mu_s + 0.05)
 
-        monkeypatch.setattr(experiments, "rate_report", corrupted)
+        # the single analytic path looks the name up in `rates`
+        monkeypatch.setattr(rates, "rate_report", corrupted)
         results = compare_analytic_sim(spec)
         assert any(not c.passed for c in results if c.quantity == "mu_s")
 
@@ -263,6 +281,34 @@ class TestCli:
 
     def test_missing_file_exits_one(self, tmp_path):
         assert main(["analyze", "--spec", str(tmp_path / "nope.cfg")]) == 1
+
+    @pytest.mark.parametrize("verb, flag, value", [
+        ("simulate", "--seed", "-1"),
+        ("simulate", "--slots", "0"),
+        ("simulate", "--replications", "0"),
+        ("compare", "--slots", "0"),
+        ("analyze", "--seed", "-1"),
+    ])
+    def test_bad_sim_override_exits_one(self, tmp_path, capsys, verb, flag,
+                                        value):
+        spec_path = write_spec(tmp_path, GOOD_SPEC)
+        assert main([verb, "--spec", str(spec_path), flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err + captured.out
+
+    @pytest.mark.parametrize("line", [
+        "seed = -1", "slots = 0", "replications = 0", "slots = inf",
+        "slots = nan"])
+    def test_bad_sim_section_exits_one(self, tmp_path, capsys, line):
+        key = line.split(" = ")[0]
+        old = {"seed": "seed = 7", "slots": "slots = 30000",
+               "replications": "replications = 1"}[key]
+        spec_path = write_spec(tmp_path, GOOD_SPEC.replace(old, line))
+        assert main(["simulate", "--spec", str(spec_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err + captured.out
 
     def test_compare_exit_codes(self, tmp_path, capsys):
         spec_path = write_spec(tmp_path, GOOD_SPEC.replace(

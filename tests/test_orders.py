@@ -95,3 +95,16 @@ def test_rank_orders_layout():
     probs, orders = d.rank_orders()
     assert probs.tolist() == [1.0]
     assert orders.tolist() == [[1, 0, 2]]
+
+
+@pytest.mark.parametrize("entries", [{(1, 2): math.nan},
+                                     {(1, 2): math.nan, (2, 1): 1.0}])
+def test_nan_probability_rejected(entries):
+    with pytest.raises(ConfigError):
+        OrderDistribution(2, entries)
+
+
+@pytest.mark.parametrize("beta", [[math.nan, math.nan], [math.nan, 1.0]])
+def test_nan_first_rank_profile_rejected(beta):
+    with pytest.raises(ConfigError):
+        OrderDistribution.from_first_rank_profile(beta)

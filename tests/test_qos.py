@@ -263,9 +263,25 @@ class TestMinimizeRelayCount:
                                  QosSpec(2, 2, net.traffic), 1,
                                  budget=1500, restarts=2, seed=0)
 
+    def test_random_assignment_grows_from_zero_relays(self):
+        # zero relays keep the primary stable but starve the secondary, so
+        # the zero-relay point seeds the one-relay search
+        out = OutageTable(0.4, 0.3, [0.01, 0.01], [0.01, 0.01],
+                          [0.01, 0.01], [0.01, 0.01])
+        net = NetworkConfig(out, TrafficParams(0.5, 0.2))
+        n = minimize_relay_count(net, StrategyKind.RANDOM,
+                                 QosSpec(40, 80, net.traffic), 2,
+                                 budget=1500, restarts=2, seed=0)
+        assert n == 1
+
     def test_qos_spec_validation(self):
         with pytest.raises(ConfigError):
             QosSpec(0.0, 1.0, TrafficParams(0.1, 0.1))
+
+    @pytest.mark.parametrize("d_p, d_s", [(math.nan, 1.0), (1.0, math.nan)])
+    def test_qos_spec_rejects_nan(self, d_p, d_s):
+        with pytest.raises(ConfigError):
+            QosSpec(d_p, d_s, TrafficParams(0.1, 0.1))
 
 
 def scored_feasible(outages, params, qos):

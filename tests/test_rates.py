@@ -1,4 +1,6 @@
 
+import math
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,11 @@ from cogrelay.channel import StrategyKind
 from cogrelay.errors import ConfigError, UnstableQueueError
 from cogrelay.network import OutageTable, SensingErrorParams, TrafficParams
 from cogrelay.orders import OrderDistribution
+import cogrelay.rates as rates
 from cogrelay.rates import (EPS_STAB, StrategyParams, apply_sensing_errors,
-                            end_to_end_delays, max_service_rates,
-                            primary_service_rate, queue_delay, rate_report,
-                            relay_arrival_rates, relay_service_rates,
-                            secondary_rate_cap, secondary_service_rate)
+                            end_to_end_delays, evaluate, max_service_rates,
+                            queue_delay, rate_report, relay_service_rates,
+                            secondary_rate_cap)
 from support import (oracle_user_rates, random_order_distribution,
                      random_outages, random_params, random_sensing_errors,
                      random_simplex)
@@ -18,6 +20,7 @@ from support import (oracle_user_rates, random_order_distribution,
 TABLE_ROWS12 = OutageTable(pu_pd=0.1, su_sd=0.2,
                            pu_relay=[0.1, 0.02], su_relay=[0.1, 0.1],
                            relay_pd=[0.1, 0.1], relay_sd=[0.1, 0.1])
+IDLE = TrafficParams(0.0, 0.0)  # mu_p does not depend on the traffic
 
 
 def od_params(omega, alpha, f_p, f_s, order=None):
@@ -37,11 +40,11 @@ class TestPrimaryServiceRate:
             elif kind is StrategyKind.RANDOM:
                 kw = dict(beta=[0.3, 0.7])
             p = StrategyParams(kind, [0.5, 0.5], [0.5, 0.5], [0, 0], [0, 0], **kw)
-            assert primary_service_rate(TABLE_ROWS12, p) == pytest.approx(0.9)
+            assert rate_report(TABLE_ROWS12, p, IDLE).mu_p == pytest.approx(0.9)
 
     def test_full_acceptance_ordered(self):
         p = od_params([0.5, 0.5], [0.5, 0.5], [1, 1], [1, 1])
-        assert primary_service_rate(TABLE_ROWS12, p) == pytest.approx(0.9998, abs=1e-12)
+        assert rate_report(TABLE_ROWS12, p, IDLE).mu_p == pytest.approx(0.9998, abs=1e-12)
 
     def test_full_acceptance_ordered_any_order(self):
         # with f=1 the capture probability telescopes to 1 - prod(outage),
@@ -50,53 +53,53 @@ class TestPrimaryServiceRate:
                       OrderDistribution.point_mass((2, 1)),
                       OrderDistribution(2, {(1, 2): 0.25, (2, 1): 0.75})):
             p = od_params([0.5, 0.5], [0.5, 0.5], [1, 1], [1, 1], order)
-            assert primary_service_rate(TABLE_ROWS12, p) == pytest.approx(
+            assert rate_report(TABLE_ROWS12, p, IDLE).mu_p == pytest.approx(
                 0.9998, abs=1e-12)
 
     def test_random_assignment_best_vertex(self):
         p = StrategyParams(StrategyKind.RANDOM, [0.5, 0.5], [0.5, 0.5],
                            [1, 1], [1, 1], beta=[0.0, 1.0])
-        assert primary_service_rate(TABLE_ROWS12, p) == pytest.approx(0.998, abs=1e-12)
+        assert rate_report(TABLE_ROWS12, p, IDLE).mu_p == pytest.approx(0.998, abs=1e-12)
 
 
 class TestSecondaryServiceRate:
     def test_idle_primary_gives_bracket(self):
         p = od_params([0.5, 0.5], [0.5, 0.5], [1, 1], [1, 1])
-        mu_s = secondary_service_rate(TABLE_ROWS12, p, TrafficParams(0.0, 0.1))
+        mu_s = rate_report(TABLE_ROWS12, p, TrafficParams(0.0, 0.1)).mu_s
         assert mu_s == pytest.approx(1 - 0.2 * 0.1 * 0.1, abs=1e-12)
 
     def test_vanishes_at_stability_boundary(self):
         p = od_params([0.5, 0.5], [0.5, 0.5], [1, 1], [1, 1])
-        mu_p = primary_service_rate(TABLE_ROWS12, p)
-        mu_s = secondary_service_rate(TABLE_ROWS12, p,
-                                      TrafficParams(mu_p - 1e-5, 0.1))
+        mu_p = rate_report(TABLE_ROWS12, p, IDLE).mu_p
+        mu_s = rate_report(TABLE_ROWS12, p,
+                           TrafficParams(mu_p - 1e-5, 0.1)).mu_s
         assert mu_s < 2e-5
 
-    def test_unstable_primary_raises(self):
+    def test_unstable_primary_flagged(self):
         p = od_params([0.5, 0.5], [0.5, 0.5], [0, 0], [0, 0])
-        with pytest.raises(UnstableQueueError) as err:
-            secondary_service_rate(TABLE_ROWS12, p, TrafficParams(0.95, 0.1))
-        assert err.value.queue == "primary"
+        report = rate_report(TABLE_ROWS12, p, TrafficParams(0.95, 0.1))
+        assert not report.stable_p
+        assert report.pi_p0 == 0 and report.mu_s == 0
 
 
 class TestRelayRates:
     def test_zero_acceptance_zero_arrivals(self):
         p = od_params([0.5, 0.5], [0.5, 0.5], [0, 0], [0.5, 0.5])
-        lam_pk, _ = relay_arrival_rates(TABLE_ROWS12, p, TrafficParams(0.3, 0.1))
+        lam_pk = rate_report(TABLE_ROWS12, p, TrafficParams(0.3, 0.1)).lambda_pk
         assert np.all(lam_pk == 0)
 
     def test_zero_primary_traffic_zero_arrivals(self):
         p = od_params([0.5, 0.5], [0.5, 0.5], [1, 1], [1, 1])
-        lam_pk, _ = relay_arrival_rates(TABLE_ROWS12, p, TrafficParams(0.0, 0.1))
+        lam_pk = rate_report(TABLE_ROWS12, p, TrafficParams(0.0, 0.1)).lambda_pk
         assert np.all(lam_pk == 0)
 
     def test_random_assignment_chain_value(self):
         p = StrategyParams(StrategyKind.RANDOM, [0.5, 0.5], [0.5, 0.5],
                            [1, 1], [1, 1], beta=[0.5, 0.5])
         traffic = TrafficParams(0.3, 0.0)
-        mu_p = primary_service_rate(TABLE_ROWS12, p)
+        mu_p = rate_report(TABLE_ROWS12, p, IDLE).mu_p
         pi_p0 = 1 - 0.3 / mu_p
-        lam_pk, _ = relay_arrival_rates(TABLE_ROWS12, p, traffic)
+        lam_pk = rate_report(TABLE_ROWS12, p, traffic).lambda_pk
         assert lam_pk[0] == pytest.approx(0.1 * 0.9 * 0.5 * (1 - pi_p0), abs=1e-12)
 
     def test_service_rates_product(self):
@@ -165,9 +168,9 @@ class TestMaxServiceRates:
                                   rng.uniform(0, 1, n), ones, ones,
                                   order_p=random_order_distribution(rng, n),
                                   order_s=random_order_distribution(rng, n))
-            if traffic.lambda_p >= primary_service_rate(out, p_od):
+            if traffic.lambda_p >= rate_report(out, p_od, IDLE).mu_p:
                 continue
-            mu_s = secondary_service_rate(out, p_od, traffic)
+            mu_s = rate_report(out, p_od, traffic).mu_s
             bound = max_service_rates(out, traffic, StrategyKind.ORDERED)[1]
             assert mu_s == pytest.approx(bound, abs=1e-12)
 
@@ -177,7 +180,7 @@ class TestMaxServiceRates:
         p_rd = StrategyParams(StrategyKind.RANDOM, [0.5, 0.5], [0.5, 0.5],
                               [1, 1], [1, 1], beta=[1.0, 0.0])
         traffic = TrafficParams(0.3, 0.2)
-        mu_s = secondary_service_rate(out, p_rd, traffic)
+        mu_s = rate_report(out, p_rd, traffic).mu_s
         bound = max_service_rates(out, traffic, StrategyKind.RANDOM)[1]
         assert mu_s == pytest.approx(bound, abs=1e-12)
 
@@ -188,7 +191,7 @@ class TestMaxServiceRates:
             out = random_outages(rng, n)
             kind = list(StrategyKind)[rng.integers(0, 3)]
             params = random_params(rng, n, kind)
-            mu_p = primary_service_rate(out, params)
+            mu_p = rate_report(out, params, IDLE).mu_p
             traffic = TrafficParams(rng.uniform(0, 0.95) * mu_p,
                                     rng.uniform(0, 1))
             report = rate_report(out, params, traffic)
@@ -212,8 +215,8 @@ class TestMaxServiceRates:
             # secondary argmin vertex differs in general; check mu_p only
             p_rd = StrategyParams(StrategyKind.RANDOM, random_simplex(rng, n),
                                   rng.uniform(0, 1, n), ones, ones, beta=beta)
-            mu_od = primary_service_rate(out, p_od)
-            mu_rd = primary_service_rate(out, p_rd)
+            mu_od = rate_report(out, p_od, IDLE).mu_p
+            mu_rd = rate_report(out, p_rd, IDLE).mu_p
             assert mu_od == pytest.approx(
                 max_service_rates(out, traffic, StrategyKind.ORDERED)[0], abs=1e-12)
             assert mu_rd == pytest.approx(
@@ -232,9 +235,9 @@ class TestCapAndDelay:
             out = random_outages(rng, n)
             kind = list(StrategyKind)[rng.integers(0, 3)]
             params = random_params(rng, n, kind)
-            mu_p = primary_service_rate(out, params)
+            mu_p = rate_report(out, params, IDLE).mu_p
             traffic = TrafficParams(rng.uniform(0, mu_p - EPS_STAB), 0.1)
-            mu_s = secondary_service_rate(out, params, traffic)
+            mu_s = rate_report(out, params, traffic).mu_s
             assert mu_s <= secondary_rate_cap(traffic) + 1e-12
 
     def test_queue_delay_values(self):
@@ -280,6 +283,61 @@ class TestEndToEndDelays:
         assert "primary-relay" in err.value.queue
 
 
+class TestEvaluate:
+    def test_status_and_delays_follow_the_chain(self, monkeypatch):
+        # precedence: the user stability flags first, then the queue that
+        # end_to_end_delays names; delays only when every queue is stable
+        calls = []
+
+        def counted(report, traffic):
+            calls.append(report)
+            return end_to_end_delays(report, traffic)
+
+        monkeypatch.setattr(rates, "end_to_end_delays", counted)
+        rng = np.random.default_rng(16)
+        seen = set()
+        for _ in range(600):
+            n = int(rng.integers(0, 4))
+            out = random_outages(rng, n)
+            kind = list(StrategyKind)[rng.integers(0, 3)]
+            params = random_params(rng, n, kind)
+            mu_p = rate_report(out, params, IDLE).mu_p
+            traffic = TrafficParams(min(1.0, rng.uniform(0, 1.1) * mu_p),
+                                    rng.uniform(0, 0.6))
+            sensing = (random_sensing_errors(rng, n) if rng.uniform() < 0.5
+                       else None)
+            report = rate_report(out, params, traffic)
+            if sensing is not None:
+                report = apply_sensing_errors(report, params, sensing)
+            want, delays = "ok", None
+            if not report.stable_p:
+                want = "unstable:primary"
+            elif not report.stable_s:
+                want = "unstable:secondary"
+            else:
+                try:
+                    delays = end_to_end_delays(report, traffic)
+                except UnstableQueueError as err:
+                    want = f"unstable:{err.queue}"
+
+            calls.clear()
+            ev = evaluate(out, params, traffic, sensing)
+            assert ev.status == want
+            assert ev.report.mu_s == report.mu_s
+            assert np.array_equal(ev.report.lambda_sk, report.lambda_sk)
+            assert np.array_equal(ev.report.mu_pk, report.mu_pk)
+            all_stable = (report.stable_p and report.stable_s
+                          and report.stable_pk.all() and report.stable_sk.all())
+            assert len(calls) == int(all_stable)
+            if want == "ok":
+                assert (ev.d_p, ev.d_s) == delays
+            else:
+                assert ev.d_p == ev.d_s == math.inf
+            seen.add(want.rstrip("0123456789"))
+        assert seen == {"ok", "unstable:primary", "unstable:secondary",
+                        "unstable:primary-relay-", "unstable:secondary-relay-"}
+
+
 class TestSensingErrors:
     def test_zero_errors_identity(self):
         p = random_params(np.random.default_rng(8), 3, StrategyKind.ORDERED)
@@ -313,7 +371,7 @@ class TestSensingErrors:
             out = random_outages(rng, n)
             kind = list(StrategyKind)[rng.integers(0, 3)]
             params = random_params(rng, n, kind)
-            mu_p = primary_service_rate(out, params)
+            mu_p = rate_report(out, params, IDLE).mu_p
             traffic = TrafficParams(rng.uniform(0, 0.8) * mu_p,
                                     rng.uniform(0, 0.5))
             report = rate_report(out, params, traffic)
@@ -340,7 +398,7 @@ class TestSensingErrors:
             n = int(rng.integers(1, 4))
             out = random_outages(rng, n)
             params = random_params(rng, n, StrategyKind.RANDOM)
-            mu_p = primary_service_rate(out, params)
+            mu_p = rate_report(out, params, IDLE).mu_p
             traffic = TrafficParams(0.3 * mu_p, 0.2)
             report = rate_report(out, params, traffic)
             adj = apply_sensing_errors(report, params,
@@ -358,16 +416,15 @@ class TestExhaustiveOracle:
             out = random_outages(rng, n)
             kind = list(StrategyKind)[rng.integers(0, 3)]
             params = random_params(rng, n, kind)
-            mu_p = primary_service_rate(out, params)
+            mu_p = rate_report(out, params, IDLE).mu_p
             traffic = TrafficParams(rng.uniform(0, 0.9) * mu_p, 0.0)
             mu_p_o, mu_s_o, lam_pk_o, lam_sk_o = oracle_user_rates(
                 out, params, traffic)
-            assert mu_p == pytest.approx(mu_p_o, abs=1e-10)
-            mu_s = secondary_service_rate(out, params, traffic)
-            assert mu_s == pytest.approx(mu_s_o, abs=1e-10)
-            lam_pk, lam_sk = relay_arrival_rates(out, params, traffic)
-            assert np.allclose(lam_pk, lam_pk_o, atol=1e-10)
-            assert np.allclose(lam_sk, lam_sk_o, atol=1e-10)
+            report = rate_report(out, params, traffic)
+            assert report.mu_p == pytest.approx(mu_p_o, abs=1e-10)
+            assert report.mu_s == pytest.approx(mu_s_o, abs=1e-10)
+            assert np.allclose(report.lambda_pk, lam_pk_o, atol=1e-10)
+            assert np.allclose(report.lambda_sk, lam_sk_o, atol=1e-10)
 
 
 class TestDominance:
@@ -388,7 +445,7 @@ class TestDominance:
                                   order_p=order, order_s=order)
             p_rd = StrategyParams(StrategyKind.RANDOM, omega, alpha, f_p, f_s,
                                   beta=beta)
-            mu_rd = primary_service_rate(out, p_rd)
+            mu_rd = rate_report(out, p_rd, IDLE).mu_p
             traffic = TrafficParams(rng.uniform(0, 0.9) * mu_rd,
                                     rng.uniform(0, 0.5))
             r_od = rate_report(out, p_od, traffic)
@@ -435,3 +492,53 @@ class TestParamValidation:
         with pytest.raises(ConfigError):
             StrategyParams(StrategyKind.ROUND_ROBIN, [1.0], [0.5], [1], [1],
                            beta=np.array([1.0]))
+
+
+class TestNanRejected:
+    """NaN fails every range and sum check at the input boundary."""
+
+    VALID = dict(omega=[0.5, 0.5], alpha=[0.5, 0.5], f_p=[1.0, 1.0],
+                 f_s=[1.0, 1.0])
+
+    @pytest.mark.parametrize("field", ["omega", "alpha", "f_p", "f_s"])
+    @pytest.mark.parametrize("value", [[np.nan, np.nan], [np.nan, 0.5]])
+    def test_strategy_vectors(self, field, value):
+        kw = dict(self.VALID, **{field: value})
+        with pytest.raises(ConfigError):
+            StrategyParams(StrategyKind.ROUND_ROBIN, **kw)
+
+    @pytest.mark.parametrize("beta", [[np.nan, np.nan], [np.nan, 1.0]])
+    def test_strategy_beta(self, beta):
+        with pytest.raises(ConfigError):
+            StrategyParams(StrategyKind.RANDOM, **self.VALID, beta=beta)
+
+    @pytest.mark.parametrize("field", ["pu_relay", "su_relay", "relay_pd",
+                                       "relay_sd"])
+    def test_outage_vectors(self, field):
+        kw = dict(pu_relay=[0.1, 0.02], su_relay=[0.1, 0.1],
+                  relay_pd=[0.1, 0.1], relay_sd=[0.1, 0.1])
+        kw[field] = [np.nan, 0.02]
+        with pytest.raises(ConfigError):
+            OutageTable(0.1, 0.2, **kw)
+
+    @pytest.mark.parametrize("field", ["pu_pd", "su_sd"])
+    def test_outage_scalars(self, field):
+        kw = dict(pu_pd=0.1, su_sd=0.2)
+        kw[field] = np.nan
+        with pytest.raises(ConfigError):
+            OutageTable(**kw, pu_relay=[0.1], su_relay=[0.1],
+                        relay_pd=[0.1], relay_sd=[0.1])
+
+    @pytest.mark.parametrize("field", ["p_md_primary", "p_md_secondary",
+                                       "p_false_alarm"])
+    def test_sensing_vectors(self, field):
+        kw = dict(p_md_primary=[0.1, 0.1], p_md_secondary=[0.1, 0.1],
+                  p_false_alarm=[0.1, 0.1])
+        kw[field] = [0.1, np.nan]
+        with pytest.raises(ConfigError):
+            SensingErrorParams(**kw)
+
+    @pytest.mark.parametrize("lam_p, lam_s", [(np.nan, 0.1), (0.1, np.nan)])
+    def test_traffic(self, lam_p, lam_s):
+        with pytest.raises(ConfigError):
+            TrafficParams(lam_p, lam_s)
