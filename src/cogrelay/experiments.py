@@ -47,6 +47,9 @@ from __future__ import annotations
 import functools
 import math
 import subprocess
+import sys
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -70,6 +73,8 @@ CSV_COLUMNS = ("scenario", "strategy", "method", "sweep_var", "sweep_value",
 STRATEGY_NAMES = {"od": StrategyKind.ORDERED, "rd": StrategyKind.RANDOM,
                   "rr": StrategyKind.ROUND_ROBIN}
 
+MAX_SWEEP_POINTS = 10_000  # every verb runs every point of a sweep
+
 
 @dataclass
 class SimSettings:
@@ -89,6 +94,12 @@ class OptimizerSettings:
     budget: int = 20_000
     restarts: int = 8
     n_max: int = 5
+
+    def __post_init__(self):
+        if self.budget < 1:
+            raise ConfigError("optimizer budget must be >= 1")
+        if self.restarts < 0 or self.n_max < 0:
+            raise ConfigError("optimizer restarts and n_max must be >= 0")
 
 
 @dataclass
@@ -301,10 +312,16 @@ def load_spec(path: str | Path) -> ExperimentSpec:
         raise SpecParseError("sweep_start and sweep_stop must be finite")
     if stop < start:
         raise SpecParseError("sweep_stop must be >= sweep_start")
+    if (stop - start) / step >= MAX_SWEEP_POINTS:
+        raise SpecParseError(f"the sweep has more than {MAX_SWEEP_POINTS} "
+                             f"points")
     values = []
     v = start
     while v <= stop + 1e-12:
         values.append(round(v, 12))
+        if v + step == v:
+            raise SpecParseError(f"sweep_step {step:g} does not advance the "
+                                 f"sweep value {v:g}")
         v += step
 
     qos_sec = _Section("qos", sections.get("qos", {}))
@@ -486,16 +503,52 @@ def run_min_relays(spec: ExperimentSpec) -> list[Row]:
     return rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Comparison:
+    """One analytic-vs-simulated quantity.  It passes when the gap is
+    within max(3 * CI half-width, 0.01); the tolerance and the verdict
+    follow from the stored values."""
+
     strategy: str
     sweep_value: float
     quantity: str
     analytic: float
     simulated: float
     ci_half_width: float
-    tolerance: float
-    passed: bool
+
+    @property
+    def tolerance(self) -> float:
+        return max(3 * self.ci_half_width, 0.01)
+
+    @property
+    def passed(self) -> bool:
+        return abs(self.analytic - self.simulated) <= self.tolerance
+
+
+class ComparisonTable(Sequence):
+    """Comparisons stored by column; indexing and iteration give
+    `Comparison` rows.  A row costs three references and three unboxed
+    floats, under half of a row kept as its own objects, so results held
+    from many compare runs stay small."""
+
+    __slots__ = ("_strategy", "_sweep_value", "_quantity", "_numbers")
+
+    def __init__(self, rows: list[Comparison]):
+        self._strategy = tuple(c.strategy for c in rows)
+        self._sweep_value = tuple(c.sweep_value for c in rows)
+        self._quantity = tuple(c.quantity for c in rows)
+        self._numbers = array("d", [x for c in rows for x in
+                                    (c.analytic, c.simulated, c.ci_half_width)])
+
+    def __len__(self) -> int:
+        return len(self._quantity)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        i = range(len(self))[index]
+        return Comparison(self._strategy[i], self._sweep_value[i],
+                          self._quantity[i], *self._numbers[3 * i:3 * i + 3])
 
 
 def compare_point(network: NetworkConfig, params: StrategyParams,
@@ -522,10 +575,9 @@ def compare_point(network: NetworkConfig, params: StrategyParams,
     def check(quantity, analytic, simulated, ci):
         if math.isnan(simulated):  # queue never nonempty: nothing to compare
             return
-        tol = max(3 * ci, 0.01)
-        gap = abs(analytic - simulated)
-        out.append(Comparison("", 0.0, quantity, analytic, simulated, ci,
-                              tol, bool(gap <= tol)))
+        # interned: results kept from many runs share one copy of a name
+        out.append(Comparison("", 0.0, sys.intern(quantity), analytic,
+                              simulated, ci))
 
     check("mu_p_saturated", sat_report.mu_p, sat.mu_p_hat, sat.ci["mu_p"])
     if report.stable_p and report.stable_s:
@@ -540,7 +592,7 @@ def compare_point(network: NetworkConfig, params: StrategyParams,
     return out
 
 
-def compare_analytic_sim(spec: ExperimentSpec) -> list[Comparison]:
+def compare_analytic_sim(spec: ExperimentSpec) -> ComparisonTable:
     """Discrepancy report over the whole sweep; a failed comparison makes
     the CLI exit nonzero."""
     results = []
@@ -552,4 +604,4 @@ def compare_analytic_sim(spec: ExperimentSpec) -> list[Comparison]:
                                       seed=spec.sim.seed):
                 results.append(replace(comp, strategy=kind.value,
                                        sweep_value=value))
-    return results
+    return ComparisonTable(results)

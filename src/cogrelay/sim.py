@@ -9,8 +9,11 @@ It is the independent check for every closed-form rate in `rates`.
 
 All randomness is pre-drawn in a fixed order from one seeded generator,
 so a run is bit-reproducible regardless of the code path taken inside a
-slot.  The per-slot state machine lives in `_slot_kernel`, a plain Python
-function compiled with numba when available.
+slot.  The per-slot state machine lives in `_slot_kernel`.  Wherever the
+queues form a chain, each upstream of the next (perfect sensing, or
+sensing errors with saturated relays), `_lindley_kernel` computes the
+same chunk with one Lindley recursion per queue; `run` uses the slot
+loop only for true queues with sensing errors and for traced runs.
 
 Queue-delay estimates use the time-average queue length divided by the
 delivery rate; with arrivals applied at slot start and a packet counted
@@ -269,12 +272,203 @@ def _slot_kernel(start, count, batch_len, n_batches, n,
     return 0
 
 
-try:
-    from numba import njit
+def _draw(rng, count, n):
+    """One chunk's uniforms, in the layout every kernel consumes: nine
+    per-slot rows (user arrivals, destination decoding, schedule,
+    assignment, rank order, relay queue choice, the two sensing
+    intervals), then per-relay decoding and acceptance."""
+    u = rng.random((9, count))
+    return (*u, rng.random((count, max(n, 1))), rng.random((count, max(n, 1))))
 
-    _slot_kernel = njit(cache=True)(_slot_kernel)
-except ImportError:  # pragma: no cover - exercised only without numba
-    pass
+
+def _lindley(x, q0):
+    """Queue after each slot of `q_t = max(0, q_{t-1} + x_t)` from `q0`:
+    the cumulative sum less its running minimum, floored at `-q0`.  A
+    chunk's increments sum to at most CHUNK in size, so int32 holds it."""
+    s = np.cumsum(x, dtype=np.int32)
+    return s - np.minimum(np.minimum.accumulate(s), -q0)
+
+
+def _before(q, q0):
+    """Queue at the start of each slot, given the queue after each slot."""
+    prev = np.empty_like(q)
+    prev[0] = q0
+    prev[1:] = q[:-1]
+    return prev
+
+
+def _pick(cum, u):
+    """Index the `while i < len(cum) and u >= cum[i]` scan of the slot
+    loop stops at, for every slot, in the narrowest signed integer type
+    that also holds -1."""
+    return np.searchsorted(cum, u, side="right").astype(
+        np.min_scalar_type(-cum.size - 1))
+
+
+def _first_taker(order, orders, takes):
+    """Relay that admits a NACKed packet in each slot, -1 for none: the
+    first in the slot's rank order that decodes and accepts."""
+    ranked = orders.astype(np.min_scalar_type(-orders.shape[1]))[order]
+    hit = np.take_along_axis(takes, ranked, axis=1)
+    first = hit.argmax(axis=1)[:, None]
+    return np.where(np.take_along_axis(hit, first, axis=1),
+                    np.take_along_axis(ranked, first, axis=1), -1)[:, 0]
+
+
+def _lindley_kernel(rng, start, count, batch_len, n_batches, n,
+                    ordered, saturated, errors,
+                    lam_p, lam_s,
+                    pbar_ppd, pbar_ssd, pbar_pk, pbar_sk, pbar_kpd, pbar_ksd,
+                    omega_cum, assign_cum, alpha, f_p, f_s,
+                    perm_p_cum, perm_p_orders, perm_s_cum, perm_s_orders,
+                    pmd_p, pmd_s, pfa,
+                    user_q, relay_q, stats):
+    """`_slot_kernel` on `_draw(rng, count, n)` without a per-slot loop:
+    the same stats, queues and status, bit for bit, and no trace.
+
+    Valid when no queue's increment depends on a queue downstream of it:
+    under perfect sensing, and with sensing errors when relays are
+    saturated (a relay that senses idle transmits whatever its queue
+    holds).  Each queue then follows the Lindley recursion with an
+    increment fixed by the draws and the queues upstream of it, in the
+    order primary, secondary, relays.  A relay admits packets only in
+    slots where a user transmits and serves only in slots where neither
+    does.  The draws are taken one row at a time and cut at once to the
+    few bits the chain needs, so that no chunk of floats stays live.
+    """
+    assert saturated or not errors, "coupled queues need the slot loop"
+    arr_p = rng.random(count) < lam_p
+    arr_s = rng.random(count) < lam_s
+    u_dest = rng.random(count)
+    direct_p = u_dest < pbar_ppd
+    direct_s = u_dest < pbar_ssd
+    r = _pick(omega_cum[:n - 1], rng.random(count))   # scheduled relay
+    u = rng.random(count)
+    decoder = None if ordered else _pick(assign_cum[:n - 1], u)
+    u = rng.random(count)
+    if ordered:
+        order_p = _pick(perm_p_cum[:-1], u)
+        order_s = _pick(perm_s_cum[:-1], u)
+    use_p = rng.random(count) < alpha[r]
+    send_p = use_p & (u_dest < pbar_kpd[r])
+    send_s = ~use_p & (u_dest < pbar_ksd[r])
+    del u_dest, use_p
+    errors = errors and n > 0      # with no relay nothing senses
+    if errors:
+        # the scheduled relay's verdict on each sensing interval
+        u = rng.random(count)
+        clear1 = u >= pfa[r]       # an idle first interval is heard idle
+        miss_p = u < pmd_p[r]      # the primary is missed in the first
+        u = rng.random(count)
+        miss_p &= u < pmd_p[r]     # and in the second
+        miss_s = clear1 & (u < pmd_s[r])
+        hears_idle = clear1 & (u >= pfa[r])
+        del clear1
+    else:
+        rng.random((2, count))
+    del u
+
+    u = rng.random((count, max(n, 1)))
+    if ordered:
+        takes_p = u < pbar_pk
+        takes_s = u < pbar_sk
+        u = rng.random((count, max(n, 1)))
+        takes_p &= u < f_p
+        takes_s &= u < f_s
+        del u
+        win_p = _first_taker(order_p, perm_p_orders, takes_p)
+        win_s = _first_taker(order_s, perm_s_orders, takes_s)
+    else:
+        at = decoder[:, None]
+        u_k = np.take_along_axis(u, at, axis=1)[:, 0]
+        takes_p = u_k < pbar_pk[decoder]
+        takes_s = u_k < pbar_sk[decoder]
+        u = rng.random((count, max(n, 1)))
+        u_k = np.take_along_axis(u, at, axis=1)[:, 0]
+        del u
+        takes_p &= u_k < f_p[decoder]
+        takes_s &= u_k < f_s[decoder]
+        win_p = np.where(takes_p, decoder, -1)
+        win_s = np.where(takes_s, decoder, -1)
+    del takes_p, takes_s
+
+    # a relay that senses idle under a user transmits (it is saturated),
+    # so the slot collides; the loop's rule that such a relay is not
+    # listening therefore never changes a capture here
+    serve_p = direct_p | (win_p >= 0)
+    serve_s = direct_s | (win_s >= 0)
+    if errors:
+        serve_p &= ~miss_p
+        serve_s &= ~miss_s
+
+    qp = _lindley(np.subtract(arr_p, serve_p, dtype=np.int8), user_q[0])
+    qp_in = _before(qp, user_q[0]) + arr_p   # after arrivals
+    pu_tx = qp_in > 0
+    serve_s &= ~pu_tx
+    qs = _lindley(np.subtract(arr_s, serve_s, dtype=np.int8), user_q[1])
+    qs_in = _before(qs, user_q[1]) + arr_s
+    backlog_s = qs_in > 0
+
+    status = 0
+    m = count
+    over = (qp > QUEUE_GUARD) | (qs > QUEUE_GUARD)
+    if over.any():
+        m = int(over.argmax()) + 1
+        status = 1 if qp[m - 1] > QUEUE_GUARD else 2
+    user_q[0] = qp[m - 1]
+    user_q[1] = qs[m - 1]
+    del qp, qs, over
+
+    b0 = min(start // batch_len, n_batches - 1)
+    b1 = min((start + m - 1) // batch_len, n_batches - 1)
+    bids = np.arange(b0, b1 + 1)
+    seg = np.maximum(bids * batch_len - start, 0)
+    stats[bids, _SLOTS] += np.diff(np.append(seg, m))
+
+    def add(col, x):
+        stats[bids, col] += np.add.reduceat(x[:m], seg, dtype=np.float64)
+
+    idle = ~pu_tx & ~backlog_s
+    dlv_p = pu_tx & serve_p & direct_p
+    dlv_s = backlog_s & serve_s & direct_s
+    add(_ARR_P, arr_p)
+    add(_ARR_S, arr_s)
+    add(_NE_P, pu_tx)
+    add(_DEP_P, pu_tx & serve_p)
+    add(_CUM_P, qp_in)
+    add(_NE_S, backlog_s)
+    add(_DEP_S, backlog_s & serve_s)
+    add(_CUM_S, qs_in)
+    add(_IDLE2, idle)
+    if n > 0:
+        if errors:
+            add(_COLL, (pu_tx & miss_p) | (~pu_tx & backlog_s & miss_s))
+            idle &= hears_idle
+        cap_p = pu_tx & serve_p & ~direct_p
+        cap_s = backlog_s & serve_s & ~direct_s
+        send_p &= idle
+        send_s &= idle
+        for k in range(n):
+            at_k = r == k
+            base = _RELAY0 + _RW * k
+            for cls, cap, win, send, dlv in ((0, cap_p, win_p, send_p, dlv_p),
+                                             (1, cap_s, win_s, send_s, dlv_s)):
+                adm = cap & (win == k)
+                out = send & at_k
+                q0 = relay_q[cls, k]
+                q = _lindley(np.subtract(adm[:m], out[:m], dtype=np.int8), q0)
+                prev = _before(q, q0)
+                dep = out[:m] & (prev > 0)
+                relay_q[cls, k] = q[-1]
+                col = base + 4 * cls
+                add(col, adm)
+                add(col + 1, dep)
+                add(col + 2, prev > 0)
+                add(col + 3, prev)
+                dlv[:m] |= dep
+    add(_DLV_P, dlv_p)
+    add(_DLV_S, dlv_s)
+    return status
 
 
 @dataclass(frozen=True)
@@ -360,7 +554,9 @@ def run(cfg: OutageTable | NetworkConfig, params: StrategyParams,
 
     Raises UnstableQueueError when a user queue exceeds the runaway
     guard.  With perfect sensing a collision is impossible and asserted
-    to be absent.
+    to be absent.  True queues with sensing errors, and runs that keep a
+    trace, go through the per-slot loop; every other run through the
+    Lindley kernel, with the same result.
     """
     if slots < 1:
         raise ConfigError("slots must be >= 1")
@@ -411,29 +607,30 @@ def run(cfg: OutageTable | NetworkConfig, params: StrategyParams,
     relay_q = np.zeros((2, max(n, 1)), dtype=np.int64)
     trace_rows = np.zeros((trace_limit, 7), dtype=np.int64)
 
+    # with sensing errors a true-queue relay with nothing to send stays
+    # silent, so whether the primary collides depends on relay queues
+    loop = trace_limit > 0 or (sensing is not None and mode == "true_queues")
+    model = (batch_len, batches, n, ordered, mode == "saturated_relays",
+             sensing is not None, traffic.lambda_p, traffic.lambda_s,
+             pbar_ppd, pbar_ssd,
+             np.atleast_1d(pbar_pk) if n else np.zeros(1),
+             np.atleast_1d(pbar_sk) if n else np.zeros(1),
+             np.atleast_1d(pbar_kpd) if n else np.zeros(1),
+             np.atleast_1d(pbar_ksd) if n else np.zeros(1),
+             omega_cum, assign_cum, alpha, f_p, f_s,
+             perm_p_cum, po, perm_s_cum, so, pmd_p, pmd_s, pfa)
     rng = np.random.default_rng(seed)
     done = 0
     status = 0
     while done < slots:
         count = min(CHUNK, slots - done)
-        u = rng.random((9, count))
-        u_dec = rng.random((count, max(n, 1)))
-        u_acc = rng.random((count, max(n, 1)))
-        status = _slot_kernel(
-            done, count, batch_len, batches, n,
-            ordered, mode == "saturated_relays", sensing is not None,
-            traffic.lambda_p, traffic.lambda_s,
-            pbar_ppd, pbar_ssd,
-            np.atleast_1d(pbar_pk) if n else np.zeros(1),
-            np.atleast_1d(pbar_sk) if n else np.zeros(1),
-            np.atleast_1d(pbar_kpd) if n else np.zeros(1),
-            np.atleast_1d(pbar_ksd) if n else np.zeros(1),
-            omega_cum, assign_cum, alpha, f_p, f_s,
-            perm_p_cum, po, perm_s_cum, so,
-            pmd_p, pmd_s, pfa,
-            u[0], u[1], u[2], u[3], u[4], u[5], u[6], u[7], u[8],
-            u_dec, u_acc,
-            user_q, relay_q, stats, trace_rows, trace_limit)
+        if loop:
+            status = _slot_kernel(done, count, *model,
+                                  *_draw(rng, count, n), user_q, relay_q,
+                                  stats, trace_rows, trace_limit)
+        else:
+            status = _lindley_kernel(rng, done, count, *model,
+                                     user_q, relay_q, stats)
         done += count
         if status != 0:
             raise UnstableQueueError(

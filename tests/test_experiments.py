@@ -8,9 +8,10 @@ import cogrelay.rates as rates
 from cogrelay.channel import StrategyKind
 from cogrelay.cli import main
 from cogrelay.errors import ConfigError, SpecParseError
-from cogrelay.experiments import (CSV_COLUMNS, compare_analytic_sim,
-                                  load_spec, run_min_relays,
-                                  run_optimize, run_sweep, write_rows)
+from cogrelay.experiments import (CSV_COLUMNS, MAX_SWEEP_POINTS, Comparison,
+                                  ComparisonTable, compare_analytic_sim,
+                                  load_spec, run_min_relays, run_optimize,
+                                  run_sweep, write_rows)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -126,6 +127,46 @@ class TestLoadSpec:
         with pytest.raises(SpecParseError):
             load_spec(write_spec(tmp_path, GOOD_SPEC.replace(old, new)))
 
+    @pytest.mark.parametrize("bounds", [
+        "sweep_start = 0.1\nsweep_stop = 0.1\nsweep_step = 1e-20",
+        "sweep_start = 1e10\nsweep_stop = 1e10\nsweep_step = 1e-9",
+        "sweep_start = 0.1\nsweep_stop = 0.5\nsweep_step = 1e-12",
+        "sweep_start = 0.0\nsweep_stop = 1.0\nsweep_step = 1e-4",
+        "sweep_start = -1e308\nsweep_stop = 1e308\nsweep_step = 1e300",
+    ])
+    def test_sweep_too_fine_rejected(self, tmp_path, bounds):
+        # a step below the float resolution of the value never ends the
+        # sweep; a very fine one asks for billions of points
+        text = GOOD_SPEC.replace(
+            "sweep_start = 0.1\nsweep_stop = 0.2\nsweep_step = 0.1", bounds)
+        assert text != GOOD_SPEC
+        with pytest.raises(SpecParseError):
+            load_spec(write_spec(tmp_path, text))
+
+    def test_sweep_at_the_point_cap(self, tmp_path):
+        text = GOOD_SPEC.replace(
+            "sweep_stop = 0.2\nsweep_step = 0.1",
+            "sweep_stop = 0.5\nsweep_step = 5e-5")
+        spec = load_spec(write_spec(tmp_path, text))
+        assert len(spec.sweep_values) <= MAX_SWEEP_POINTS
+        assert spec.sweep_values[:2] == [0.1, 0.10005]
+
+    @pytest.mark.parametrize("config,values", [
+        ("fig3_od_n2", [0.1, 0.2, 0.3, 0.4, 0.5]),
+        ("fig6_nodirect_n2", [0.05, 0.1, 0.15, 0.2, 0.25]),
+        ("fig10_feedback_n2", [0.1, 0.3, 0.5]),
+        ("fig11_minrelays_n3", [0.1, 0.3, 0.5]),
+        ("table1_n5", [0.1, 0.3, 0.5]),
+    ])
+    def test_bundled_sweeps_unchanged(self, config, values):
+        assert load_spec(CONFIG_DIR / f"{config}.cfg").sweep_values == values
+
+    @pytest.mark.parametrize("line", [
+        "budget = 0", "restarts = -1", "n_max = -1"])
+    def test_bad_optimizer_section_rejected(self, tmp_path, line):
+        with pytest.raises(ConfigError):
+            load_spec(write_spec(tmp_path, GOOD_SPEC + f"\n[optimizer]\n{line}\n"))
+
     def test_binary_file_is_parse_error(self, tmp_path):
         path = tmp_path / "binary.cfg"
         path.write_bytes(b"\xff\xfe\x00[experiment]")
@@ -165,6 +206,18 @@ class TestRunSweep:
 
 
 class TestCompare:
+    def test_table_gives_back_its_rows(self):
+        rows = [Comparison("od", 0.1, "mu_s", 0.5, 0.52, 0.004),
+                Comparison("rd", 0.3, "lambda_p1", 0.0, -0.0, math.inf)]
+        table = ComparisonTable(rows)
+        assert len(table) == 2 and list(table) == rows
+        assert table[-1] == rows[1] and table[1:] == rows[1:]
+        assert math.copysign(1.0, table[1].simulated) == -1.0
+        with pytest.raises(IndexError):
+            table[2]
+        assert table[0].tolerance == max(3 * 0.004, 0.01)
+        assert not table[0].passed and table[1].passed
+
     def test_well_conditioned_point_passes(self, tmp_path):
         spec = load_spec(write_spec(tmp_path, GOOD_SPEC))
         spec.sweep_values = [0.1]
@@ -306,6 +359,20 @@ class TestCli:
                "replications": "replications = 1"}[key]
         spec_path = write_spec(tmp_path, GOOD_SPEC.replace(old, line))
         assert main(["simulate", "--spec", str(spec_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err + captured.out
+
+    @pytest.mark.parametrize("verb,line", [
+        ("min-relays", "n_max = -1"), ("optimize", "budget = 0"),
+        ("optimize", "restarts = -1"), ("analyze", "sweep_step = 1e-20")])
+    def test_bad_optimizer_or_sweep_exits_one(self, tmp_path, capsys, verb,
+                                              line):
+        text = GOOD_SPEC + f"\n[optimizer]\n{line}\n"
+        if line.startswith("sweep_step"):
+            text = GOOD_SPEC.replace("sweep_stop = 0.2\nsweep_step = 0.1",
+                                     f"sweep_stop = 0.1\n{line}")
+        assert main([verb, "--spec", str(write_spec(tmp_path, text))]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
         assert "Traceback" not in captured.err + captured.out

@@ -1,14 +1,20 @@
-"""Kernel-level checks: the compiled and pure-Python slot kernels are the
-same function, and the random-draw layout is stable across chunking."""
+"""Kernel-level checks: the Lindley chunk kernel and the per-slot loop are
+the same function of the draws, and the random-draw layout is stable
+across chunking."""
 
+import copy
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cogrelay.sim as sim
 from cogrelay.channel import StrategyKind
+from cogrelay.errors import UnstableQueueError
 from cogrelay.network import OutageTable, SensingErrorParams, TrafficParams
 from cogrelay.orders import OrderDistribution
 from cogrelay.rates import StrategyParams, apply_sensing_errors, rate_report
@@ -28,7 +34,7 @@ def _estimates_match(a, b):
     for field in dataclasses.fields(sim.SimEstimate):
         x, y = getattr(a, field.name), getattr(b, field.name)
         if isinstance(x, np.ndarray):
-            assert np.array_equal(x, y), field.name
+            assert np.array_equal(x, y, equal_nan=True), field.name
         elif isinstance(x, dict):
             for key in x:
                 assert np.array_equal(np.asarray(x[key]), np.asarray(y[key]),
@@ -39,18 +45,160 @@ def _estimates_match(a, b):
             assert x == y, field.name
 
 
-@pytest.mark.skipif(not hasattr(sim._slot_kernel, "py_func"),
-                    reason="kernel not JIT-compiled")
-def test_python_fallback_bit_identical(monkeypatch):
-    kw = dict(slots=30_000, seed=5)
-    se = SensingErrorParams([0.1, 0.2], [0.1, 0.1], [0.05, 0.1])
-    traffic = TrafficParams(0.3, 0.2)
-    jitted = sim.run(TABLE_ROWS12, od2(0.7), traffic, sensing=se,
-                     mode="saturated_relays", **kw)
-    monkeypatch.setattr(sim, "_slot_kernel", sim._slot_kernel.py_func)
-    plain = sim.run(TABLE_ROWS12, od2(0.7), traffic, sensing=se,
-                    mode="saturated_relays", **kw)
-    _estimates_match(jitted, plain)
+_STRATEGIES = (StrategyKind.ORDERED, StrategyKind.RANDOM,
+               StrategyKind.ROUND_ROBIN)
+_MODES = (("true_queues", False), ("saturated_relays", False),
+          ("saturated_relays", True))
+
+
+def _probs(rng, size):
+    """Uniform probabilities with exact 0s and 1s mixed in."""
+    v = rng.uniform(size=size)
+    edge = rng.uniform(size=size)
+    v[edge < 0.15] = 0.0
+    v[edge > 0.85] = 1.0
+    return v
+
+
+def _simplex(rng, n):
+    if rng.uniform() < 0.2:
+        return np.eye(n)[rng.integers(n)]
+    return rng.dirichlet(np.ones(n))
+
+
+def _orders(rng, n):
+    perms = list(itertools.permutations(range(1, n + 1)))
+    picks = rng.choice(len(perms), size=min(len(perms), 4), replace=False)
+    weights = _simplex(rng, picks.size)
+    return OrderDistribution(n, {perms[i]: float(w)
+                                 for i, w in zip(picks, weights)})
+
+
+def random_case(rng, n, strategy):
+    """A random outage table, strategy point and traffic over n relays."""
+    out = OutageTable(*_probs(rng, 2), *(_probs(rng, n) for _ in range(4)))
+    omega = _simplex(rng, n) if n else np.zeros(0)
+    extra = {}
+    if strategy is StrategyKind.ORDERED and n:
+        extra = dict(order_p=_orders(rng, n), order_s=_orders(rng, n))
+    elif strategy is StrategyKind.RANDOM and n:
+        extra = dict(beta=_simplex(rng, n))
+    params = StrategyParams(strategy, omega, _probs(rng, n), _probs(rng, n),
+                            _probs(rng, n), **extra)
+    traffic = TrafficParams(*rng.uniform(0.0, 0.6, 2))
+    sensing = SensingErrorParams(*(rng.uniform(0.0, 0.3, n)
+                                   for _ in range(3)))
+    return out, params, traffic, sensing
+
+
+_LINDLEY_KERNEL = sim._lindley_kernel
+
+
+def _lockstep(rng, start, count, *args):
+    """Run both chunk kernels on one chunk's draws and require the same
+    status, stats and queues, and the same draws consumed; the slot
+    loop's state is the one kept."""
+    model, state = args[:-3], args[-3:]   # state: user_q, relay_q, stats
+    twin = copy.deepcopy(rng)
+    fast = [a.copy() for a in state]
+    got = _LINDLEY_KERNEL(twin, start, count, *model, *fast)
+    n = model[2]
+    want = sim._slot_kernel(start, count, *model, *sim._draw(rng, count, n),
+                            *state, np.zeros((0, 7), dtype=np.int64), 0)
+    assert got == want
+    assert twin.bit_generator.state == rng.bit_generator.state
+    for name, a, b in zip(("user_q", "relay_q", "stats"), state, fast):
+        assert np.array_equal(a, b), name
+    return want
+
+
+def _loop_and_fast(call):
+    """`call()` with every chunk checked in lockstep (the loop's
+    estimate), then as `run` does it (the vectorized estimate)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "_lindley_kernel", _lockstep)
+        loop = call()
+    return loop, call()
+
+
+def _check_case(n, strategy, mode, errors, seed, slots, batches,
+                saturate=False):
+    rng = np.random.default_rng(seed)
+    out, params, traffic, sensing = random_case(rng, n, strategy)
+    if saturate:
+        traffic = TrafficParams(1.0, 0.0)
+    loop, fast = _loop_and_fast(lambda: sim.run(
+        out, params, traffic, sensing=sensing if errors else None,
+        mode=mode, slots=slots, seed=seed, batches=batches))
+    _estimates_match(loop, fast)
+
+
+@pytest.mark.parametrize("n", range(6))
+@pytest.mark.parametrize("strategy", _STRATEGIES)
+@pytest.mark.parametrize("mode,errors", _MODES)
+def test_lindley_kernel_matches_loop(monkeypatch, n, strategy, mode, errors):
+    # a small chunk so that a short run crosses several chunk and batch
+    # boundaries; 2,503 slots in 7 batches leaves a longer last batch
+    monkeypatch.setattr(sim, "CHUNK", 1000)
+    seed = 100 * n + 10 * _STRATEGIES.index(strategy) + \
+        _MODES.index((mode, errors))
+    _check_case(n, strategy, mode, errors, seed, slots=2_503, batches=7)
+
+
+@pytest.mark.parametrize("n,strategy,mode,errors,saturate", [
+    (0, StrategyKind.ROUND_ROBIN, "true_queues", False, True),
+    (1, StrategyKind.RANDOM, "saturated_relays", True, False),
+    (2, StrategyKind.ORDERED, "true_queues", False, False),
+    (3, StrategyKind.ORDERED, "saturated_relays", True, True),
+    (5, StrategyKind.ROUND_ROBIN, "saturated_relays", False, False),
+])
+def test_lindley_kernel_matches_loop_across_chunks(n, strategy, mode, errors,
+                                                   saturate):
+    _check_case(n, strategy, mode, errors, seed=4000 + n,
+                slots=sim.CHUNK + 7_777, batches=9, saturate=saturate)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 5), strategy=st.sampled_from(_STRATEGIES),
+       mode=st.sampled_from(_MODES), saturate=st.booleans(),
+       slots=st.integers(1, 1_500), batches=st.integers(1, 25),
+       chunk=st.integers(1, 700), seed=st.integers(0, 2 ** 32 - 1))
+def test_lindley_kernel_matches_loop_property(n, strategy, mode, saturate,
+                                              slots, batches, chunk, seed):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "CHUNK", chunk)
+        _check_case(n, strategy, *mode, seed, slots, batches, saturate)
+
+
+@pytest.mark.parametrize("lam_p,lam_s,queue", [(1.0, 0.0, "primary"),
+                                               (0.0, 1.0, "secondary")])
+def test_lindley_kernel_guard_matches_loop(monkeypatch, lam_p, lam_s, queue):
+    # neither user is ever served, so the guard trips mid-chunk
+    monkeypatch.setattr(sim, "QUEUE_GUARD", 1_500)
+    out = OutageTable(1.0, 1.0, np.ones(2), np.ones(2),
+                      np.full(2, 0.5), np.full(2, 0.5))
+
+    def call():
+        with pytest.raises(UnstableQueueError) as err:
+            sim.run(out, od2(), TrafficParams(lam_p, lam_s),
+                    slots=5_000, seed=3)
+        return err.value
+
+    loop, fast = _loop_and_fast(call)
+    assert loop.queue == fast.queue == queue
+    assert str(loop) == str(fast)
+
+
+def test_traced_run_equals_untraced():
+    rng = np.random.default_rng(77)
+    out, params, traffic, sensing = random_case(rng, 3, StrategyKind.ORDERED)
+    kw = dict(slots=3_000, seed=8, batches=11)
+    for s, mode in ((None, "true_queues"), (sensing, "saturated_relays")):
+        traced = sim.run(out, params, traffic, sensing=s, mode=mode,
+                         trace_limit=500, **kw)
+        plain = sim.run(out, params, traffic, sensing=s, mode=mode, **kw)
+        assert len(traced.trace) == 500 and plain.trace == ()
+        _estimates_match(dataclasses.replace(traced, trace=()), plain)
 
 
 def test_reproducible_across_chunk_boundary():
