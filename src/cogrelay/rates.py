@@ -269,7 +269,9 @@ def end_to_end_delays(report: RateReport,
     that cannot sustain its load."""
 
     def user_total(lam, mu, lam_k, mu_k, user):
-        if not is_stable(lam, mu):
+        # a queue with no arrivals is stable, but with no service either
+        # its delay (1 - lam)/(mu - lam) is infinite
+        if mu <= lam or not is_stable(lam, mu):
             raise UnstableQueueError(user)
         d = queue_delay(lam, mu)
         if lam == 0.0:
@@ -362,9 +364,8 @@ class Evaluation:
 
     `status` is "ok" or "unstable:<queue>", naming the first queue that
     cannot sustain its load in the order primary, secondary,
-    primary-relay-k, secondary-relay-k.  A user queue with no arrivals
-    and no service passes the stability flags, and the delay law reports
-    it as "unstable:queue".  The delays are inf unless the status is "ok".
+    primary-relay-k, secondary-relay-k.  The delays are inf unless the
+    status is "ok".
     """
 
     report: RateReport

@@ -9,11 +9,15 @@ It is the independent check for every closed-form rate in `rates`.
 
 All randomness is pre-drawn in a fixed order from one seeded generator,
 so a run is bit-reproducible regardless of the code path taken inside a
-slot.  The per-slot state machine lives in `_slot_kernel`.  Wherever the
-queues form a chain, each upstream of the next (perfect sensing, or
-sensing errors with saturated relays), `_lindley_kernel` computes the
-same chunk with one Lindley recursion per queue; `run` uses the slot
-loop only for true queues with sensing errors and for traced runs.
+slot.  Two kernels compute a chunk of slots from those draws, and one
+tally counts it.  `_slot_kernel` walks the per-slot state machine and
+records a few events per slot.  Wherever the queues form a chain, each
+upstream of the next (perfect sensing, or sensing errors with saturated
+relays), `_lindley_kernel` computes the same chunk with one Lindley
+recursion per queue; `run` uses the slot loop only for true queues with
+sensing errors and for traced runs.  Both kernels hand `_tally` every
+queue's arrivals, departures and length slot by slot, and `_tally` alone
+writes the per-batch counters, one row of four per queue.
 
 Queue-delay estimates use the time-average queue length divided by the
 delivery rate; with arrivals applied at slot start and a packet counted
@@ -24,7 +28,9 @@ one slot, matching the closed-form (1-lambda)/(mu-lambda).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,61 +43,118 @@ from .rates import StrategyParams
 QUEUE_GUARD = 10_000_000  # abort threshold: the configuration is unstable
 CHUNK = 1 << 16
 
-# stats column layout (per batch)
-_SLOTS, _ARR_P, _ARR_S, _NE_P, _DEP_P, _CUM_P, _NE_S, _DEP_S, _CUM_S, \
-    _DLV_P, _DLV_S, _COLL, _IDLE2 = range(13)
-_RELAY0 = 13
-_RW = 8  # per relay: adm_p, dep_p, ne_p, cum_p, adm_s, dep_s, ne_s, cum_s
+# Everything a kernel needs to know about the system, built once per run.
+# The per-relay vectors have length max(n, 1); the `_cum` ones are
+# cumulative distributions, the `_orders` ones rank orders.
+_Model = namedtuple("_Model", (
+    "n ordered saturated errors lam_p lam_s pbar_ppd pbar_ssd pbar_pk "
+    "pbar_sk pbar_kpd pbar_ksd omega_cum assign_cum alpha f_p f_s "
+    "perm_p_cum perm_p_orders perm_s_cum perm_s_orders pmd_p pmd_s pfa"))
 
 
-def _slot_kernel(start, count, batch_len, n_batches, n,
-                 ordered, saturated, errors,
-                 lam_p, lam_s,
-                 pbar_ppd, pbar_ssd, pbar_pk, pbar_sk, pbar_kpd, pbar_ksd,
-                 omega_cum, assign_cum, alpha, f_p, f_s,
-                 perm_p_cum, perm_p_orders, perm_s_cum, perm_s_orders,
-                 pmd_p, pmd_s, pfa,
-                 u_arr_p, u_arr_s, u_dest, u_sched, u_assign, u_perm,
-                 u_alpha, u_md1, u_md2, u_dec, u_acc,
-                 user_q, relay_q, stats, trace, trace_limit):
-    qp = user_q[0]
-    qs = user_q[1]
+class _Stats(NamedTuple):
+    """Per-batch counters of a run; `_tally` is the only code that writes
+    them.  Batch b counts slots b*batch_len to (b+1)*batch_len - 1, and
+    the last batch also the slots left over."""
+
+    batch_len: int
+    slots: np.ndarray       # (batches,)
+    queues: np.ndarray      # (batches, 2, 1 + n, 4): class (primary,
+    #   secondary) x queue (user, relay 1..n) x (arrivals, departures,
+    #   nonempty slots, queue-length sum)
+    delivered: np.ndarray   # (batches, 2): packets reaching the destination
+    collisions: np.ndarray  # (batches,)
+    idle: np.ndarray        # (batches,): slots with neither user backlogged
+
+
+def _tally(stats, start, m, flows, delivered, collisions, idle):
+    """Count slots `start .. start + m - 1` into the batches they fall in.
+
+    `flows[c][j]` is queue j of class c (j = 0 the user, 1 + k relay k)
+    as three per-slot arrays: its arrivals (admissions at a relay), its
+    departures, and the queue length the slot's accounting sees.  A user
+    queue is counted after the slot's arrival, a relay queue at slot
+    start, so a packet admitted to a relay counts there from the next
+    slot.  `delivered[c]` marks each slot that brought a class-c packet
+    to the destination; `collisions` is None where none can occur.
+    Every array may run past `m`.
+    """
+    n_batches = stats.slots.size
+    b0 = min(start // stats.batch_len, n_batches - 1)
+    b1 = min((start + m - 1) // stats.batch_len, n_batches - 1)
+    seg = np.maximum(np.arange(b0, b1 + 1) * stats.batch_len - start, 0)
+    at = slice(b0, b1 + 1)
+
+    def sums(x):
+        return np.add.reduceat(x[:m], seg, dtype=np.float64)
+
+    stats.slots[at] += np.diff(np.append(seg, m))
+    for c, queues in enumerate(flows):
+        for j, (arrivals, departures, length) in enumerate(queues):
+            for f, x in enumerate((arrivals, departures, length > 0, length)):
+                stats.queues[at, c, j, f] += sums(x)
+        stats.delivered[at, c] += sums(delivered[c])
+    if collisions is not None:
+        stats.collisions[at] += sums(collisions)
+    stats.idle[at] += sums(idle)
+
+
+def _draw(rng, count, n):
+    """One chunk's uniforms, in the layout every kernel consumes: nine
+    per-slot rows (user arrivals, destination decoding, schedule,
+    assignment, rank order, relay queue choice, the two sensing
+    intervals), then per-relay decoding and acceptance."""
+    u = rng.random((9, count))
+    return (*u, rng.random((count, max(n, 1))), rng.random((count, max(n, 1))))
+
+
+def _slot_kernel(model, rng, start, count, queues, stats, trace):
+    """Walk `count` slots of the protocol on `_draw(rng, count, n)`, then
+    tally them.  `queues[c, j]` is the class-c queue j (0 the user, 1 + k
+    relay k), carried across chunks; the first `len(trace)` slots of the
+    run are written to `trace`.  Returns 0, or 1 (2) when the primary
+    (secondary) queue passed the guard, after that slot."""
+    (n, ordered, saturated, errors, lam_p, lam_s, pbar_ppd, pbar_ssd,
+     pbar_pk, pbar_sk, pbar_kpd, pbar_ksd, omega_cum, assign_cum, alpha,
+     f_p, f_s, perm_p_cum, perm_p_orders, perm_s_cum, perm_s_orders,
+     pmd_p, pmd_s, pfa) = model
+    (u_arr_p, u_arr_s, u_dest, u_sched, u_assign, u_perm, u_alpha,
+     u_md1, u_md2, u_dec, u_acc) = _draw(rng, count, n)
+    # per class: destination and relay decoding, acceptance, rank orders
+    pbar_d = (pbar_ppd, pbar_ssd)
+    pbar_r = (pbar_pk, pbar_sk)
+    pbar_rd = (pbar_kpd, pbar_ksd)
+    accept = (f_p, f_s)
+    perm_cum = (perm_p_cum, perm_s_cum)
+    perm_orders = (perm_p_orders, perm_s_orders)
+    guard = QUEUE_GUARD
+    trace_limit = len(trace)
+
+    arrivals = (u_arr_p < lam_p, u_arr_s < lam_s)
+    arr_p, arr_s = arrivals
+    # per-slot events, -1 for none: the class of the user packet that
+    # left its queue, the relay that admitted it, and the relay whose
+    # packet (of class `sent_class`) reached the destination
+    relay_index = np.min_scalar_type(-n - 1)
+    left = np.full(count, -1, dtype=np.int8)
+    admitted = np.full(count, -1, dtype=relay_index)
+    sent = np.full(count, -1, dtype=relay_index)
+    sent_class = np.zeros(count, dtype=np.int8)
+    collided = np.zeros(count, dtype=bool)
+    q0 = queues.tolist()
+    qp, qs = q0[0][0], q0[1][0]
+    relay = [row[1:] for row in q0]   # relay[c][k]
+
+    m = count
+    status = 0
     for i in range(count):
-        t = start + i
-        b = t // batch_len
-        if b >= n_batches:
-            b = n_batches - 1
-        stats[b, _SLOTS] += 1.0
-
         # arrivals at slot start; a fresh packet may be served this slot
-        if u_arr_p[i] < lam_p:
+        if arr_p[i]:
             qp += 1
-            stats[b, _ARR_P] += 1.0
-        if u_arr_s[i] < lam_s:
+        if arr_s[i]:
             qs += 1
-            stats[b, _ARR_S] += 1.0
-
         pu_tx = qp > 0
-        if pu_tx:
-            stats[b, _NE_P] += 1.0
         su_tx = (not pu_tx) and qs > 0
-        if qs > 0:
-            stats[b, _NE_S] += 1.0
-        if not pu_tx and not su_tx:
-            stats[b, _IDLE2] += 1.0
-
-        # queue-length accounting: after arrivals, before departures;
-        # packets admitted to a relay this slot count from the next slot
-        stats[b, _CUM_P] += qp
-        stats[b, _CUM_S] += qs
-        for k in range(n):
-            base = _RELAY0 + _RW * k
-            if relay_q[0, k] > 0:
-                stats[b, base + 2] += 1.0
-            if relay_q[1, k] > 0:
-                stats[b, base + 6] += 1.0
-            stats[b, base + 3] += relay_q[0, k]
-            stats[b, base + 7] += relay_q[1, k]
 
         # schedule-selected relay and (assignment strategies) the decoder
         r = -1
@@ -110,7 +173,7 @@ def _slot_kernel(start, count, batch_len, n_batches, n,
         # listening for a data packet that slot
         relay_tx = False
         relay_real = False
-        relay_use_p = False
+        relay_class = 0
         scheduled_listening = True
         if n > 0:
             if errors:
@@ -128,21 +191,11 @@ def _slot_kernel(start, count, batch_len, n_batches, n,
                 senses_idle = (not pu_tx) and (not su_tx)
             if senses_idle:
                 scheduled_listening = False
-                relay_use_p = u_alpha[i] < alpha[r]
-                if relay_use_p:
-                    relay_real = relay_q[0, r] > 0
-                else:
-                    relay_real = relay_q[1, r] > 0
+                relay_class = 0 if u_alpha[i] < alpha[r] else 1
+                relay_real = relay[relay_class][r] > 0
                 relay_tx = relay_real or saturated
 
-        n_tx = 0
-        if pu_tx:
-            n_tx += 1
-        if su_tx:
-            n_tx += 1
-        if relay_tx:
-            n_tx += 1
-
+        n_tx = pu_tx + su_tx + relay_tx
         who = 0
         direct_ok = False
         decode_mask = 0
@@ -151,142 +204,102 @@ def _slot_kernel(start, count, batch_len, n_batches, n,
 
         if n_tx >= 2:
             # concurrent transmissions are all lost; nobody decodes
-            stats[b, _COLL] += 1.0
+            collided[i] = True
             verdict = 2
             who = 1 if pu_tx else 2
-        elif pu_tx:
-            who = 1
-            if u_dest[i] < pbar_ppd:
+        elif pu_tx or su_tx:
+            c = 0 if pu_tx else 1
+            who = 1 + c
+            verdict = 2
+            pk, fk = pbar_r[c], accept[c]
+            if u_dest[i] < pbar_d[c]:
                 direct_ok = True
                 verdict = 1
-                qp -= 1
-                stats[b, _DEP_P] += 1.0
-                stats[b, _DLV_P] += 1.0
-            else:
-                verdict = 2
-                winner = -1
-                if n > 0 and ordered:
-                    j = 0
-                    while j < perm_p_cum.shape[0] - 1 and \
-                            u_perm[i] >= perm_p_cum[j]:
-                        j += 1
-                    for rank in range(n):
-                        k = perm_p_orders[j, rank]
-                        if k == r and not scheduled_listening:
-                            continue
-                        if u_dec[i, k] < pbar_pk[k]:
-                            decode_mask |= 1 << k
-                            if u_acc[i, k] < f_p[k]:
-                                winner = k
-                                break
-                elif n > 0:
-                    k = a_dec
-                    if (k != r or scheduled_listening) and \
-                            u_dec[i, k] < pbar_pk[k]:
+            elif n > 0 and ordered:
+                cum, orders = perm_cum[c], perm_orders[c]
+                j = 0
+                while j < cum.shape[0] - 1 and u_perm[i] >= cum[j]:
+                    j += 1
+                for rank in range(n):
+                    k = orders[j, rank]
+                    if k == r and not scheduled_listening:
+                        continue
+                    if u_dec[i, k] < pk[k]:
                         decode_mask |= 1 << k
-                        if u_acc[i, k] < f_p[k]:
-                            winner = k
-                if winner >= 0:
-                    acceptor = winner
+                        if u_acc[i, k] < fk[k]:
+                            acceptor = k
+                            break
+            elif n > 0:
+                k = a_dec
+                if (k != r or scheduled_listening) and u_dec[i, k] < pk[k]:
+                    decode_mask |= 1 << k
+                    if u_acc[i, k] < fk[k]:
+                        acceptor = k
+            if direct_ok or acceptor >= 0:
+                left[i] = c
+                if c == 0:
                     qp -= 1
-                    stats[b, _DEP_P] += 1.0
-                    relay_q[0, winner] += 1
-                    stats[b, _RELAY0 + _RW * winner] += 1.0
-        elif su_tx:
-            who = 2
-            if u_dest[i] < pbar_ssd:
-                direct_ok = True
-                verdict = 1
-                qs -= 1
-                stats[b, _DEP_S] += 1.0
-                stats[b, _DLV_S] += 1.0
-            else:
-                verdict = 2
-                winner = -1
-                if n > 0 and ordered:
-                    j = 0
-                    while j < perm_s_cum.shape[0] - 1 and \
-                            u_perm[i] >= perm_s_cum[j]:
-                        j += 1
-                    for rank in range(n):
-                        k = perm_s_orders[j, rank]
-                        if k == r and not scheduled_listening:
-                            continue
-                        if u_dec[i, k] < pbar_sk[k]:
-                            decode_mask |= 1 << k
-                            if u_acc[i, k] < f_s[k]:
-                                winner = k
-                                break
-                elif n > 0:
-                    k = a_dec
-                    if (k != r or scheduled_listening) and \
-                            u_dec[i, k] < pbar_sk[k]:
-                        decode_mask |= 1 << k
-                        if u_acc[i, k] < f_s[k]:
-                            winner = k
-                if winner >= 0:
-                    acceptor = winner
+                else:
                     qs -= 1
-                    stats[b, _DEP_S] += 1.0
-                    relay_q[1, winner] += 1
-                    stats[b, _RELAY0 + _RW * winner + 4] += 1.0
+            if acceptor >= 0:
+                admitted[i] = acceptor
+                relay[c][acceptor] += 1
         elif relay_tx:
             who = 3
             if relay_real:  # dummy packets deliver nothing
-                base = _RELAY0 + _RW * r
-                if relay_use_p:
-                    if u_dest[i] < pbar_kpd[r]:
-                        direct_ok = True
-                        verdict = 1
-                        relay_q[0, r] -= 1
-                        stats[b, base + 1] += 1.0
-                        stats[b, _DLV_P] += 1.0
-                    else:
-                        verdict = 2
-                else:
-                    if u_dest[i] < pbar_ksd[r]:
-                        direct_ok = True
-                        verdict = 1
-                        relay_q[1, r] -= 1
-                        stats[b, base + 5] += 1.0
-                        stats[b, _DLV_S] += 1.0
-                    else:
-                        verdict = 2
+                verdict = 2
+                if u_dest[i] < pbar_rd[relay_class][r]:
+                    direct_ok = True
+                    verdict = 1
+                    relay[relay_class][r] -= 1
+                    sent[i] = r
+                    sent_class[i] = relay_class
 
+        t = start + i
         if t < trace_limit:
-            trace[t, 0] = who
-            trace[t, 1] = r if who == 3 else -1
-            trace[t, 2] = 1 if direct_ok else 0
-            trace[t, 3] = decode_mask
-            trace[t, 4] = verdict
-            trace[t, 5] = acceptor
-            trace[t, 6] = 1 if n_tx >= 2 else 0
+            trace[t] = (who, r if who == 3 else -1, direct_ok, decode_mask,
+                        verdict, acceptor, n_tx >= 2)
 
-        if qp > QUEUE_GUARD or qs > QUEUE_GUARD:
-            user_q[0] = qp
-            user_q[1] = qs
-            return 1 if qp > QUEUE_GUARD else 2
+        if qp > guard or qs > guard:
+            status = 1 if qp > guard else 2
+            m = i + 1
+            break
 
-    user_q[0] = qp
-    user_q[1] = qs
-    return 0
-
-
-def _draw(rng, count, n):
-    """One chunk's uniforms, in the layout every kernel consumes: nine
-    per-slot rows (user arrivals, destination decoding, schedule,
-    assignment, rank order, relay queue choice, the two sensing
-    intervals), then per-relay decoding and acceptance."""
-    u = rng.random((9, count))
-    return (*u, rng.random((count, max(n, 1))), rng.random((count, max(n, 1))))
+    queues[:, 0] = qp, qs
+    queues[:, 1:] = relay
+    del (u_arr_p, u_arr_s, u_dest, u_sched, u_assign, u_perm, u_alpha,
+         u_md1, u_md2, u_dec, u_acc)   # free the draws before the sums
+    # every queue's length, slot by slot, from its events: one cumulative
+    # sum of its increments from the chunk's starting length
+    left, admitted, sent, sent_class = (left[:m], admitted[:m], sent[:m],
+                                        sent_class[:m])
+    flows = ([], [])
+    delivered = []
+    for c in (0, 1):
+        out = left == c
+        x = np.subtract(arrivals[c][:m], out, dtype=np.int8)
+        flows[c].append((arrivals[c], out,
+                         q0[c][0] + np.cumsum(x, dtype=np.int32) + out))
+        relay_out = (sent >= 0) & (sent_class == c)
+        for k in range(n):
+            adm = out & (admitted == k)
+            dep = relay_out & (sent == k)
+            x = np.subtract(adm, dep, dtype=np.int8)
+            flows[c].append((adm, dep,
+                             q0[c][1 + k] + np.cumsum(x, dtype=np.int32) - x))
+        delivered.append((out & (admitted < 0)) | relay_out)
+    idle = (flows[0][0][2] == 0) & (flows[1][0][2] == 0)
+    _tally(stats, start, m, flows, delivered, collided, idle)
+    return status
 
 
 def _lindley(x, q0):
     """Queue after each slot of `q_t = max(0, q_{t-1} + x_t)` from `q0`:
     the cumulative sum less its running minimum, floored at `-q0`.  A
-    chunk's increments sum to at most CHUNK in size, so int32 holds it."""
+    chunk's increments sum to at most CHUNK in size, so int32 holds the
+    queue while it stays below 2**31 - CHUNK; numpy raises past that."""
     s = np.cumsum(x, dtype=np.int32)
-    return s - np.minimum(np.minimum.accumulate(s), -q0)
+    return s - np.minimum(np.minimum.accumulate(s), -int(q0))
 
 
 def _before(q, q0):
@@ -315,14 +328,7 @@ def _first_taker(order, orders, takes):
                     np.take_along_axis(ranked, first, axis=1), -1)[:, 0]
 
 
-def _lindley_kernel(rng, start, count, batch_len, n_batches, n,
-                    ordered, saturated, errors,
-                    lam_p, lam_s,
-                    pbar_ppd, pbar_ssd, pbar_pk, pbar_sk, pbar_kpd, pbar_ksd,
-                    omega_cum, assign_cum, alpha, f_p, f_s,
-                    perm_p_cum, perm_p_orders, perm_s_cum, perm_s_orders,
-                    pmd_p, pmd_s, pfa,
-                    user_q, relay_q, stats):
+def _lindley_kernel(model, rng, start, count, queues, stats):
     """`_slot_kernel` on `_draw(rng, count, n)` without a per-slot loop:
     the same stats, queues and status, bit for bit, and no trace.
 
@@ -336,6 +342,10 @@ def _lindley_kernel(rng, start, count, batch_len, n_batches, n,
     does.  The draws are taken one row at a time and cut at once to the
     few bits the chain needs, so that no chunk of floats stays live.
     """
+    (n, ordered, saturated, errors, lam_p, lam_s, pbar_ppd, pbar_ssd,
+     pbar_pk, pbar_sk, pbar_kpd, pbar_ksd, omega_cum, assign_cum, alpha,
+     f_p, f_s, perm_p_cum, perm_p_orders, perm_s_cum, perm_s_orders,
+     pmd_p, pmd_s, pfa) = model
     assert saturated or not errors, "coupled queues need the slot loop"
     arr_p = rng.random(count) < lam_p
     arr_s = rng.random(count) < lam_s
@@ -401,12 +411,12 @@ def _lindley_kernel(rng, start, count, batch_len, n_batches, n,
         serve_p &= ~miss_p
         serve_s &= ~miss_s
 
-    qp = _lindley(np.subtract(arr_p, serve_p, dtype=np.int8), user_q[0])
-    qp_in = _before(qp, user_q[0]) + arr_p   # after arrivals
+    qp = _lindley(np.subtract(arr_p, serve_p, dtype=np.int8), queues[0, 0])
+    qp_in = _before(qp, queues[0, 0]) + arr_p   # after arrivals
     pu_tx = qp_in > 0
     serve_s &= ~pu_tx
-    qs = _lindley(np.subtract(arr_s, serve_s, dtype=np.int8), user_q[1])
-    qs_in = _before(qs, user_q[1]) + arr_s
+    qs = _lindley(np.subtract(arr_s, serve_s, dtype=np.int8), queues[1, 0])
+    qs_in = _before(qs, queues[1, 0]) + arr_s
     backlog_s = qs_in > 0
 
     status = 0
@@ -415,59 +425,39 @@ def _lindley_kernel(rng, start, count, batch_len, n_batches, n,
     if over.any():
         m = int(over.argmax()) + 1
         status = 1 if qp[m - 1] > QUEUE_GUARD else 2
-    user_q[0] = qp[m - 1]
-    user_q[1] = qs[m - 1]
+    queues[:, 0] = qp[m - 1], qs[m - 1]
     del qp, qs, over
 
-    b0 = min(start // batch_len, n_batches - 1)
-    b1 = min((start + m - 1) // batch_len, n_batches - 1)
-    bids = np.arange(b0, b1 + 1)
-    seg = np.maximum(bids * batch_len - start, 0)
-    stats[bids, _SLOTS] += np.diff(np.append(seg, m))
-
-    def add(col, x):
-        stats[bids, col] += np.add.reduceat(x[:m], seg, dtype=np.float64)
-
+    dep_p = pu_tx & serve_p
+    dep_s = backlog_s & serve_s
+    flows = ([(arr_p, dep_p, qp_in)], [(arr_s, dep_s, qs_in)])
+    dlv_p = dep_p & direct_p
+    dlv_s = dep_s & direct_s
     idle = ~pu_tx & ~backlog_s
-    dlv_p = pu_tx & serve_p & direct_p
-    dlv_s = backlog_s & serve_s & direct_s
-    add(_ARR_P, arr_p)
-    add(_ARR_S, arr_s)
-    add(_NE_P, pu_tx)
-    add(_DEP_P, pu_tx & serve_p)
-    add(_CUM_P, qp_in)
-    add(_NE_S, backlog_s)
-    add(_DEP_S, backlog_s & serve_s)
-    add(_CUM_S, qs_in)
-    add(_IDLE2, idle)
+    collisions = None
     if n > 0:
+        sends = idle
         if errors:
-            add(_COLL, (pu_tx & miss_p) | (~pu_tx & backlog_s & miss_s))
-            idle &= hears_idle
-        cap_p = pu_tx & serve_p & ~direct_p
-        cap_s = backlog_s & serve_s & ~direct_s
-        send_p &= idle
-        send_s &= idle
+            collisions = (pu_tx & miss_p) | (~pu_tx & backlog_s & miss_s)
+            sends = idle & hears_idle
+        send_p &= sends
+        send_s &= sends
+        cap_p = dep_p & ~direct_p
+        cap_s = dep_s & ~direct_s
         for k in range(n):
             at_k = r == k
-            base = _RELAY0 + _RW * k
-            for cls, cap, win, send, dlv in ((0, cap_p, win_p, send_p, dlv_p),
-                                             (1, cap_s, win_s, send_s, dlv_s)):
+            for c, cap, win, send, dlv in ((0, cap_p, win_p, send_p, dlv_p),
+                                           (1, cap_s, win_s, send_s, dlv_s)):
                 adm = cap & (win == k)
                 out = send & at_k
-                q0 = relay_q[cls, k]
+                q0 = queues[c, 1 + k]
                 q = _lindley(np.subtract(adm[:m], out[:m], dtype=np.int8), q0)
                 prev = _before(q, q0)
                 dep = out[:m] & (prev > 0)
-                relay_q[cls, k] = q[-1]
-                col = base + 4 * cls
-                add(col, adm)
-                add(col + 1, dep)
-                add(col + 2, prev > 0)
-                add(col + 3, prev)
+                queues[c, 1 + k] = q[-1]
+                flows[c].append((adm, dep, prev))
                 dlv[:m] |= dep
-    add(_DLV_P, dlv_p)
-    add(_DLV_S, dlv_s)
+    _tally(stats, start, m, flows, (dlv_p, dlv_s), collisions, idle)
     return status
 
 
@@ -524,8 +514,9 @@ def derive_replication_seed(base_seed: int, replication_index: int) -> int:
     return int(base_seed) * (2 ** 32) + int(replication_index)
 
 
-def _ratio(num: float, den: float) -> float:
-    return num / den if den > 0 else math.nan
+def _per(num, den):
+    """`num / den` elementwise, NaN where `den` is 0 ("no samples")."""
+    return num / np.where(den > 0, den, np.nan)
 
 
 def _batch_ci(values: np.ndarray) -> float:
@@ -535,10 +526,17 @@ def _batch_ci(values: np.ndarray) -> float:
     return 1.96 * float(np.std(vals, ddof=1)) / math.sqrt(vals.size)
 
 
-def _success_vectors(outages: OutageTable):
-    return (1.0 - outages.pu_pd, 1.0 - outages.su_sd,
-            1.0 - outages.pu_relay, 1.0 - outages.su_relay,
-            1.0 - outages.relay_pd, 1.0 - outages.relay_sd)
+def _half_widths(per_batch: np.ndarray) -> np.ndarray:
+    """`_batch_ci` of every entry of a per-batch quantity (batch axis
+    first), one 1-D call per entry."""
+    cols = per_batch.reshape(per_batch.shape[0], -1)
+    return np.array([_batch_ci(cols[:, i]) for i in range(cols.shape[1])]
+                    ).reshape(per_batch.shape[1:])
+
+
+def _check_batches(batches) -> None:
+    if not isinstance(batches, (int, np.integer)) or batches < 1:
+        raise ConfigError(f"batches must be an integer >= 1, got {batches!r}")
 
 
 def run(cfg: OutageTable | NetworkConfig, params: StrategyParams,
@@ -558,6 +556,10 @@ def run(cfg: OutageTable | NetworkConfig, params: StrategyParams,
     trace, go through the per-slot loop; every other run through the
     Lindley kernel, with the same result.
     """
+    _check_batches(batches)
+    if not isinstance(trace_limit, (int, np.integer)) or trace_limit < 0:
+        raise ConfigError(f"trace_limit must be an integer >= 0, "
+                          f"got {trace_limit!r}")
     if slots < 1:
         raise ConfigError("slots must be >= 1")
     if mode not in ("true_queues", "saturated_relays"):
@@ -574,9 +576,6 @@ def run(cfg: OutageTable | NetworkConfig, params: StrategyParams,
     if sensing is not None and sensing.n_relays != n:
         raise ConfigError("sensing-error vectors sized for a different relay count")
 
-    pbar_ppd, pbar_ssd, pbar_pk, pbar_sk, pbar_kpd, pbar_ksd = \
-        _success_vectors(outages)
-
     ordered = params.strategy is StrategyKind.ORDERED
     if ordered and n > 0:
         pp, po = params.order_p.rank_orders()
@@ -584,53 +583,46 @@ def run(cfg: OutageTable | NetworkConfig, params: StrategyParams,
     else:
         pp, po = np.zeros(1), np.zeros((1, max(n, 1)), dtype=np.int64)
         sp, so = np.zeros(1), np.zeros((1, max(n, 1)), dtype=np.int64)
-    perm_p_cum = np.cumsum(pp)
-    perm_s_cum = np.cumsum(sp)
 
     omega_cum = np.cumsum(params.omega) if n else np.zeros(1)
     assign_cum = (np.cumsum(params.assignment())
                   if (n and not ordered) else np.zeros(1))
-    alpha = params.alpha if n else np.zeros(1)
-    f_p = params.f_p if n else np.zeros(1)
-    f_s = params.f_s if n else np.zeros(1)
     if sensing is not None:
         pmd_p, pmd_s, pfa = (sensing.p_md_primary, sensing.p_md_secondary,
                              sensing.p_false_alarm)
     else:
         pmd_p = pmd_s = pfa = np.zeros(max(n, 1))
+    pbar_pk, pbar_sk, pbar_kpd, pbar_ksd, alpha, f_p, f_s = (
+        np.atleast_1d(v) if n else np.zeros(1) for v in (
+            1.0 - outages.pu_relay, 1.0 - outages.su_relay,
+            1.0 - outages.relay_pd, 1.0 - outages.relay_sd,
+            params.alpha, params.f_p, params.f_s))
+    model = _Model(n, ordered, mode == "saturated_relays", sensing is not None,
+                   traffic.lambda_p, traffic.lambda_s, 1.0 - outages.pu_pd,
+                   1.0 - outages.su_sd, pbar_pk, pbar_sk, pbar_kpd, pbar_ksd,
+                   omega_cum, assign_cum, alpha, f_p, f_s, np.cumsum(pp), po,
+                   np.cumsum(sp), so, pmd_p, pmd_s, pfa)
 
     batches = min(batches, slots)
-    batch_len = slots // batches
-    width = _RELAY0 + _RW * n
-    stats = np.zeros((batches, width))
-    user_q = np.zeros(2, dtype=np.int64)
-    relay_q = np.zeros((2, max(n, 1)), dtype=np.int64)
+    stats = _Stats(slots // batches, np.zeros(batches),
+                   np.zeros((batches, 2, 1 + n, 4)), np.zeros((batches, 2)),
+                   np.zeros(batches), np.zeros(batches))
+    queues = np.zeros((2, 1 + n), dtype=np.int64)
     trace_rows = np.zeros((trace_limit, 7), dtype=np.int64)
 
     # with sensing errors a true-queue relay with nothing to send stays
     # silent, so whether the primary collides depends on relay queues
     loop = trace_limit > 0 or (sensing is not None and mode == "true_queues")
-    model = (batch_len, batches, n, ordered, mode == "saturated_relays",
-             sensing is not None, traffic.lambda_p, traffic.lambda_s,
-             pbar_ppd, pbar_ssd,
-             np.atleast_1d(pbar_pk) if n else np.zeros(1),
-             np.atleast_1d(pbar_sk) if n else np.zeros(1),
-             np.atleast_1d(pbar_kpd) if n else np.zeros(1),
-             np.atleast_1d(pbar_ksd) if n else np.zeros(1),
-             omega_cum, assign_cum, alpha, f_p, f_s,
-             perm_p_cum, po, perm_s_cum, so, pmd_p, pmd_s, pfa)
     rng = np.random.default_rng(seed)
     done = 0
     status = 0
     while done < slots:
         count = min(CHUNK, slots - done)
         if loop:
-            status = _slot_kernel(done, count, *model,
-                                  *_draw(rng, count, n), user_q, relay_q,
-                                  stats, trace_rows, trace_limit)
+            status = _slot_kernel(model, rng, done, count, queues, stats,
+                                  trace_rows)
         else:
-            status = _lindley_kernel(rng, done, count, *model,
-                                     user_q, relay_q, stats)
+            status = _lindley_kernel(model, rng, done, count, queues, stats)
         done += count
         if status != 0:
             raise UnstableQueueError(
@@ -638,87 +630,43 @@ def run(cfg: OutageTable | NetworkConfig, params: StrategyParams,
                 f"queue exceeded {QUEUE_GUARD} packets after <= {done} slots; "
                 f"the configuration is unstable")
 
-    tot = stats.sum(axis=0)
-
-    # packet conservation, per queue
-    assert tot[_ARR_P] == tot[_DEP_P] + user_q[0]
-    assert tot[_ARR_S] == tot[_DEP_S] + user_q[1]
-    for k in range(n):
-        base = _RELAY0 + _RW * k
-        assert tot[base] == tot[base + 1] + relay_q[0, k]
-        assert tot[base + 4] == tot[base + 5] + relay_q[1, k]
+    # per queue, over the batches: arrivals, departures, nonempty slots
+    # and queue-length sums, each shaped (2, 1 + n) as `queues`
+    arrived, left, busy, length = np.moveaxis(stats.queues.sum(axis=0), -1, 0)
+    assert np.array_equal(arrived, left + queues), "packets not conserved"
+    delivered = stats.delivered.sum(axis=0)
+    collisions = int(stats.collisions.sum())
     if sensing is None:
-        assert tot[_COLL] == 0, "collision under perfect sensing"
+        assert collisions == 0, "collision under perfect sensing"
 
-    bs = stats[:, _SLOTS]
-    est = {
-        "mu_p": _ratio(tot[_DEP_P], tot[_NE_P]),
-        "mu_s": _ratio(tot[_DEP_S], tot[_NE_S]),
-        "pi_p0": 1.0 - tot[_NE_P] / slots,
-        "pi_s0": 1.0 - tot[_NE_S] / slots,
-    }
-    ci = {
-        "mu_p": _batch_ci(stats[:, _DEP_P] / np.where(stats[:, _NE_P] > 0,
-                                                      stats[:, _NE_P], np.nan)),
-        "mu_s": _batch_ci(stats[:, _DEP_S] / np.where(stats[:, _NE_S] > 0,
-                                                      stats[:, _NE_S], np.nan)),
-        "pi_p0": _batch_ci(1.0 - stats[:, _NE_P] / bs),
-        "pi_s0": _batch_ci(1.0 - stats[:, _NE_S] / bs),
-    }
+    served = _per(left, busy)
+    empty = 1.0 - busy[:, 0] / slots
+    arrival = arrived[:, 1:] / slots
+    delay = _per(length.sum(axis=1), delivered)
 
-    lam_pk = np.zeros(n)
-    lam_sk = np.zeros(n)
-    mu_pk = np.zeros(n)
-    mu_sk = np.zeros(n)
-    ci_lpk = np.zeros(n)
-    ci_lsk = np.zeros(n)
-    ci_mpk = np.zeros(n)
-    ci_msk = np.zeros(n)
-    for k in range(n):
-        base = _RELAY0 + _RW * k
-        lam_pk[k] = tot[base] / slots
-        lam_sk[k] = tot[base + 4] / slots
-        mu_pk[k] = _ratio(tot[base + 1], tot[base + 2])
-        mu_sk[k] = _ratio(tot[base + 5], tot[base + 6])
-        ci_lpk[k] = _batch_ci(stats[:, base] / bs)
-        ci_lsk[k] = _batch_ci(stats[:, base + 4] / bs)
-        ci_mpk[k] = _batch_ci(stats[:, base + 1] /
-                              np.where(stats[:, base + 2] > 0,
-                                       stats[:, base + 2], np.nan))
-        ci_msk[k] = _batch_ci(stats[:, base + 5] /
-                              np.where(stats[:, base + 6] > 0,
-                                       stats[:, base + 6], np.nan))
-
-    cum_p_total = tot[_CUM_P] + sum(tot[_RELAY0 + _RW * k + 3] for k in range(n))
-    cum_s_total = tot[_CUM_S] + sum(tot[_RELAY0 + _RW * k + 7] for k in range(n))
-    d_p = _ratio(cum_p_total, tot[_DLV_P])
-    d_s = _ratio(cum_s_total, tot[_DLV_S])
-    batch_cum_p = stats[:, _CUM_P].copy()
-    batch_cum_s = stats[:, _CUM_S].copy()
-    for k in range(n):
-        batch_cum_p += stats[:, _RELAY0 + _RW * k + 3]
-        batch_cum_s += stats[:, _RELAY0 + _RW * k + 7]
-    ci["d_p_total"] = _batch_ci(batch_cum_p / np.where(stats[:, _DLV_P] > 0,
-                                                       stats[:, _DLV_P], np.nan))
-    ci["d_s_total"] = _batch_ci(batch_cum_s / np.where(stats[:, _DLV_S] > 0,
-                                                       stats[:, _DLV_S], np.nan))
-    ci["lambda_pk"] = ci_lpk
-    ci["lambda_sk"] = ci_lsk
-    ci["mu_pk"] = ci_mpk
-    ci["mu_sk"] = ci_msk
+    b_arrived, b_left, b_busy, b_length = np.moveaxis(stats.queues, -1, 0)
+    ci_served = _half_widths(_per(b_left, b_busy))
+    ci_empty = _half_widths(1.0 - b_busy[:, :, 0] / stats.slots[:, None])
+    ci_arrival = _half_widths(b_arrived[:, :, 1:] / stats.slots[:, None, None])
+    ci_delay = _half_widths(_per(b_length.sum(axis=2), stats.delivered))
+    ci = {"mu_p": ci_served[0, 0], "mu_s": ci_served[1, 0],
+          "pi_p0": ci_empty[0], "pi_s0": ci_empty[1],
+          "d_p_total": ci_delay[0], "d_s_total": ci_delay[1],
+          "lambda_pk": ci_arrival[0], "lambda_sk": ci_arrival[1],
+          "mu_pk": ci_served[0, 1:], "mu_sk": ci_served[1, 1:]}
 
     trace = tuple(_decode_trace(row) for row in trace_rows[:min(trace_limit, slots)])
     return SimEstimate(
-        mu_p_hat=est["mu_p"], mu_s_hat=est["mu_s"],
-        pi_p0_hat=est["pi_p0"], pi_s0_hat=est["pi_s0"],
-        lambda_pk_hat=lam_pk, lambda_sk_hat=lam_sk,
-        mu_pk_hat=mu_pk, mu_sk_hat=mu_sk,
-        d_p_total_hat=d_p, d_s_total_hat=d_s,
-        ci=ci, seed=seed, slots=slots, collisions=int(tot[_COLL]),
-        nonempty_p=int(tot[_NE_P]), nonempty_s=int(tot[_NE_S]),
-        nonempty_pk=np.array([int(tot[_RELAY0 + _RW * k + 2]) for k in range(n)]),
-        nonempty_sk=np.array([int(tot[_RELAY0 + _RW * k + 6]) for k in range(n)]),
-        both_idle_fraction=tot[_IDLE2] / slots,
+        mu_p_hat=served[0, 0], mu_s_hat=served[1, 0],
+        pi_p0_hat=empty[0], pi_s0_hat=empty[1],
+        lambda_pk_hat=arrival[0], lambda_sk_hat=arrival[1],
+        mu_pk_hat=served[0, 1:], mu_sk_hat=served[1, 1:],
+        d_p_total_hat=delay[0], d_s_total_hat=delay[1],
+        ci=ci, seed=seed, slots=slots, collisions=collisions,
+        nonempty_p=int(busy[0, 0]), nonempty_s=int(busy[1, 0]),
+        nonempty_pk=busy[0, 1:].astype(np.int64),
+        nonempty_sk=busy[1, 1:].astype(np.int64),
+        both_idle_fraction=stats.idle.sum() / slots,
         trace=trace)
 
 
@@ -756,6 +704,7 @@ def run_replicated(cfg, params, traffic, *, replications: int,
     The half-widths come from the spread across replications when there
     are at least two, otherwise from the single run's batch means.
     """
+    _check_batches(batches)
     if replications < 1:
         raise ConfigError("replications must be >= 1")
     runs = [run(cfg, params, traffic, sensing=sensing, mode=mode,

@@ -1,13 +1,15 @@
 """Shared test helpers: the exhaustive slot-outcome oracle, a relaxation
-bound on the delay-limited secondary rate, and random configuration
-generators.
+bound on the delay-limited secondary rate, random configuration
+generators, and equality of simulator estimates.
 
 The oracle enumerates every joint decode/acceptance outcome of one slot
 instead of using the prefix-product formulas, so it is an independent
 check of the closed-form rates.
 """
 
+import dataclasses
 import itertools
+import math
 
 import numpy as np
 
@@ -16,6 +18,7 @@ from cogrelay.network import (OutageTable, SensingErrorParams,
                               TrafficParams)
 from cogrelay.orders import OrderDistribution
 from cogrelay.rates import StrategyParams
+from cogrelay.sim import SimEstimate
 
 
 def oracle_capture(outage_relay, f, scenarios):
@@ -190,3 +193,24 @@ def random_sensing_errors(rng: np.random.Generator, n: int,
     return SensingErrorParams(rng.uniform(0, high, n),
                               rng.uniform(0, high, n),
                               rng.uniform(0, high, n))
+
+
+def estimates_equal(a: SimEstimate, b: SimEstimate) -> bool:
+    """Field-by-field equality of two estimates, bit for bit, with NaN
+    equal to NaN: a queue that was never nonempty has NaN rates."""
+    for field in dataclasses.fields(SimEstimate):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, dict):
+            if x.keys() != y.keys() or not all(
+                    np.array_equal(np.asarray(x[key]), np.asarray(y[key]),
+                                   equal_nan=True) for key in x):
+                return False
+        elif isinstance(x, np.ndarray):
+            if not np.array_equal(x, y, equal_nan=True):
+                return False
+        elif isinstance(x, float) and math.isnan(x):
+            if not (isinstance(y, float) and math.isnan(y)):
+                return False
+        elif x != y:
+            return False
+    return True

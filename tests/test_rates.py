@@ -282,6 +282,20 @@ class TestEndToEndDelays:
             end_to_end_delays(report, traffic)
         assert "primary-relay" in err.value.queue
 
+    def test_idle_unserved_user_queue_named(self):
+        # no secondary arrivals and no secondary service: the stability
+        # flags pass, but the delay law is infinite, so the status names
+        # the secondary queue
+        out = OutageTable(0.1, 1.0, [0.1], [1.0], [0.1], [0.1])
+        p = StrategyParams(StrategyKind.ROUND_ROBIN, [1.0], [0.5], [1.0],
+                           [0.0])
+        traffic = TrafficParams(0.2, 0.0)
+        ev = evaluate(out, p, traffic)
+        assert ev.report.stable_p and ev.report.stable_s
+        assert ev.report.mu_s == 0.0
+        assert ev.status == "unstable:secondary"
+        assert ev.d_p == ev.d_s == math.inf
+
 
 class TestEvaluate:
     def test_status_and_delays_follow_the_chain(self, monkeypatch):

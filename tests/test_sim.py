@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -10,8 +9,10 @@ from cogrelay.network import OutageTable, SensingErrorParams, TrafficParams
 from cogrelay.orders import OrderDistribution
 from cogrelay.rates import (StrategyParams, apply_sensing_errors,
                             end_to_end_delays, rate_report)
-from cogrelay.sim import (SimEstimate, conditional_service,
-                          derive_replication_seed, run, run_replicated)
+from cogrelay.sim import (conditional_service, derive_replication_seed, run,
+                          run_replicated)
+
+from support import estimates_equal
 
 TABLE_ROWS12 = OutageTable(0.1, 0.2, [0.1, 0.02], [0.1, 0.1],
                            [0.1, 0.1], [0.1, 0.1])
@@ -33,30 +34,19 @@ def single_queue(mu):
     return out, params
 
 
-def estimates_equal(a: SimEstimate, b: SimEstimate) -> bool:
-    for field in dataclasses.fields(SimEstimate):
-        x, y = getattr(a, field.name), getattr(b, field.name)
-        if isinstance(x, np.ndarray):
-            if not np.array_equal(x, y):
-                return False
-        elif isinstance(x, dict):
-            for key in x:
-                if not np.array_equal(np.asarray(x[key]), np.asarray(y[key]),
-                                      equal_nan=True):
-                    return False
-        elif isinstance(x, float) and math.isnan(x):
-            if not (isinstance(y, float) and math.isnan(y)):
-                return False
-        elif x != y:
-            return False
-    return True
-
-
 class TestReproducibility:
     def test_bit_identical_for_same_seed(self):
         kw = dict(slots=50_000, seed=99)
         a = run(TABLE_ROWS12, od2(), TrafficParams(0.3, 0.2), **kw)
         b = run(TABLE_ROWS12, od2(), TrafficParams(0.3, 0.2), **kw)
+        assert estimates_equal(a, b)
+
+    def test_bit_identical_with_never_nonempty_relays(self):
+        # no relay ever accepts, so every relay service rate is NaN
+        kw = dict(slots=20_000, seed=98)
+        a = run(TABLE_ROWS12, od2(0.0), TrafficParams(0.3, 0.2), **kw)
+        b = run(TABLE_ROWS12, od2(0.0), TrafficParams(0.3, 0.2), **kw)
+        assert np.isnan(a.mu_pk_hat).all() and np.isnan(a.mu_sk_hat).all()
         assert estimates_equal(a, b)
 
     def test_seed_changes_output(self):
@@ -237,6 +227,20 @@ class TestGuardsAndTrace:
         with pytest.raises(ConfigError):
             run(TABLE_ROWS12, od2(), TrafficParams(0.1, 0.1),
                 slots=10, seed=0, mode="bogus")
+
+    @pytest.mark.parametrize("simulate,kw", [
+        (run, dict(batches=0)),
+        (run, dict(batches=-3)),
+        (run, dict(batches=2.5)),
+        (run, dict(trace_limit=-1)),
+        (run_replicated, dict(replications=2, batches=0)),
+        (run_replicated, dict(replications=2, batches=-3)),
+        (run_replicated, dict(replications=2, batches=2.5)),
+    ])
+    def test_batches_and_trace_limit_validation(self, simulate, kw):
+        with pytest.raises(ConfigError):
+            simulate(TABLE_ROWS12, od2(), TrafficParams(0.1, 0.1),
+                     slots=100, seed=0, **kw)
 
 
 class TestReplications:

@@ -1,11 +1,11 @@
 """Kernel-level checks: the Lindley chunk kernel and the per-slot loop are
 the same function of the draws, and the random-draw layout is stable
-across chunking."""
+across chunking.  Both kernels count through `sim._tally`, so a fault in
+the tally shows in `test_sim_golden.py`, not here."""
 
 import copy
 import dataclasses
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -19,6 +19,8 @@ from cogrelay.network import OutageTable, SensingErrorParams, TrafficParams
 from cogrelay.orders import OrderDistribution
 from cogrelay.rates import StrategyParams, apply_sensing_errors, rate_report
 
+from support import estimates_equal
+
 TABLE_ROWS12 = OutageTable(0.1, 0.2, [0.1, 0.02], [0.1, 0.1],
                            [0.1, 0.1], [0.1, 0.1])
 
@@ -28,21 +30,6 @@ def od2(f=1.0):
     return StrategyParams(StrategyKind.ORDERED, [0.5, 0.5], [0.5, 0.5], v, v,
                           OrderDistribution.uniform(2),
                           OrderDistribution.uniform(2))
-
-
-def _estimates_match(a, b):
-    for field in dataclasses.fields(sim.SimEstimate):
-        x, y = getattr(a, field.name), getattr(b, field.name)
-        if isinstance(x, np.ndarray):
-            assert np.array_equal(x, y, equal_nan=True), field.name
-        elif isinstance(x, dict):
-            for key in x:
-                assert np.array_equal(np.asarray(x[key]), np.asarray(y[key]),
-                                      equal_nan=True), (field.name, key)
-        elif isinstance(x, float) and math.isnan(x):
-            assert math.isnan(y), field.name
-        else:
-            assert x == y, field.name
 
 
 _STRATEGIES = (StrategyKind.ORDERED, StrategyKind.RANDOM,
@@ -94,20 +81,19 @@ def random_case(rng, n, strategy):
 _LINDLEY_KERNEL = sim._lindley_kernel
 
 
-def _lockstep(rng, start, count, *args):
+def _lockstep(model, rng, start, count, queues, stats):
     """Run both chunk kernels on one chunk's draws and require the same
-    status, stats and queues, and the same draws consumed; the slot
+    status, queues and stats, and the same draws consumed; the slot
     loop's state is the one kept."""
-    model, state = args[:-3], args[-3:]   # state: user_q, relay_q, stats
     twin = copy.deepcopy(rng)
-    fast = [a.copy() for a in state]
-    got = _LINDLEY_KERNEL(twin, start, count, *model, *fast)
-    n = model[2]
-    want = sim._slot_kernel(start, count, *model, *sim._draw(rng, count, n),
-                            *state, np.zeros((0, 7), dtype=np.int64), 0)
+    fast_queues, fast_stats = queues.copy(), copy.deepcopy(stats)
+    got = _LINDLEY_KERNEL(model, twin, start, count, fast_queues, fast_stats)
+    want = sim._slot_kernel(model, rng, start, count, queues, stats,
+                            np.zeros((0, 7), dtype=np.int64))
     assert got == want
     assert twin.bit_generator.state == rng.bit_generator.state
-    for name, a, b in zip(("user_q", "relay_q", "stats"), state, fast):
+    assert np.array_equal(queues, fast_queues), "queues"
+    for name, a, b in zip(stats._fields, stats, fast_stats):
         assert np.array_equal(a, b), name
     return want
 
@@ -130,7 +116,7 @@ def _check_case(n, strategy, mode, errors, seed, slots, batches,
     loop, fast = _loop_and_fast(lambda: sim.run(
         out, params, traffic, sensing=sensing if errors else None,
         mode=mode, slots=slots, seed=seed, batches=batches))
-    _estimates_match(loop, fast)
+    assert estimates_equal(loop, fast)
 
 
 @pytest.mark.parametrize("n", range(6))
@@ -198,7 +184,7 @@ def test_traced_run_equals_untraced():
                          trace_limit=500, **kw)
         plain = sim.run(out, params, traffic, sensing=s, mode=mode, **kw)
         assert len(traced.trace) == 500 and plain.trace == ()
-        _estimates_match(dataclasses.replace(traced, trace=()), plain)
+        assert estimates_equal(dataclasses.replace(traced, trace=()), plain)
 
 
 def test_reproducible_across_chunk_boundary():
@@ -209,7 +195,7 @@ def test_reproducible_across_chunk_boundary():
                 slots=slots, seed=9)
     b = sim.run(TABLE_ROWS12, od2(), TrafficParams(0.4, 0.2),
                 slots=slots, seed=9)
-    _estimates_match(a, b)
+    assert estimates_equal(a, b)
     assert a.slots == slots
 
 
