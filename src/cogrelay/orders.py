@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +35,18 @@ class OrderDistribution:
         problems = self.validate()
         if problems:
             raise ConfigError("; ".join(problems))
+
+    @classmethod
+    def _unchecked(cls, n_relays: int, entries: dict,
+                   ranked_support: tuple) -> "OrderDistribution":
+        """A distribution built without `validate`, for callers whose
+        entries are valid by construction.  `ranked_support` must be what
+        the property would compute from `entries`."""
+        dist = object.__new__(cls)
+        # a frozen instance's fields and cache live in its __dict__
+        dist.__dict__.update(n_relays=n_relays, entries=entries,
+                             ranked_support=ranked_support)
+        return dist
 
     def validate(self) -> list[str]:
         """Return a list of violations (empty when the distribution is valid)."""
@@ -83,14 +96,8 @@ class OrderDistribution:
         for k in range(n):
             if beta[k] == 0.0:
                 continue
-            ranks = [0] * n
-            ranks[k] = 1
-            next_rank = 2
-            for j in range(n):
-                if j != k:
-                    ranks[j] = next_rank
-                    next_rank += 1
-            entries[tuple(ranks)] = entries.get(tuple(ranks), 0.0) + beta[k]
+            ranks = first_rank_perm(n, k)
+            entries[ranks] = entries.get(ranks, 0.0) + beta[k]
         if not entries:  # n == 0: the empty permutation carries all mass
             entries[()] = 1.0
         return cls(n, entries)
@@ -112,16 +119,34 @@ class OrderDistribution:
             beta[perm.index(1)] += prob
         return beta
 
+    @cached_property
+    def ranked_support(self) -> tuple[tuple[float, tuple[int, ...]], ...]:
+        """Support as (prob, order) pairs of plain Python numbers, in
+        `entries` order: order[r] is the 0-based relay index holding rank
+        r+1.  Used by the rate formulas; computed once per instance."""
+        return tuple((float(prob), rank_order(perm))
+                     for perm, prob in self.entries.items())
+
     def rank_orders(self) -> tuple[np.ndarray, np.ndarray]:
-        """Support as (probs, orders): orders[i, r] is the 0-based relay
-        index holding rank r+1 in the i-th support permutation.  Used by
-        the slot simulator and the rate formulas."""
-        probs = np.array(list(self.entries.values()), dtype=float)
-        orders = np.zeros((len(self.entries), self.n_relays), dtype=np.int64)
-        for i, perm in enumerate(self.entries.keys()):
-            for k, rank in enumerate(perm):
-                orders[i, rank - 1] = k
-        return probs, orders
+        """`ranked_support` as arrays (probs, orders), orders[i, r] being
+        the relay holding rank r+1 in the i-th support permutation.  Used
+        by the slot simulator."""
+        support = self.ranked_support
+        probs = np.array([prob for prob, _ in support], dtype=float)
+        orders = np.array([order for _, order in support], dtype=np.int64)
+        return probs, orders.reshape(len(support), self.n_relays)
+
+
+def rank_order(perm: tuple[int, ...]) -> tuple[int, ...]:
+    """The 0-based relay indices of a permutation in rank order."""
+    return tuple(sorted(range(len(perm)), key=perm.__getitem__))
+
+
+def first_rank_perm(n: int, k: int) -> tuple[int, ...]:
+    """The permutation in which relay k decodes first and the others
+    follow in ascending index order."""
+    return tuple(1 if j == k else j + 2 if j < k else j + 1
+                 for j in range(n))
 
 
 def is_doubly_stochastic(eps: np.ndarray, tol: float = MASS_TOL) -> bool:

@@ -23,7 +23,8 @@ import numpy as np
 from .channel import StrategyKind
 from .errors import ConfigError, InfeasibleError, NoFeasibleRelayCount
 from .network import NetworkConfig, OutageTable, TrafficParams
-from .orders import DENSE_LIMIT, OrderDistribution
+from .orders import (DENSE_LIMIT, OrderDistribution, first_rank_perm,
+                     rank_order)
 from .rates import (EPS_STAB, StrategyParams, evaluate, primary_rate_bound,
                     rate_report)
 
@@ -61,7 +62,12 @@ def _dense_orders(n: int) -> bool:
 
 
 class _Space:
-    """Search-space layout for one strategy: named box and simplex groups."""
+    """Search-space layout for one strategy: named box and simplex groups.
+
+    Every point the search builds lies in its box or on its simplex, so
+    `to_params` skips the parameter checks; the rank order of each
+    permutation it can put in a distribution is worked out here, once.
+    """
 
     def __init__(self, strategy: StrategyKind, n: int):
         self.strategy = strategy
@@ -79,27 +85,39 @@ class _Space:
                 self.perms = None
                 self.simplex["beta_p"] = n
                 self.simplex["beta_s"] = n
+            # (permutation, rank order) of each rho_p or beta_p coordinate
+            self._ranked = [(perm, rank_order(perm)) for perm in (
+                self.perms if self.perms is not None
+                else [first_rank_perm(n, k) for k in range(n)])]
 
     def to_params(self, point: dict) -> StrategyParams:
+        """The point as unchecked parameters (see the class docstring)."""
         kw = {}
         if self.strategy is StrategyKind.RANDOM:
             kw["beta"] = point["beta"]
         if self.strategy is StrategyKind.ORDERED:
-            if self.perms is not None:
-                kw["order_p"] = self._dist(point["rho_p"])
-                kw["order_s"] = self._dist(point["rho_s"])
-            else:
-                kw["order_p"] = OrderDistribution.from_first_rank_profile(
-                    point["beta_p"])
-                kw["order_s"] = OrderDistribution.from_first_rank_profile(
-                    point["beta_s"])
-        return StrategyParams(self.strategy, point["omega"], point["alpha"],
-                              point["f_p"], point["f_s"], **kw)
+            for name, key in (("order_p", "_p"), ("order_s", "_s")):
+                if self.perms is not None:
+                    rho = point["rho" + key]
+                    weights, probs = rho.tolist(), (rho / rho.sum()).tolist()
+                else:  # the first-rank profile's deterministic completion
+                    weights = probs = point["beta" + key].tolist()
+                kw[name] = self._dist(weights, probs)
+        return StrategyParams._unchecked(
+            self.strategy, point["omega"], point["alpha"], point["f_p"],
+            point["f_s"], **kw)
 
-    def _dist(self, weights) -> OrderDistribution:
-        total = weights.sum()
-        entries = {p: w / total for p, w in zip(self.perms, weights) if w > 0}
-        return OrderDistribution(self.n, entries)
+    def _dist(self, weights: list[float],
+              probs: list[float]) -> OrderDistribution:
+        """The distribution putting probs[i] on the i-th permutation,
+        wherever weights[i] is positive."""
+        entries = {}
+        support = []
+        for (perm, order), weight, prob in zip(self._ranked, weights, probs):
+            if weight > 0:
+                entries[perm] = prob
+                support.append((prob, order))
+        return OrderDistribution._unchecked(self.n, entries, tuple(support))
 
     def from_params(self, params: StrategyParams) -> dict:
         point = {"alpha": params.alpha.copy(), "f_p": params.f_p.copy(),
@@ -149,6 +167,8 @@ class _Evaluator:
         self.qos = qos
         self.traffic = qos.traffic
         self.evaluations = 0
+        self.relay_keys = [(f"stability_pk{k + 1}", f"stability_sk{k + 1}")
+                           for k in range(network.n_relays)]
 
     def residuals(self, params: StrategyParams) -> tuple[dict, float]:
         self.evaluations += 1
@@ -158,13 +178,12 @@ class _Evaluator:
             "stability_p": report.mu_p - self.traffic.lambda_p - EPS_STAB,
             "stability_s": report.mu_s - self.traffic.lambda_s - EPS_STAB,
         }
-        for k in range(params.n_relays):
-            res[f"stability_pk{k + 1}"] = (
-                math.inf if report.lambda_pk[k] == 0.0
-                else report.mu_pk[k] - report.lambda_pk[k] - EPS_STAB)
-            res[f"stability_sk{k + 1}"] = (
-                math.inf if report.lambda_sk[k] == 0.0
-                else report.mu_sk[k] - report.lambda_sk[k] - EPS_STAB)
+        for (key_p, key_s), lam_p, mu_p, lam_s, mu_s in zip(
+                self.relay_keys, report.lambda_pk.tolist(),
+                report.mu_pk.tolist(), report.lambda_sk.tolist(),
+                report.mu_sk.tolist()):
+            res[key_p] = math.inf if lam_p == 0.0 else mu_p - lam_p - EPS_STAB
+            res[key_s] = math.inf if lam_s == 0.0 else mu_s - lam_s - EPS_STAB
         if all(v >= 0 for v in res.values()):
             res["delay_p"] = self.qos.d_p_max - ev.d_p
             res["delay_s"] = self.qos.d_s_max - ev.d_s
@@ -292,11 +311,18 @@ def maximize_secondary_throughput(
     evaluations, or the least-infeasible point when none is found.
 
     `extra_starts` seeds additional local searches (e.g. a solution found
-    for another strategy or relay count).
+    for another relay count, grown by `_extend`); each must be for this
+    strategy and relay count.
     """
     if budget < 1:
         raise ConfigError("budget must be >= 1")
     n = network.n_relays
+    for start in extra_starts:
+        if start.strategy is not strategy or start.n_relays != n:
+            raise ConfigError(
+                f"extra start is a {start.strategy.value} point over "
+                f"{start.n_relays} relays; the search is {strategy.value} "
+                f"over {n}")
     if strategy is StrategyKind.ORDERED and n > DENSE_LIMIT:
         raise ConfigError(f"ordered-strategy search supports at most "
                           f"{DENSE_LIMIT} relays")
@@ -310,8 +336,8 @@ def maximize_secondary_throughput(
     if qos.traffic.lambda_p >= mu_p_cap - EPS_STAB:
         return OptResult(
             best_params=None, best_mu_s=0.0, feasible=False,
-            constraint_residuals={"stability_p":
-                                  mu_p_cap - qos.traffic.lambda_p - EPS_STAB},
+            constraint_residuals={"stability_p": float(
+                mu_p_cap - qos.traffic.lambda_p - EPS_STAB)},
             restarts_used=0, evaluations=0, budget_exhausted=False,
             first_violation="stability")
 
@@ -351,14 +377,23 @@ def maximize_secondary_throughput(
                             if k.startswith("stability"))
         first = "stability" if stability_bad else "delay"
     return OptResult(
-        best_params=space.to_params(best_point) if best_point else None,
-        best_mu_s=mu_s if feasible else 0.0,
-        feasible=feasible,
-        constraint_residuals=residuals,
+        best_params=_checked(space.to_params(best_point)) if best_point
+        else None,
+        best_mu_s=float(mu_s) if feasible else 0.0,
+        feasible=bool(feasible),
+        constraint_residuals={k: float(v) for k, v in residuals.items()},
         restarts_used=restarts_used,
         evaluations=evaluator.evaluations,
         budget_exhausted=evaluator.evaluations >= budget,
         first_violation=first)
+
+
+def _checked(params: StrategyParams) -> StrategyParams:
+    """`params` rebuilt through the checking constructors."""
+    orders = {name: replace(getattr(params, name))
+              for name in ("order_p", "order_s")
+              if getattr(params, name) is not None}
+    return replace(params, **orders)
 
 
 def solve_feasibility_saturated(outages: OutageTable, params: StrategyParams,

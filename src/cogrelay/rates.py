@@ -86,6 +86,22 @@ class StrategyParams:
                 raise ConfigError("round robin fixes the assignment to 1/N; "
                                   "do not pass beta")
 
+    @classmethod
+    def _unchecked(cls, strategy: StrategyKind, omega: np.ndarray,
+                   alpha: np.ndarray, f_p: np.ndarray, f_s: np.ndarray,
+                   order_p: OrderDistribution | None = None,
+                   order_s: OrderDistribution | None = None,
+                   beta: np.ndarray | None = None) -> "StrategyParams":
+        """Parameters built without the checks, for callers whose float
+        arrays are valid by construction (the QoS search's trial points);
+        pass anything kept or returned through the constructor."""
+        params = object.__new__(cls)
+        # a frozen instance's fields live in its __dict__
+        params.__dict__.update(strategy=strategy, omega=omega, alpha=alpha,
+                               f_p=f_p, f_s=f_s, order_p=order_p,
+                               order_s=order_s, beta=beta)
+        return params
+
     @property
     def n_relays(self) -> int:
         return self.omega.size
@@ -132,31 +148,42 @@ def is_stable(lam: float, mu: float) -> bool:
     return lam == 0.0 or lam <= mu - EPS_STAB
 
 
-def capture_weights(outage_relay: np.ndarray, f: np.ndarray,
-                    params: StrategyParams, which: str) -> np.ndarray:
+def capture_weights(outage_relay: list[float], f: list[float],
+                    params: StrategyParams, which: str) -> list[float]:
     """Per-relay probability that relay k ends up decoding AND accepting an
     undelivered packet, given the source transmitted and the direct link
     failed.
 
     Ordered acceptance: relay k captures the packet only if every
     better-ranked relay failed to decode or declined.  Assignment
-    strategies: only the single assigned relay may capture.
+    strategies: only the single assigned relay may capture.  Works over
+    plain floats, operation for operation as numpy would.
     """
-    n = outage_relay.size
-    accept = (1.0 - outage_relay) * f       # decode and admit, per relay
+    accept = [(1.0 - o) * a for o, a in zip(outage_relay, f)]
     if params.strategy is not StrategyKind.ORDERED:
-        return accept * params.assignment()
-    weights = np.zeros(n)
-    if n == 0:
+        return [a * b for a, b in zip(accept, params.assignment().tolist())]
+    weights = [0.0] * len(accept)
+    if not weights:
         return weights
     dist = params.order_p if which == "p" else params.order_s
-    probs, orders = dist.rank_orders()
-    for prob, order in zip(probs, orders):
+    for prob, order in dist.ranked_support:
         miss = 1.0
         for k in order:                     # relays in rank order
-            weights[k] += prob * accept[k] * miss
-            miss *= 1.0 - accept[k]
+            a = accept[k]
+            weights[k] += prob * a * miss
+            miss *= 1.0 - a
     return weights
+
+
+def _array_sum(values: list[float]) -> float:
+    """`np.sum` of `values`, bit for bit: numpy's pairwise summation adds
+    fewer than eight terms one by one from the left."""
+    if len(values) >= 8:
+        return float(np.sum(values))
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def relay_service_rates(outages: OutageTable, params: StrategyParams,
@@ -164,9 +191,27 @@ def relay_service_rates(outages: OutageTable, params: StrategyParams,
     """A relaying queue is served when its relay is scheduled, both users
     are silent, the queue wins the per-relay coin flip and the link to the
     destination is not in outage."""
-    idle = params.omega * pi_p0 * pi_s0
-    mu_pk = idle * params.alpha * (1.0 - outages.relay_pd)
-    mu_sk = idle * (1.0 - params.alpha) * (1.0 - outages.relay_sd)
+    _check_relay_count(outages, params)
+    mu_pk, mu_sk = _relay_service(outages, params, pi_p0, pi_s0)
+    return np.array(mu_pk), np.array(mu_sk)
+
+
+def _check_relay_count(outages: OutageTable, params: StrategyParams) -> None:
+    if params.n_relays != outages.n_relays:
+        raise ConfigError(f"params are over {params.n_relays} relays, the "
+                          f"outage table over {outages.n_relays}")
+
+
+def _relay_service(outages: OutageTable, params: StrategyParams,
+                   pi_p0: float, pi_s0: float) -> tuple[list, list]:
+    """`relay_service_rates` as lists of plain floats."""
+    mu_pk, mu_sk = [], []
+    for omega, alpha, pd, sd in zip(
+            params.omega.tolist(), params.alpha.tolist(),
+            outages.relay_pd.tolist(), outages.relay_sd.tolist()):
+        idle = omega * pi_p0 * pi_s0
+        mu_pk.append(idle * alpha * (1.0 - pd))
+        mu_sk.append(idle * (1.0 - alpha) * (1.0 - sd))
     return mu_pk, mu_sk
 
 
@@ -219,11 +264,9 @@ def queue_delay(lam: float, mu: float) -> float:
     return (1.0 - lam) / (mu - lam)
 
 
-def _stable_flags(lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Per-relay `is_stable`, over plain floats: comparing numpy scalars
-    one by one costs more than the `tolist` conversion."""
-    return np.array([is_stable(l, m) for l, m in zip(lam.tolist(), mu.tolist())],
-                    dtype=bool)
+def _stable_flags(lam: list[float], mu: list[float]) -> np.ndarray:
+    """Per-relay `is_stable` over plain floats."""
+    return np.array([is_stable(l, m) for l, m in zip(lam, mu)], dtype=bool)
 
 
 def _flagged_pi0(lam: float, mu: float) -> tuple[bool, float]:
@@ -239,23 +282,31 @@ def rate_report(outages: OutageTable, params: StrategyParams,
                 traffic: TrafficParams) -> RateReport:
     """Full operating point.  Instability is reported through the flags;
     an unstable queue is never empty (empty probability 0), which is what
-    every downstream formula then consumes."""
-    cap_p = capture_weights(outages.pu_relay, params.f_p, params, "p")
-    cap_s = capture_weights(outages.su_relay, params.f_s, params, "s")
+    every downstream formula then consumes.  The chain runs over plain
+    floats in numpy's order of operations."""
+    _check_relay_count(outages, params)
+    pu_pd, su_sd = float(outages.pu_pd), float(outages.su_sd)
+    cap_p = capture_weights(outages.pu_relay.tolist(), params.f_p.tolist(),
+                            params, "p")
+    cap_s = capture_weights(outages.su_relay.tolist(), params.f_s.tolist(),
+                            params, "s")
 
-    mu_p = (1.0 - outages.pu_pd) + outages.pu_pd * cap_p.sum()
+    mu_p = (1.0 - pu_pd) + pu_pd * _array_sum(cap_p)
     stable_p, pi_p0 = _flagged_pi0(traffic.lambda_p, mu_p)
-    mu_s = pi_p0 * ((1.0 - outages.su_sd) + outages.su_sd * cap_s.sum())
+    mu_s = pi_p0 * ((1.0 - su_sd) + su_sd * _array_sum(cap_s))
     stable_s, pi_s0 = _flagged_pi0(traffic.lambda_s, mu_s)
 
-    lambda_pk = (1.0 - pi_p0) * outages.pu_pd * cap_p
-    lambda_sk = (1.0 - pi_s0) * pi_p0 * outages.su_sd * cap_s
-    mu_pk, mu_sk = relay_service_rates(outages, params, pi_p0, pi_s0)
+    to_relay_p = (1.0 - pi_p0) * pu_pd
+    to_relay_s = (1.0 - pi_s0) * pi_p0 * su_sd
+    lambda_pk = [to_relay_p * c for c in cap_p]
+    lambda_sk = [to_relay_s * c for c in cap_s]
+    mu_pk, mu_sk = _relay_service(outages, params, pi_p0, pi_s0)
 
     return RateReport(
         strategy=params.strategy, traffic=traffic,
         mu_p=mu_p, mu_s=mu_s, pi_p0=pi_p0, pi_s0=pi_s0,
-        lambda_pk=lambda_pk, lambda_sk=lambda_sk, mu_pk=mu_pk, mu_sk=mu_sk,
+        lambda_pk=np.array(lambda_pk), lambda_sk=np.array(lambda_sk),
+        mu_pk=np.array(mu_pk), mu_sk=np.array(mu_sk),
         stable_p=stable_p, stable_s=stable_s,
         stable_pk=_stable_flags(lambda_pk, mu_pk),
         stable_sk=_stable_flags(lambda_sk, mu_sk))
@@ -277,12 +328,12 @@ def end_to_end_delays(report: RateReport,
         if lam == 0.0:
             return d
         relayed = 0.0
-        for k in range(lam_k.size):
-            if lam_k[k] == 0.0:
+        for k, (lam_r, mu_r) in enumerate(zip(lam_k.tolist(), mu_k.tolist())):
+            if lam_r == 0.0:
                 continue
-            if not is_stable(lam_k[k], mu_k[k]):
+            if not is_stable(lam_r, mu_r):
                 raise UnstableQueueError(f"{user}-relay-{k + 1}")
-            relayed += lam_k[k] * queue_delay(lam_k[k], mu_k[k])
+            relayed += lam_r * queue_delay(lam_r, mu_r)
         return d + relayed / lam
 
     d_p = user_total(traffic.lambda_p, report.mu_p,
@@ -354,8 +405,8 @@ def apply_sensing_errors(report: RateReport, params: StrategyParams,
         mu_p=mu_p, mu_s=mu_s, pi_p0=pi_p0, pi_s0=pi_s0,
         lambda_pk=lambda_pk, lambda_sk=lambda_sk, mu_pk=mu_pk, mu_sk=mu_sk,
         stable_p=stable_p, stable_s=stable_s,
-        stable_pk=_stable_flags(lambda_pk, mu_pk),
-        stable_sk=_stable_flags(lambda_sk, mu_sk))
+        stable_pk=_stable_flags(lambda_pk.tolist(), mu_pk.tolist()),
+        stable_sk=_stable_flags(lambda_sk.tolist(), mu_sk.tolist()))
 
 
 @dataclass(frozen=True)
@@ -381,8 +432,9 @@ def _unstable_queue(report: RateReport) -> str | None:
         return "secondary"
     for user, flags in (("primary", report.stable_pk),
                         ("secondary", report.stable_sk)):
-        if not flags.all():
-            return f"{user}-relay-{int(np.argmin(flags)) + 1}"
+        flags = flags.tolist()
+        if not all(flags):
+            return f"{user}-relay-{flags.index(False) + 1}"
     return None
 
 

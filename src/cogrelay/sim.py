@@ -534,9 +534,10 @@ def _half_widths(per_batch: np.ndarray) -> np.ndarray:
                     ).reshape(per_batch.shape[1:])
 
 
-def _check_batches(batches) -> None:
-    if not isinstance(batches, (int, np.integer)) or batches < 1:
-        raise ConfigError(f"batches must be an integer >= 1, got {batches!r}")
+def _check_integer(name: str, value, least: int) -> None:
+    if not isinstance(value, (int, np.integer)) or value < least:
+        raise ConfigError(f"{name} must be an integer >= {least}, "
+                          f"got {value!r}")
 
 
 def run(cfg: OutageTable | NetworkConfig, params: StrategyParams,
@@ -556,12 +557,10 @@ def run(cfg: OutageTable | NetworkConfig, params: StrategyParams,
     trace, go through the per-slot loop; every other run through the
     Lindley kernel, with the same result.
     """
-    _check_batches(batches)
-    if not isinstance(trace_limit, (int, np.integer)) or trace_limit < 0:
-        raise ConfigError(f"trace_limit must be an integer >= 0, "
-                          f"got {trace_limit!r}")
-    if slots < 1:
-        raise ConfigError("slots must be >= 1")
+    _check_integer("slots", slots, 1)
+    _check_integer("seed", seed, 0)
+    _check_integer("batches", batches, 1)
+    _check_integer("trace_limit", trace_limit, 0)
     if mode not in ("true_queues", "saturated_relays"):
         raise ConfigError(f"unknown mode {mode!r}")
     if isinstance(cfg, NetworkConfig):
@@ -704,9 +703,10 @@ def run_replicated(cfg, params, traffic, *, replications: int,
     The half-widths come from the spread across replications when there
     are at least two, otherwise from the single run's batch means.
     """
-    _check_batches(batches)
-    if replications < 1:
-        raise ConfigError("replications must be >= 1")
+    _check_integer("slots", slots, 1)
+    _check_integer("seed", seed, 0)
+    _check_integer("batches", batches, 1)
+    _check_integer("replications", replications, 1)
     runs = [run(cfg, params, traffic, sensing=sensing, mode=mode,
                 slots=slots, seed=derive_replication_seed(seed, i),
                 batches=batches)

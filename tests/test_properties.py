@@ -1,0 +1,221 @@
+"""Property-based differential tests.
+
+`rate_report` against the exhaustive slot-outcome oracle in `support`, on
+generated configurations; and the QoS search's unchecked trial points
+against the same points built through the checking constructors.
+"""
+
+import itertools
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from cogrelay import qos, rates
+from cogrelay.channel import StrategyKind
+from cogrelay.network import OutageTable, TrafficParams
+from cogrelay.orders import OrderDistribution
+from cogrelay.rates import StrategyParams, rate_report
+from support import oracle_user_rates, random_outages, random_params
+
+# exact 0 and 1 next to the open interval: outages and acceptance
+# probabilities at the ends are where the prefix products are exact
+PROB = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+def probs(n):
+    return st.lists(PROB, min_size=n, max_size=n)
+
+
+@st.composite
+def simplex(draw, n):
+    """A probability vector over n entries, some of them exactly 0."""
+    w = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+                               min_size=n, max_size=n)))
+    if n and w.sum() == 0:
+        w[draw(st.integers(0, n - 1))] = 1.0
+    return w / w.sum() if n else w
+
+
+@st.composite
+def order_distributions(draw, n, max_support=6):
+    """A distribution over a few permutations, with zero-weight
+    permutations among its entries."""
+    perms = list(itertools.permutations(range(1, n + 1)))
+    chosen = draw(st.lists(st.sampled_from(perms), min_size=1,
+                           max_size=min(max_support, len(perms)), unique=True))
+    weights = draw(simplex(len(chosen)))
+    return OrderDistribution(n, dict(zip(chosen, weights.tolist())))
+
+
+@st.composite
+def operating_points(draw, max_relays=4):
+    n = draw(st.integers(0, max_relays))
+    strategy = draw(st.sampled_from(list(StrategyKind)))
+    outages = OutageTable(draw(PROB), draw(PROB), *(draw(probs(n))
+                                                    for _ in range(4)))
+    kw = {}
+    if strategy is StrategyKind.ORDERED:
+        kw = {"order_p": draw(order_distributions(n)),
+              "order_s": draw(order_distributions(n))}
+    elif strategy is StrategyKind.RANDOM:
+        kw = {"beta": draw(simplex(n))}
+    params = StrategyParams(strategy, draw(simplex(n)), draw(probs(n)),
+                            draw(probs(n)), draw(probs(n)), **kw)
+    return outages, params
+
+
+@settings(max_examples=80, deadline=None)
+@given(point=operating_points(), load_p=st.floats(0.0, 0.95),
+       load_s=st.floats(0.0, 0.95))
+def test_rate_report_matches_oracle(point, load_p, load_s):
+    outages, params = point
+    idle = TrafficParams(0.0, 0.0)
+    mu_p = oracle_user_rates(outages, params, idle)[0]
+    lambda_p = load_p * mu_p
+    # keep both users clear of the stability margin, where the report
+    # flags the queue instead of giving its empty probability
+    assume(lambda_p == 0.0 or lambda_p <= mu_p - 1e-5)
+    mu_s = oracle_user_rates(outages, params,
+                             TrafficParams(lambda_p, 0.0))[1]
+    lambda_s = load_s * mu_s
+    assume(lambda_s == 0.0 or lambda_s <= mu_s - 1e-5)
+    traffic = TrafficParams(lambda_p, lambda_s)
+
+    mu_p_o, mu_s_o, lam_pk_o, lam_sk_o = oracle_user_rates(
+        outages, params, traffic)
+    report = rate_report(outages, params, traffic)
+    assert report.stable_p and report.stable_s
+    assert abs(report.mu_p - mu_p_o) <= 1e-12
+    assert abs(report.mu_s - mu_s_o) <= 1e-12
+    assert np.allclose(report.lambda_pk, lam_pk_o, rtol=0, atol=1e-12)
+    assert np.allclose(report.lambda_sk, lam_sk_o, rtol=0, atol=1e-12)
+
+
+def numpy_rates(outages: OutageTable, params: StrategyParams,
+                traffic: TrafficParams) -> dict:
+    """The rate chain as numpy array arithmetic, the form `rate_report`
+    had before it ran over plain floats."""
+    n = params.n_relays
+
+    def capture(outage_relay, f, dist):
+        accept = (1.0 - outage_relay) * f
+        if params.strategy is not StrategyKind.ORDERED:
+            return accept * params.assignment()
+        weights = np.zeros(n)
+        if n == 0:
+            return weights
+        for prob, order in zip(*dist.rank_orders()):
+            miss = 1.0
+            for k in order:
+                weights[k] += prob * accept[k] * miss
+                miss *= 1.0 - accept[k]
+        return weights
+
+    cap_p = capture(outages.pu_relay, params.f_p, params.order_p)
+    cap_s = capture(outages.su_relay, params.f_s, params.order_s)
+    mu_p = (1.0 - outages.pu_pd) + outages.pu_pd * cap_p.sum()
+    _, pi_p0 = rates._flagged_pi0(traffic.lambda_p, mu_p)
+    mu_s = pi_p0 * ((1.0 - outages.su_sd) + outages.su_sd * cap_s.sum())
+    _, pi_s0 = rates._flagged_pi0(traffic.lambda_s, mu_s)
+    idle = params.omega * pi_p0 * pi_s0
+    return {"mu_p": mu_p, "mu_s": mu_s, "pi_p0": pi_p0, "pi_s0": pi_s0,
+            "lambda_pk": (1.0 - pi_p0) * outages.pu_pd * cap_p,
+            "lambda_sk": (1.0 - pi_s0) * pi_p0 * outages.su_sd * cap_s,
+            "mu_pk": idle * params.alpha * (1.0 - outages.relay_pd),
+            "mu_sk": idle * (1.0 - params.alpha) * (1.0 - outages.relay_sd)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(0, 10), strategy=st.sampled_from(list(StrategyKind)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_rate_report_bits_match_numpy_formulas(n, strategy, seed):
+    # full-precision random values, so that a change in the order of
+    # any sum or product shows; up to 10 relays, as numpy sums eight
+    # terms or more pairwise
+    rng = np.random.default_rng(seed)
+    outages = random_outages(rng, n, low=0.0, high=1.0)
+    params = random_params(rng, n, strategy)
+    traffic = TrafficParams(*rng.uniform(0.0, 0.6, 2))
+    report = rate_report(outages, params, traffic)
+    for name, want in numpy_rates(outages, params, traffic).items():
+        assert _hexes(getattr(report, name)) == _hexes(want), name
+
+
+def checked_params(space: qos._Space, point: dict) -> StrategyParams:
+    """The search point through the checking constructors, built the
+    way the search built every trial point before it skipped the checks."""
+    kw = {}
+    if space.strategy is StrategyKind.RANDOM:
+        kw["beta"] = point["beta"]
+    if space.strategy is StrategyKind.ORDERED:
+        for name, key in (("order_p", "_p"), ("order_s", "_s")):
+            if space.perms is not None:
+                weights = point["rho" + key]
+                total = weights.sum()
+                kw[name] = OrderDistribution(space.n, {
+                    p: w / total for p, w in zip(space.perms, weights)
+                    if w > 0})
+            else:
+                kw[name] = OrderDistribution.from_first_rank_profile(
+                    point["beta" + key])
+    return StrategyParams(space.strategy, point["omega"], point["alpha"],
+                          point["f_p"], point["f_s"], **kw)
+
+
+@st.composite
+def search_points(draw):
+    n = draw(st.integers(0, 6))      # 6 relays: first-rank profiles
+    space = qos._Space(draw(st.sampled_from(list(StrategyKind))), n)
+    point = {name: np.array(draw(probs(n))) for name in space.box}
+    for name, size in space.simplex.items():
+        point[name] = draw(simplex(size))
+    return space, point
+
+
+def _hexes(value):
+    """Floats and float arrays as `float.hex`, anything else as is."""
+    if isinstance(value, np.ndarray) and value.dtype == float:
+        return [float.hex(v) for v in value.tolist()]
+    if isinstance(value, (float, np.floating)):
+        return float.hex(float(value))
+    return value
+
+
+def assert_same_params(a: StrategyParams, b: StrategyParams) -> None:
+    for name in ("strategy", "omega", "alpha", "f_p", "f_s", "beta"):
+        x, y = getattr(a, name), getattr(b, name)
+        if isinstance(y, np.ndarray):
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert np.array_equal(x, y)
+        else:
+            assert x == y
+    for name in ("order_p", "order_s"):
+        x, y = getattr(a, name), getattr(b, name)
+        if y is None:
+            assert x is None
+            continue
+        assert x.n_relays == y.n_relays
+        assert list(x.entries.items()) == list(y.entries.items())
+        assert x.ranked_support == y.ranked_support
+        for u, v in zip(x.rank_orders(), y.rank_orders()):
+            assert u.dtype == v.dtype and np.array_equal(u, v)
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=search_points())
+def test_unchecked_point_equals_checked(case):
+    space, point = case
+    fast = space.to_params(point)
+    slow = checked_params(space, point)
+    assert_same_params(fast, slow)
+    assert_same_params(qos._checked(fast), slow)
+    # and both score the same, bit for bit
+    outages = OutageTable(0.3, 0.4, *(np.linspace(0.05, 0.5, space.n)
+                                      for _ in range(4)))
+    traffic = TrafficParams(0.2, 0.1)
+    a, b = (vars(rate_report(outages, p, traffic)) for p in (fast, slow))
+    assert a.keys() == b.keys()
+    for name in a:
+        assert np.array_equal(a[name], b[name]) if isinstance(
+            a[name], np.ndarray) else _hexes(a[name]) == _hexes(b[name])

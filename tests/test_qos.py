@@ -118,6 +118,37 @@ class TestMaximizeSecondaryThroughput:
         assert res.feasible
         assert res.best_params.order_p.n_relays == n
 
+    @pytest.mark.parametrize("start", [
+        StrategyParams(StrategyKind.RANDOM, [0.5, 0.5], [0.5, 0.5], [1, 1],
+                       [1, 1], beta=[0.5, 0.5]),
+        StrategyParams(StrategyKind.ORDERED, [1.0], [0.5], [1.0], [1.0],
+                       order_p=OrderDistribution.uniform(1),
+                       order_s=OrderDistribution.uniform(1)),
+    ])
+    def test_rejects_extra_start_of_another_shape(self, start):
+        # an rd start on an od search died with an AttributeError
+        net = fig3_network(0.3)
+        with pytest.raises(ConfigError, match="extra start"):
+            maximize_secondary_throughput(
+                net, StrategyKind.ORDERED, QosSpec(1.6, 3.0, net.traffic),
+                budget=100, extra_starts=(start,))
+
+    @pytest.mark.parametrize("lam_p", [0.3, 0.5, 0.99995])
+    def test_result_holds_plain_types(self, lam_p):
+        # 0.5 is infeasible after a search, 0.99995 before one
+        net = fig3_network(lam_p)
+        res = maximize_secondary_throughput(
+            net, StrategyKind.ORDERED, QosSpec(1.6, 3.0, net.traffic),
+            budget=500, restarts=1, seed=3)
+        assert res.feasible is (lam_p == 0.3)
+        assert type(res.feasible) is bool
+        assert type(res.best_mu_s) is float
+        assert type(res.budget_exhausted) is bool
+        assert type(res.evaluations) is int
+        assert res.constraint_residuals
+        assert all(type(v) is float
+                   for v in res.constraint_residuals.values())
+
     def test_rejects_bad_budget(self):
         net = fig3_network(0.2)
         with pytest.raises(ConfigError):

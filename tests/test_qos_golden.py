@@ -1,0 +1,155 @@
+"""Golden values for the QoS search: the exact result of a few fixed
+(configuration, strategy, budget, seed) searches.
+
+Every float is pinned by `float.hex`: the best secondary rate, every
+constraint residual (in the order the search reports them) and every
+coordinate of the best point, next to the evaluation count, the restarts
+used, budget exhaustion and the first violation.  Any change to how a
+trial point is built or scored shows here.  The values in
+`qos_golden.json` were recorded before the search built its trial points
+without re-validating them; a change that means to alter search results
+must say so and record them again with
+
+    PYTHONPATH=src python tests/test_qos_golden.py
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+import cogrelay.qos as qos
+from cogrelay.channel import StrategyKind
+from cogrelay.errors import NoFeasibleRelayCount
+from cogrelay.experiments import load_spec
+from cogrelay.network import NetworkConfig, OutageTable, TrafficParams
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+GOLDEN_PATH = Path(__file__).with_name("qos_golden.json")
+
+OD, RD, RR = (StrategyKind.ORDERED, StrategyKind.RANDOM,
+              StrategyKind.ROUND_ROBIN)
+
+# six relays: above the dense-order limit, so ordered acceptance is
+# searched over first-rank profiles (beta_p, beta_s)
+SIX_RELAYS = OutageTable(0.3, 0.4,
+                         [0.12, 0.3, 0.05, 0.4, 0.2, 0.25],
+                         [0.2, 0.1, 0.35, 0.05, 0.3, 0.15],
+                         [0.1, 0.2, 0.05, 0.15, 0.1, 0.3],
+                         [0.2, 0.05, 0.1, 0.1, 0.25, 0.15])
+
+
+def _hex(x) -> str:
+    return float.hex(float(x))
+
+
+def _point(params) -> dict | None:
+    if params is None:
+        return None
+    out = {name: [_hex(v) for v in getattr(params, name).tolist()]
+           for name in ("omega", "alpha", "f_p", "f_s")}
+    if params.beta is not None:
+        out["beta"] = [_hex(v) for v in params.beta.tolist()]
+    for name in ("order_p", "order_s"):
+        dist = getattr(params, name)
+        if dist is not None:
+            out[name] = [[list(perm), _hex(w)]
+                         for perm, w in dist.entries.items()]
+    return out
+
+
+def digest(result: qos.OptResult) -> dict:
+    return {
+        "best_mu_s": _hex(result.best_mu_s),
+        "feasible": bool(result.feasible),
+        "residuals": [[key, _hex(v)]
+                      for key, v in result.constraint_residuals.items()],
+        "best_point": _point(result.best_params),
+        "evaluations": int(result.evaluations),
+        "restarts_used": int(result.restarts_used),
+        "budget_exhausted": bool(result.budget_exhausted),
+        "first_violation": result.first_violation,
+    }
+
+
+def _spec_search(name, strategy, lambda_p, budget, restarts):
+    spec = load_spec(CONFIGS / f"{name}.cfg")
+    network = spec.network_at(lambda_p)
+    target = qos.QosSpec(spec.qos.d_p_max, spec.qos.d_s_max, network.traffic)
+    return qos.maximize_secondary_throughput(
+        network, strategy, target, budget=budget, restarts=restarts,
+        seed=spec.sim.seed)
+
+
+def _six_relay_od():
+    network = NetworkConfig(SIX_RELAYS, TrafficParams(0.1, 0.1))
+    return qos.maximize_secondary_throughput(
+        network, OD, qos.QosSpec(3.0, 6.0, network.traffic), budget=2_000,
+        restarts=2, seed=11)
+
+
+def _min_relays_fig3_rd():
+    """The rd ladder on fig3 at lambda_p 0.4: every search records its
+    result and the warm starts carried into it."""
+    spec = load_spec(CONFIGS / "fig3_od_n2.cfg")
+    network = spec.network_at(0.4)
+    target = qos.QosSpec(spec.qos.d_p_max, spec.qos.d_s_max, network.traffic)
+    searches = []
+    search = qos.maximize_secondary_throughput
+
+    def recorded(*args, **kwargs):
+        result = search(*args, **kwargs)
+        searches.append({"extra_starts": [_point(p) for p in
+                                          kwargs["extra_starts"]],
+                         "result": digest(result)})
+        return result
+
+    qos.maximize_secondary_throughput = recorded
+    try:
+        count = qos.minimize_relay_count(network, RD, target, 2, budget=700,
+                                         restarts=2, seed=spec.sim.seed)
+    except NoFeasibleRelayCount:
+        count = None
+    finally:
+        qos.maximize_secondary_throughput = search
+    return {"min_relays": count, "searches": searches}
+
+
+CASES = {
+    **{f"fig3_{kind.value}_{lam}": (
+        lambda kind=kind, lam=lam: digest(
+            _spec_search("fig3_od_n2", kind, lam, 2_000, 3)))
+       for kind in (OD, RD, RR) for lam in (0.3, 0.5)},
+    **{f"table1_{kind.value}_0.3": (
+        lambda kind=kind: digest(
+            _spec_search("table1_n5", kind, 0.3, 2_000, 2)))
+       for kind in (RD, RR)},
+    "fig11_od_0.3_sensing": lambda: digest(
+        _spec_search("fig11_minrelays_n3", OD, 0.3, 2_000, 2)),
+    "six_relays_od_first_rank": lambda: digest(_six_relay_od()),
+    "min_relays_fig3_rd_0.4": _min_relays_fig3_rd,
+}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_search_matches_golden(case, golden):
+    assert CASES[case]() == golden[case]
+
+
+def test_cases_cover_both_verdicts(golden):
+    verdicts = {golden[c]["feasible"] for c in CASES if "feasible" in golden[c]}
+    assert verdicts == {True, False}
+    ladder = golden["min_relays_fig3_rd_0.4"]["searches"]
+    assert any(s["extra_starts"] for s in ladder)
+
+
+if __name__ == "__main__":
+    record = {case: CASES[case]() for case in sorted(CASES)}
+    GOLDEN_PATH.write_text(json.dumps(record, indent=1) + "\n")
+    sys.stdout.write(f"wrote {len(record)} cases to {GOLDEN_PATH}\n")

@@ -422,6 +422,25 @@ class TestSensingErrors:
                 assert np.allclose(adj.lambda_sk, report.lambda_sk, atol=1e-10)
 
 
+class TestRelayCountMismatch:
+    # a point over one relay on a two-relay table used to broadcast and
+    # give mu_p = 1.088
+    ONE_RELAY = StrategyParams(StrategyKind.RANDOM, [1.0], [0.5], [1.0],
+                               [1.0], beta=[1.0])
+
+    def test_rate_report_rejects(self):
+        with pytest.raises(ConfigError, match="relays"):
+            rate_report(TABLE_ROWS12, self.ONE_RELAY, TrafficParams(0.3, 0.2))
+
+    def test_evaluate_rejects(self):
+        with pytest.raises(ConfigError, match="relays"):
+            evaluate(TABLE_ROWS12, self.ONE_RELAY, TrafficParams(0.3, 0.2))
+
+    def test_relay_service_rates_rejects(self):
+        with pytest.raises(ConfigError, match="relays"):
+            relay_service_rates(TABLE_ROWS12, self.ONE_RELAY, 0.9, 0.9)
+
+
 class TestExhaustiveOracle:
     def test_rates_match_enumeration(self):
         rng = np.random.default_rng(13)

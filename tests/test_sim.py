@@ -242,6 +242,24 @@ class TestGuardsAndTrace:
             simulate(TABLE_ROWS12, od2(), TrafficParams(0.1, 0.1),
                      slots=100, seed=0, **kw)
 
+    @pytest.mark.parametrize("simulate,kw", [
+        (run, dict(slots=2.5, seed=0)),
+        (run, dict(slots=100.0, seed=0)),
+        (run, dict(slots=0, seed=0)),
+        (run, dict(slots=-5, seed=0)),
+        (run, dict(slots=100, seed=-1)),
+        (run, dict(slots=100, seed=1.5)),
+        (run, dict(slots=100, seed=3.0)),
+        (run_replicated, dict(replications=2, slots=2.5, seed=0)),
+        (run_replicated, dict(replications=2, slots=0, seed=0)),
+        (run_replicated, dict(replications=2, slots=100, seed=-1)),
+        (run_replicated, dict(replications=2, slots=100, seed=1.5)),
+        (run_replicated, dict(replications=1.5, slots=100, seed=0)),
+    ])
+    def test_slots_and_seed_validation(self, simulate, kw):
+        with pytest.raises(ConfigError):
+            simulate(TABLE_ROWS12, od2(), TrafficParams(0.1, 0.1), **kw)
+
 
 class TestReplications:
     def test_replicated_run_deterministic(self):
