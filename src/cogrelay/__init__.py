@@ -14,7 +14,7 @@ from .network import (NetworkConfig, OutageTable, PhysicalChannels,
 from .orders import OrderDistribution, is_doubly_stochastic
 from .qos import (OptResult, QosSpec, maximize_secondary_throughput,
                   minimize_relay_count, recover_schedule,
-                  solve_feasibility_saturated)
+                  secondary_rate_ceiling, solve_feasibility_saturated)
 from .rates import (EPS_STAB, Evaluation, RateReport, StrategyParams,
                     apply_sensing_errors, end_to_end_delays, evaluate,
                     max_service_rates, queue_delay, rate_report,

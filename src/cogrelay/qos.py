@@ -30,6 +30,7 @@ from .rates import (EPS_STAB, StrategyParams, evaluate, primary_rate_bound,
 
 DENSE_ORDER_LIMIT = 5  # optimize the full N!-simplex only up to here
 _BIG = 1e6             # stands in for an infinite violation in the merit
+CEILING_MESH = 32      # cells per capture total in `secondary_rate_ceiling`
 
 
 @dataclass(frozen=True)
@@ -454,20 +455,123 @@ def recover_schedule(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return omega, alpha
 
 
+def _pooled_arrivals(lam: float, direct_outage: float,
+                     capture: np.ndarray) -> np.ndarray:
+    """Arrivals Lambda = lam d C / (1 - d + d C) that a user's relaying
+    queues pool at each capture total C (d: the direct-link outage), with
+    0, a lower bound, where the user's service rate is 0."""
+    bracket = 1.0 - direct_outage + direct_outage * capture
+    pooled = lam / bracket * direct_outage * capture
+    return np.where(bracket > 0, pooled, 0.0)
+
+
+def secondary_rate_ceiling(outages: OutageTable,
+                           qos: QosSpec) -> float | None:
+    """Upper bound on the secondary service rate of any operating point,
+    of any strategy, that meets the delay ceilings of `qos` over
+    `outages`; None certifies that no point meets them.
+
+    The bound relaxes the model in `rates`:
+
+    1. The user rates depend on the strategy only through the capture
+       totals C_p = sum_k cap_pk in [0, 1 - prod_k pu_relay[k]] and
+       C_s = sum_k cap_sk in [0, 1 - prod_k su_relay[k]], which are let
+       vary independently.  Given (C_p, C_s) the chain mu_p -> pi_p0 ->
+       mu_s -> pi_s0 is exact, and so are the pooled relay arrivals
+       Lambda_P = (1 - pi_p0) pu_pd C_p and Lambda_S = (1 - pi_s0) pi_p0
+       su_sd C_s, which depend on their own capture total only.
+    2. A user's relayed delay term sum_k l_k (1 - l_k) / (m_k - l_k) is
+       at least L (1 - L) / (M - L) of one queue with the pooled rates
+       L = sum_k l_k, M = sum_k m_k.
+    3. The relays serve both pooled queues at M_P + M_S <= max(1 - relay
+       outage) pi_p0 pi_s0 in all.
+    4. The primary ceiling needs M_P >= Lambda_P + Lambda_P (1 -
+       Lambda_P) / (lambda_p (d_p_max - D_p)), D_p = (1 - lambda_p) /
+       (mu_p - lambda_p); the secondary gets the rest and must then meet
+       d_s_max.  Stability is relaxed to a strict inequality.
+
+    The (C_p, C_s) rectangle is cut into CEILING_MESH x CEILING_MESH
+    closed cells, and each cell is scored at the most favourable value
+    of every term over the cell: mu_p, pi_p0, mu_s and pi_s0 grow with
+    both totals, so they are taken at the cell's upper corner, and D_p
+    and D_s follow from those; Lambda_P and Lambda_S grow with their own
+    total, so they are taken at its lower end; and Lambda (1 - Lambda) is
+    concave, so over [Lambda(lower), Lambda(upper)] it is at least the
+    smaller of its two end values.  A point of a cell that meets every
+    condition of the relaxation therefore makes its cell pass, with an
+    mu_s no larger than the cell's, so the result bounds the whole
+    continuum, not only the mesh; None is a proof of infeasibility at
+    any resolution.
+
+    Sensing errors.  At the same parameters, `apply_sensing_errors`
+    scales mu_p, the secondary's conditional service and the relay
+    service by factors in [0, 1] and leaves every relay arrival rate as
+    it is (the smaller pi_p0 and pi_s0 cancel against the smaller
+    service).  So every queue is at most as fast and no slower to fill:
+    a point feasible under sensing errors is feasible, with no smaller
+    mu_s, under perfect sensing, and the bound holds for both.
+    """
+    lam_p, lam_s = qos.traffic.lambda_p, qos.traffic.lambda_s
+    pu_pd, su_sd = float(outages.pu_pd), float(outages.su_sd)
+    edges_p = np.linspace(0.0, 1.0 - np.prod(outages.pu_relay),
+                          CEILING_MESH + 1)
+    edges_s = np.linspace(0.0, 1.0 - np.prod(outages.su_relay),
+                          CEILING_MESH + 1)
+    relay_best = np.max(1.0 - np.concatenate((outages.relay_pd,
+                                              outages.relay_sd)), initial=0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # primary terms, one per C_p cell
+        mu_p = 1.0 - pu_pd + pu_pd * edges_p[1:]
+        pi_p0 = 1.0 - lam_p / mu_p
+        d_p = (1.0 - lam_p) / (mu_p - lam_p)
+        pool_p = _pooled_arrivals(lam_p, pu_pd, edges_p)
+        low_p = pool_p[:-1]
+        spread_p = np.minimum(pool_p[:-1] * (1.0 - pool_p[:-1]),
+                              pool_p[1:] * (1.0 - pool_p[1:]))
+        primary_ok = (mu_p > lam_p) & np.where(low_p > 0, d_p < qos.d_p_max,
+                                               d_p <= qos.d_p_max)
+        need_p = low_p + np.where(
+            spread_p > 0, spread_p / (lam_p * (qos.d_p_max - d_p)), 0.0)
+
+        # secondary terms, C_p cells down and C_s cells across
+        mu_s = pi_p0[:, None] * (1.0 - su_sd + su_sd * edges_s[None, 1:])
+        pi_s0 = 1.0 - lam_s / mu_s
+        d_s = (1.0 - lam_s) / (mu_s - lam_s)
+        pool_s = _pooled_arrivals(lam_s, su_sd, edges_s)
+        low_s = pool_s[None, :-1]
+        spread_s = np.minimum(pool_s[:-1] * (1.0 - pool_s[:-1]),
+                              pool_s[1:] * (1.0 - pool_s[1:]))[None, :]
+        left_s = relay_best * pi_p0[:, None] * pi_s0 - need_p[:, None]
+        extra_s = np.where(spread_s > 0,
+                           spread_s / (lam_s * (left_s - low_s)), 0.0)
+        feasible = (primary_ok[:, None] & (mu_s > lam_s) & (left_s >= 0)
+                    & ((low_s == 0) | (left_s > low_s))
+                    & (d_s + extra_s <= qos.d_s_max))
+    if not feasible.any():
+        return None
+    return float(mu_s[feasible].max())
+
+
 def minimize_relay_count(network: NetworkConfig, strategy: StrategyKind,
                          qos: QosSpec, n_max: int, *, budget: int = 20_000,
                          restarts: int = 8, seed: int = 0) -> int:
     """Smallest relay count in 0..n_max with a feasible operating point,
     searching `network` restricted to its first n relays.  Counts beyond
-    the network's relays are skipped.  The solution found at each count
-    seeds the next search, so feasibility can only get easier as relays
-    are added.
+    the network's relays are skipped, and so are the counts at which
+    `secondary_rate_ceiling` certifies that no point is feasible, with or
+    without sensing errors.  The solution found at each searched count
+    seeds the search at the next count, so feasibility can only get
+    easier as relays are added; a skipped count seeds nothing, and the
+    count after it starts from its designed starts alone.
     """
     carried: tuple[StrategyParams, ...] = ()
     for n in range(n_max + 1):
         try:
             restricted = network.take(n)
         except ConfigError:
+            continue
+        if secondary_rate_ceiling(restricted.outages(strategy), qos) is None:
+            carried = ()
             continue
         result = maximize_secondary_throughput(
             restricted, strategy, qos, budget=budget, restarts=restarts,

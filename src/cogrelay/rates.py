@@ -16,7 +16,7 @@ no fixed-point iteration is involved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -356,7 +356,7 @@ def sensing_survival_factors(params: StrategyParams,
         return 1.0, 1.0
     b_p = 1.0 - se.p_md_primary ** 2
     b_s = 1.0 - se.p_md_secondary * (1.0 - se.p_false_alarm)
-    return float(params.omega @ b_p), float(params.omega @ b_s)
+    return float(np.dot(params.omega, b_p)), float(np.dot(params.omega, b_s))
 
 
 def apply_sensing_errors(report: RateReport, params: StrategyParams,
@@ -371,10 +371,10 @@ def apply_sensing_errors(report: RateReport, params: StrategyParams,
     re-evaluated: fuller user queues mean fewer idle slots, which reduces
     the relaying queues' service on top of the false-alarm factor
     (a relay transmits only when it raises no false alarm in either
-    sensing interval).
+    sensing interval).  The chain runs over plain floats in numpy's
+    order of operations.
     """
     surv_p, surv_s = sensing_survival_factors(params, se)
-    no_fa = (1.0 - se.p_false_alarm) ** 2 if params.n_relays else np.zeros(0)
     lam_p = report.traffic.lambda_p
     lam_s = report.traffic.lambda_s
 
@@ -387,26 +387,34 @@ def apply_sensing_errors(report: RateReport, params: StrategyParams,
     mu_s = pi_p0 * bracket_s * surv_s
     stable_s, pi_s0 = _flagged_pi0(lam_s, mu_s)
 
-    cap_p = (report.lambda_pk / (1.0 - report.pi_p0)
-             if report.pi_p0 < 1.0 else np.zeros(params.n_relays))
+    # per-relay capture weights, recovered from the relay arrivals
+    n = params.n_relays
+    cap_p = ([lam / (1.0 - report.pi_p0) for lam in report.lambda_pk.tolist()]
+             if report.pi_p0 < 1.0 else [0.0] * n)
     cap_s_denom = (1.0 - report.pi_s0) * report.pi_p0
-    cap_s = (report.lambda_sk / cap_s_denom if cap_s_denom > 0
-             else np.zeros(params.n_relays))
-    lambda_pk = (1.0 - pi_p0) * surv_p * cap_p
-    lambda_sk = (1.0 - pi_s0) * pi_p0 * surv_s * cap_s
+    cap_s = ([lam / cap_s_denom for lam in report.lambda_sk.tolist()]
+             if cap_s_denom > 0 else [0.0] * n)
+    to_relay_p = (1.0 - pi_p0) * surv_p
+    to_relay_s = (1.0 - pi_s0) * pi_p0 * surv_s
+    lambda_pk = [to_relay_p * c for c in cap_p]
+    lambda_sk = [to_relay_s * c for c in cap_s]
 
     idle_perfect = report.pi_p0 * report.pi_s0
     scale_relay = pi_p0 * pi_s0 / idle_perfect if idle_perfect > 0 else 0.0
-    mu_pk = report.mu_pk * scale_relay * no_fa
-    mu_sk = report.mu_sk * scale_relay * no_fa
+    no_fa = [(1.0 - fa) * (1.0 - fa) for fa in se.p_false_alarm.tolist()]
+    mu_pk = [mu * scale_relay * f
+             for mu, f in zip(report.mu_pk.tolist(), no_fa)]
+    mu_sk = [mu * scale_relay * f
+             for mu, f in zip(report.mu_sk.tolist(), no_fa)]
 
-    return replace(
-        report,
+    return RateReport(
+        strategy=report.strategy, traffic=report.traffic,
         mu_p=mu_p, mu_s=mu_s, pi_p0=pi_p0, pi_s0=pi_s0,
-        lambda_pk=lambda_pk, lambda_sk=lambda_sk, mu_pk=mu_pk, mu_sk=mu_sk,
+        lambda_pk=np.array(lambda_pk), lambda_sk=np.array(lambda_sk),
+        mu_pk=np.array(mu_pk), mu_sk=np.array(mu_sk),
         stable_p=stable_p, stable_s=stable_s,
-        stable_pk=_stable_flags(lambda_pk.tolist(), mu_pk.tolist()),
-        stable_sk=_stable_flags(lambda_sk.tolist(), mu_sk.tolist()))
+        stable_pk=_stable_flags(lambda_pk, mu_pk),
+        stable_sk=_stable_flags(lambda_sk, mu_sk))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,6 +17,7 @@ from cogrelay.experiments import (CSV_COLUMNS, MAX_SWEEP_POINTS, Comparison,
                                   run_sweep, write_rows)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 GOOD_SPEC = """
 [experiment]
@@ -393,3 +397,17 @@ class TestCli:
                      "--strategy", "rd"])
         assert code == 0
         assert ",0," in out.read_text().splitlines()[1]
+
+    def test_module_entry_point(self, tmp_path):
+        # `python -m cogrelay` runs from a checkout without the script
+        spec = str(CONFIG_DIR / "fig11_minrelays_n3.cfg")
+        out = tmp_path / "main.csv"
+        assert main(["min-relays", "--spec", spec, "--out", str(out)]) == 0
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(SRC_DIR)] + ([path] if path else []))}
+        run = subprocess.run(
+            [sys.executable, "-m", "cogrelay", "min-relays", "--spec", spec],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == out.read_text()

@@ -1,7 +1,10 @@
 """Property-based differential tests.
 
 `rate_report` against the exhaustive slot-outcome oracle in `support`, on
-generated configurations; and the QoS search's unchecked trial points
+generated configurations; `rate_report` and `apply_sensing_errors`
+against the numpy array formulas they replaced, bit for bit; the
+dominance of perfect sensing over sensing errors that the relay-count
+certificate rests on; and the QoS search's unchecked trial points
 against the same points built through the checking constructors.
 """
 
@@ -13,10 +16,12 @@ from hypothesis import strategies as st
 
 from cogrelay import qos, rates
 from cogrelay.channel import StrategyKind
-from cogrelay.network import OutageTable, TrafficParams
+from cogrelay.network import (OutageTable, SensingErrorParams,
+                              TrafficParams)
 from cogrelay.orders import OrderDistribution
-from cogrelay.rates import StrategyParams, rate_report
-from support import oracle_user_rates, random_outages, random_params
+from cogrelay.rates import StrategyParams, evaluate, rate_report
+from support import (oracle_user_rates, random_outages, random_params,
+                     random_sensing_errors)
 
 # exact 0 and 1 next to the open interval: outages and acceptance
 # probabilities at the ends are where the prefix products are exact
@@ -140,6 +145,101 @@ def test_rate_report_bits_match_numpy_formulas(n, strategy, seed):
     report = rate_report(outages, params, traffic)
     for name, want in numpy_rates(outages, params, traffic).items():
         assert _hexes(getattr(report, name)) == _hexes(want), name
+
+
+def numpy_sensing(report: rates.RateReport, params: StrategyParams,
+                  se: SensingErrorParams) -> dict:
+    """`apply_sensing_errors` as numpy array arithmetic, the form it had
+    before it ran over plain floats."""
+    n = params.n_relays
+    if n == 0:
+        surv_p = surv_s = 1.0
+    else:
+        surv_p = float(params.omega @ (1.0 - se.p_md_primary ** 2))
+        surv_s = float(params.omega @ (
+            1.0 - se.p_md_secondary * (1.0 - se.p_false_alarm)))
+    no_fa = (1.0 - se.p_false_alarm) ** 2 if n else np.zeros(0)
+    mu_p = report.mu_p * surv_p
+    _, pi_p0 = rates._flagged_pi0(report.traffic.lambda_p, mu_p)
+    bracket_s = report.mu_s / report.pi_p0 if report.pi_p0 > 0 else 0.0
+    mu_s = pi_p0 * bracket_s * surv_s
+    _, pi_s0 = rates._flagged_pi0(report.traffic.lambda_s, mu_s)
+    cap_p = (report.lambda_pk / (1.0 - report.pi_p0)
+             if report.pi_p0 < 1.0 else np.zeros(n))
+    cap_s_denom = (1.0 - report.pi_s0) * report.pi_p0
+    cap_s = (report.lambda_sk / cap_s_denom if cap_s_denom > 0
+             else np.zeros(n))
+    idle_perfect = report.pi_p0 * report.pi_s0
+    scale_relay = pi_p0 * pi_s0 / idle_perfect if idle_perfect > 0 else 0.0
+    lambda_pk = (1.0 - pi_p0) * surv_p * cap_p
+    lambda_sk = (1.0 - pi_s0) * pi_p0 * surv_s * cap_s
+    mu_pk = report.mu_pk * scale_relay * no_fa
+    mu_sk = report.mu_sk * scale_relay * no_fa
+    return {"mu_p": mu_p, "mu_s": mu_s, "pi_p0": pi_p0, "pi_s0": pi_s0,
+            "lambda_pk": lambda_pk, "lambda_sk": lambda_sk,
+            "mu_pk": mu_pk, "mu_sk": mu_sk,
+            "stable_pk": np.array([rates.is_stable(l, m) for l, m in
+                                   zip(lambda_pk, mu_pk)], dtype=bool),
+            "stable_sk": np.array([rates.is_stable(l, m) for l, m in
+                                   zip(lambda_sk, mu_sk)], dtype=bool)}
+
+
+# exact 0 next to the open interval: no load leaves a user queue always
+# empty, and heavy loads flag it unstable; both take the guarded branches
+LOAD = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 5), strategy=st.sampled_from(list(StrategyKind)),
+       seed=st.integers(0, 2 ** 32 - 1), lambda_p=LOAD, lambda_s=LOAD,
+       high=st.sampled_from([0.3, 1.0]))
+def test_sensing_errors_bits_match_numpy_formulas(n, strategy, seed,
+                                                  lambda_p, lambda_s, high):
+    rng = np.random.default_rng(seed)
+    outages = random_outages(rng, n, low=0.0, high=1.0)
+    params = random_params(rng, n, strategy)
+    se = random_sensing_errors(rng, n, high)
+    report = rate_report(outages, params, TrafficParams(lambda_p, lambda_s))
+    adjusted = rates.apply_sensing_errors(report, params, se)
+    for name, want in numpy_sensing(report, params, se).items():
+        got = getattr(adjusted, name)
+        if name.startswith("stable"):
+            assert got.dtype == bool and np.array_equal(got, want), name
+        else:
+            assert _hexes(got) == _hexes(want), name
+    assert adjusted.stable_p == rates.is_stable(lambda_p, adjusted.mu_p)
+    assert adjusted.stable_s == rates.is_stable(lambda_s, adjusted.mu_s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 4), strategy=st.sampled_from(list(StrategyKind)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_perfect_sensing_dominates_sensing_errors(n, strategy, seed):
+    # the fact `qos.secondary_rate_ceiling` rests on under sensing
+    # errors: at the same point they leave the relay arrivals as they
+    # are and make no queue faster, so a point that meets the ceilings
+    # with sensing errors meets them with perfect sensing, no slower
+    rng = np.random.default_rng(seed)
+    outages = random_outages(rng, n, 0.01, 0.9)
+    params = random_params(rng, n, strategy)
+    traffic = TrafficParams(rng.uniform(0, 0.6), rng.uniform(0, 0.4))
+    errors = evaluate(outages, params, traffic,
+                      random_sensing_errors(rng, n, 0.5))
+    perfect = evaluate(outages, params, traffic)
+    if errors.report.stable_p and errors.report.stable_s:
+        # an unstable user queue is never empty, which changes what it
+        # hands its relays
+        for name in ("lambda_pk", "lambda_sk"):
+            assert np.allclose(getattr(errors.report, name),
+                               getattr(perfect.report, name),
+                               rtol=0, atol=1e-15), name
+    if errors.status == "ok":
+        # the tolerances absorb the rounding of rates recovered by
+        # dividing and multiplying back (1 + 1e-12 relative)
+        assert perfect.status == "ok"
+        assert perfect.d_p <= errors.d_p * (1 + 1e-12)
+        assert perfect.d_s <= errors.d_s * (1 + 1e-12)
+        assert perfect.report.mu_s >= errors.report.mu_s * (1 - 1e-12)
 
 
 def checked_params(space: qos._Space, point: dict) -> StrategyParams:

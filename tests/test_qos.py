@@ -1,19 +1,22 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import cogrelay.qos as qos_module
 from cogrelay.channel import StrategyKind
 from cogrelay.errors import ConfigError, InfeasibleError, NoFeasibleRelayCount
 from cogrelay.network import NetworkConfig, OutageTable, TrafficParams
 from cogrelay.orders import OrderDistribution
 from cogrelay.qos import (QosSpec, maximize_secondary_throughput,
                           minimize_relay_count, recover_schedule,
-                          solve_feasibility_saturated)
+                          secondary_rate_ceiling, solve_feasibility_saturated)
 from cogrelay.rates import (EPS_STAB, StrategyParams, end_to_end_delays,
-                            rate_report, secondary_rate_cap)
+                            evaluate, rate_report, secondary_rate_cap)
 from support import (delay_limited_secondary_ceiling, random_outages,
-                     random_params)
+                     random_params, random_sensing_errors)
 
 TABLE_ROWS12 = OutageTable(0.1, 0.2, [0.1, 0.02], [0.1, 0.1],
                            [0.1, 0.1], [0.1, 0.1])
@@ -286,9 +289,12 @@ class TestMinimizeRelayCount:
         assert counts[0] >= counts[1] >= counts[2]
         assert counts[0] > counts[2]  # the ceilings actually bind
 
-    def test_no_feasible_count_raises(self):
+    def test_no_feasible_count_raises(self, monkeypatch):
         net = NetworkConfig(OutageTable(1.0, 1.0, [0.99], [0.99], [0.99], [0.99]),
                             TrafficParams(0.9, 0.1))
+        # the certificate rules out every count, so no search runs at all
+        monkeypatch.setattr(qos_module, "maximize_secondary_throughput",
+                            None)
         with pytest.raises(NoFeasibleRelayCount):
             minimize_relay_count(net, StrategyKind.RANDOM,
                                  QosSpec(2, 2, net.traffic), 1,
@@ -304,6 +310,34 @@ class TestMinimizeRelayCount:
                                  QosSpec(40, 80, net.traffic), 2,
                                  budget=1500, restarts=2, seed=0)
         assert n == 1
+
+    def test_skipped_count_seeds_nothing(self, monkeypatch):
+        # zero relays give an infeasible point to carry; with one relay
+        # ruled out, the two-relay search starts from its designed starts
+        out = OutageTable(0.4, 0.3, [0.01, 0.01], [0.01, 0.01],
+                          [0.01, 0.01], [0.01, 0.01])
+        net = NetworkConfig(out, TrafficParams(0.5, 0.2))
+        searches = []
+        search = maximize_secondary_throughput
+
+        def recorded(network, *args, **kwargs):
+            result = search(network, *args, **kwargs)
+            searches.append((network.n_relays, kwargs["extra_starts"],
+                             result.best_params))
+            return result
+
+        monkeypatch.setattr(qos_module, "maximize_secondary_throughput",
+                            recorded)
+        monkeypatch.setattr(qos_module, "secondary_rate_ceiling",
+                            lambda outages, qos: None
+                            if outages.n_relays == 1 else 1.0)
+        with pytest.raises(NoFeasibleRelayCount):
+            minimize_relay_count(net, StrategyKind.RANDOM,
+                                 QosSpec(1.01, 1.01, net.traffic), 2,
+                                 budget=300, restarts=1, seed=0)
+        assert [n for n, _, _ in searches] == [0, 2]
+        assert searches[0][2] is not None   # there was a point to carry
+        assert searches[1][1] == ()
 
     def test_qos_spec_validation(self):
         with pytest.raises(ConfigError):
@@ -388,3 +422,116 @@ class TestDelayLimitedCeiling:
         fine = delay_limited_secondary_ceiling(TABLE_ROWS12, traffic,
                                                1.6, 3.0, grid=1601)
         assert abs(fine - coarse) <= 1e-3
+
+
+def _random_problem(rng, relay_strength=1.0):
+    """A random outage table, delay ceilings and traffic.  A relay
+    strength below 1 scales the relay-to-destination success
+    probabilities down: relaying more then adds relay delay, so the best
+    capture totals lie inside their ranges instead of at the top."""
+    n = int(rng.integers(0, 4))
+    outages = random_outages(rng, n, 0.01, 0.9)
+    outages = replace(outages,
+                      relay_pd=1 - relay_strength * (1 - outages.relay_pd),
+                      relay_sd=1 - relay_strength * (1 - outages.relay_sd))
+    qos = QosSpec(rng.uniform(1.1, 8.0), rng.uniform(1.2, 12.0),
+                  TrafficParams(rng.uniform(0, 0.8), rng.uniform(0, 0.6)))
+    return outages, qos
+
+
+class TestSecondaryRateCeiling:
+    """`qos.secondary_rate_ceiling`, the certificate the relay-count
+    ladder skips counts on, against the grid bound of tests/support.py
+    and against points the package scores as feasible."""
+
+    def test_never_below_the_grid_bound(self):
+        rng = np.random.default_rng(9009)
+        verdicts = []
+        for i in range(900):
+            outages, qos = _random_problem(rng, (1.0, 0.2, 0.05)[i % 3])
+            ceiling = secondary_rate_ceiling(outages, qos)
+            grid = delay_limited_secondary_ceiling(
+                outages, qos.traffic, qos.d_p_max, qos.d_s_max, grid=101)
+            verdicts.append(grid is not None)
+            if grid is not None:
+                assert ceiling is not None and ceiling >= grid
+        assert 0.1 <= np.mean(verdicts) <= 0.9  # both verdicts occur
+
+    @pytest.mark.parametrize("which", ["d_p_max", "d_s_max"])
+    def test_admits_at_the_grid_threshold(self, which):
+        # one ceiling at the tightest value the grid bound still admits
+        # leaves a sliver of feasible capture totals, so a cell scored
+        # less favourably than its best point would rule it out
+        rng = np.random.default_rng(4242)
+        for i in range(40):
+            outages, qos = _random_problem(rng, (1.0, 0.2)[i % 2])
+            qos = replace(qos, **{which: 60.0})
+            if which == "d_p_max":
+                qos = replace(qos, d_s_max=math.inf)
+
+            def grid(limit):
+                tight = replace(qos, **{which: limit})
+                return delay_limited_secondary_ceiling(
+                    outages, tight.traffic, tight.d_p_max, tight.d_s_max,
+                    grid=201)
+
+            if grid(60.0) is None:
+                continue
+            low, high = 1.0, 60.0
+            for _ in range(40):
+                mid = 0.5 * (low + high)
+                low, high = (low, mid) if grid(mid) is not None else (mid,
+                                                                      high)
+            ceiling = secondary_rate_ceiling(
+                outages, replace(qos, **{which: high}))
+            assert ceiling is not None and ceiling >= grid(high)
+
+    @pytest.mark.parametrize("with_errors", [False, True])
+    def test_above_random_feasible_points(self, with_errors):
+        rng = np.random.default_rng(7107)
+        strategies = list(StrategyKind)
+        checked = 0
+        for _ in range(60):
+            outages, qos = _random_problem(rng)
+            n = outages.n_relays
+            sensing = random_sensing_errors(rng, n) if with_errors else None
+            ceiling = secondary_rate_ceiling(outages, qos)
+            for i in range(40):
+                params = random_params(rng, n, strategies[i % 3])
+                ev = evaluate(outages, params, qos.traffic, sensing)
+                if (ev.status == "ok" and ev.d_p <= qos.d_p_max
+                        and ev.d_s <= qos.d_s_max):
+                    checked += 1
+                    assert ceiling is not None
+                    assert ev.report.mu_s <= ceiling
+        assert checked >= 100  # the family really exercises the bound
+
+    def test_criterion_07_table(self):
+        def ceiling(lam_p):
+            return secondary_rate_ceiling(
+                TABLE_ROWS12, QosSpec(1.6, 3.0, TrafficParams(lam_p, 0.2)))
+
+        assert ceiling(0.5) is None
+        # at 0.4 the cells sit above the grid's 0.937 and the witness
+        assert 0.937 <= ceiling(0.4) / (1 - 0.4) <= 0.95
+
+    @pytest.mark.parametrize("lam_p, lam_s, n, d_max", [
+        (0.0, 0.2, 2, 3.0), (0.3, 0.0, 2, 3.0), (0.0, 0.0, 2, 3.0),
+        (0.3, 0.2, 0, 3.0), (0.3, 0.2, 2, math.inf), (0.0, 0.0, 0, math.inf),
+        (1.0, 1.0, 2, math.inf)])
+    def test_edge_inputs_raise_no_warnings(self, lam_p, lam_s, n, d_max):
+        outages = TABLE_ROWS12.take(n)
+        qos = QosSpec(d_max, 2 * d_max, TrafficParams(lam_p, lam_s))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ceiling = secondary_rate_ceiling(outages, qos)
+        if lam_p == 1.0:
+            assert ceiling is None
+        else:
+            assert ceiling is not None
+            assert ceiling <= secondary_rate_cap(qos.traffic)
+
+    def test_no_relays_no_load_no_ceilings(self):
+        # the bound is attained: the secondary gets its whole direct link
+        qos = QosSpec(math.inf, math.inf, TrafficParams(0.0, 0.0))
+        assert secondary_rate_ceiling(TABLE_ROWS12.take(0), qos) == 1 - 0.2

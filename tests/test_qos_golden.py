@@ -7,14 +7,17 @@ coordinate of the best point, next to the evaluation count, the restarts
 used, budget exhaustion and the first violation.  Any change to how a
 trial point is built or scored shows here.  The values in
 `qos_golden.json` were recorded before the search built its trial points
-without re-validating them; a change that means to alter search results
-must say so and record them again with
+without re-validating them, except for the two minimum-relay ladders,
+recorded once the ladder skipped the counts `secondary_rate_ceiling`
+rules out.  A change that means to alter search results must say so and
+record them again with
 
     PYTHONPATH=src python tests/test_qos_golden.py
 """
 
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -89,12 +92,9 @@ def _six_relay_od():
         restarts=2, seed=11)
 
 
-def _min_relays_fig3_rd():
-    """The rd ladder on fig3 at lambda_p 0.4: every search records its
-    result and the warm starts carried into it."""
-    spec = load_spec(CONFIGS / "fig3_od_n2.cfg")
-    network = spec.network_at(0.4)
-    target = qos.QosSpec(spec.qos.d_p_max, spec.qos.d_s_max, network.traffic)
+def _ladder(network, strategy, target, n_max, budget, restarts, seed):
+    """A minimum-relay ladder: the count it returns and, for every search
+    it runs, the result and the warm starts carried into it."""
     searches = []
     search = qos.maximize_secondary_throughput
 
@@ -107,13 +107,34 @@ def _min_relays_fig3_rd():
 
     qos.maximize_secondary_throughput = recorded
     try:
-        count = qos.minimize_relay_count(network, RD, target, 2, budget=700,
-                                         restarts=2, seed=spec.sim.seed)
+        count = qos.minimize_relay_count(network, strategy, target, n_max,
+                                         budget=budget, restarts=restarts,
+                                         seed=seed)
     except NoFeasibleRelayCount:
         count = None
     finally:
         qos.maximize_secondary_throughput = search
     return {"min_relays": count, "searches": searches}
+
+
+def _min_relays_fig3_rd():
+    """The rd ladder on fig3 at lambda_p 0.4; the certificate rules out
+    zero relays, so one search runs, at one relay."""
+    spec = load_spec(CONFIGS / "fig3_od_n2.cfg")
+    network = spec.network_at(0.4)
+    target = qos.QosSpec(spec.qos.d_p_max, spec.qos.d_s_max, network.traffic)
+    return _ladder(network, RD, target, 2, 700, 2, spec.sim.seed)
+
+
+def _min_relays_fig11_od_sensing():
+    """The od ladder on fig11 with sensing errors at lambda_p 0.72 and
+    ceilings (6, 14): zero relays are ruled out, and the searches at one,
+    two and three relays fail, each of the first two seeding the next."""
+    spec = load_spec(CONFIGS / "fig11_minrelays_n3.cfg")
+    traffic = TrafficParams(0.72, 0.2)
+    network = replace(spec.network, traffic=traffic)
+    return _ladder(network, OD, qos.QosSpec(6.0, 14.0, traffic), 3, 300, 1,
+                   11)
 
 
 CASES = {
@@ -129,6 +150,7 @@ CASES = {
         _spec_search("fig11_minrelays_n3", OD, 0.3, 2_000, 2)),
     "six_relays_od_first_rank": lambda: digest(_six_relay_od()),
     "min_relays_fig3_rd_0.4": _min_relays_fig3_rd,
+    "min_relays_fig11_od_0.72_sensing": _min_relays_fig11_od_sensing,
 }
 
 
@@ -145,7 +167,7 @@ def test_search_matches_golden(case, golden):
 def test_cases_cover_both_verdicts(golden):
     verdicts = {golden[c]["feasible"] for c in CASES if "feasible" in golden[c]}
     assert verdicts == {True, False}
-    ladder = golden["min_relays_fig3_rd_0.4"]["searches"]
+    ladder = golden["min_relays_fig11_od_0.72_sensing"]["searches"]
     assert any(s["extra_starts"] for s in ladder)
 
 
