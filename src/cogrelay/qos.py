@@ -26,7 +26,7 @@ from .network import NetworkConfig, OutageTable, TrafficParams
 from .orders import (DENSE_LIMIT, OrderDistribution, first_rank_perm,
                      rank_order)
 from .rates import (EPS_STAB, StrategyParams, evaluate, primary_rate_bound,
-                    rate_report)
+                    rate_report, sensing_terms)
 
 DENSE_ORDER_LIMIT = 5  # optimize the full N!-simplex only up to here
 _BIG = 1e6             # stands in for an infinite violation in the merit
@@ -164,7 +164,8 @@ class _Evaluator:
     def __init__(self, network: NetworkConfig, strategy: StrategyKind,
                  qos: QosSpec):
         self.outages = network.outages(strategy)
-        self.sensing = network.sensing
+        self.sensing = (None if network.sensing is None
+                        else sensing_terms(network.sensing))
         self.qos = qos
         self.traffic = qos.traffic
         self.evaluations = 0

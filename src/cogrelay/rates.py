@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -343,8 +344,28 @@ def end_to_end_delays(report: RateReport,
     return d_p, d_s
 
 
+class SensingTerms(NamedTuple):
+    """The per-relay factors of the sensing-error correction.  They depend
+    on the error probabilities alone, so a search works them out once and
+    passes them wherever a `SensingErrorParams` is taken."""
+
+    survive_p: np.ndarray   # 1 - p_md_primary**2
+    survive_s: np.ndarray   # 1 - p_md_secondary * (1 - p_false_alarm)
+    no_false_alarm: list    # (1 - p_false_alarm)**2, as floats
+
+
+def sensing_terms(se: SensingErrorParams | SensingTerms) -> SensingTerms:
+    if isinstance(se, SensingTerms):
+        return se
+    return SensingTerms(
+        1.0 - se.p_md_primary ** 2,
+        1.0 - se.p_md_secondary * (1.0 - se.p_false_alarm),
+        [(1.0 - fa) * (1.0 - fa) for fa in se.p_false_alarm.tolist()])
+
+
 def sensing_survival_factors(params: StrategyParams,
-                             se: SensingErrorParams) -> tuple[float, float]:
+                             se: SensingErrorParams | SensingTerms
+                             ) -> tuple[float, float]:
     """Probability that the transmission-scheduled relay does not disrupt
     the primary / the secondary user, averaged over the schedule.
 
@@ -354,13 +375,13 @@ def sensing_survival_factors(params: StrategyParams,
     """
     if params.n_relays == 0:
         return 1.0, 1.0
-    b_p = 1.0 - se.p_md_primary ** 2
-    b_s = 1.0 - se.p_md_secondary * (1.0 - se.p_false_alarm)
-    return float(np.dot(params.omega, b_p)), float(np.dot(params.omega, b_s))
+    terms = sensing_terms(se)
+    return (float(np.dot(params.omega, terms.survive_p)),
+            float(np.dot(params.omega, terms.survive_s)))
 
 
 def apply_sensing_errors(report: RateReport, params: StrategyParams,
-                         se: SensingErrorParams) -> RateReport:
+                         se: SensingErrorParams | SensingTerms) -> RateReport:
     """Rates under imperfect sensing at the relays, with every relaying
     queue treated as backlogged (dummy packets), which makes the results
     lower bounds on the true rates.
@@ -374,7 +395,8 @@ def apply_sensing_errors(report: RateReport, params: StrategyParams,
     sensing interval).  The chain runs over plain floats in numpy's
     order of operations.
     """
-    surv_p, surv_s = sensing_survival_factors(params, se)
+    terms = sensing_terms(se)
+    surv_p, surv_s = sensing_survival_factors(params, terms)
     lam_p = report.traffic.lambda_p
     lam_s = report.traffic.lambda_s
 
@@ -401,7 +423,7 @@ def apply_sensing_errors(report: RateReport, params: StrategyParams,
 
     idle_perfect = report.pi_p0 * report.pi_s0
     scale_relay = pi_p0 * pi_s0 / idle_perfect if idle_perfect > 0 else 0.0
-    no_fa = [(1.0 - fa) * (1.0 - fa) for fa in se.p_false_alarm.tolist()]
+    no_fa = terms.no_false_alarm
     mu_pk = [mu * scale_relay * f
              for mu, f in zip(report.mu_pk.tolist(), no_fa)]
     mu_sk = [mu * scale_relay * f
@@ -448,7 +470,8 @@ def _unstable_queue(report: RateReport) -> str | None:
 
 def evaluate(outages: OutageTable, params: StrategyParams,
              traffic: TrafficParams,
-             sensing: SensingErrorParams | None = None) -> Evaluation:
+             sensing: SensingErrorParams | SensingTerms | None = None
+             ) -> Evaluation:
     """Rates, sensing-error correction (when `sensing` is given), status
     and end-to-end delays at one operating point.  The delays are worked
     out only when every queue is stable."""

@@ -11,13 +11,15 @@ All randomness is pre-drawn in a fixed order from one seeded generator,
 so a run is bit-reproducible regardless of the code path taken inside a
 slot.  Two kernels compute a chunk of slots from those draws, and one
 tally counts it.  `_slot_kernel` walks the per-slot state machine and
-records a few events per slot.  Wherever the queues form a chain, each
-upstream of the next (perfect sensing, or sensing errors with saturated
-relays), `_lindley_kernel` computes the same chunk with one Lindley
-recursion per queue; `run` uses the slot loop only for true queues with
-sensing errors and for traced runs.  Both kernels hand `_tally` every
-queue's arrivals, departures and length slot by slot, and `_tally` alone
-writes the per-batch counters, one row of four per queue.
+records a few events per slot.  `_lindley_kernel` computes the same chunk
+with one Lindley recursion per queue, each queue upstream of the next.
+With true queues and sensing errors a relay's queue decides whether a
+user's slot collides, so there it iterates the recursions to their
+causal fixed point, and hands the rest of a chunk to the slot loop when
+the iteration stops paying off.  `run` uses the slot loop alone only for
+traced runs.  Both kernels hand `_tally` every queue's arrivals,
+departures and length slot by slot, and `_tally` alone writes the
+per-batch counters, one row of four per queue.
 
 Queue-delay estimates use the time-average queue length divided by the
 delivery rate; with arrivals applied at slot start and a packet counted
@@ -42,6 +44,12 @@ from .rates import StrategyParams
 
 QUEUE_GUARD = 10_000_000  # abort threshold: the configuration is unstable
 CHUNK = 1 << 16
+# A pass of the Lindley chain over a slot costs about a fortieth of the
+# slot loop's step (35-60 ns against 2-7 us at N = 2-5).  Once the passes
+# that repeat part of a chunk have cost what the loop would take for the
+# slots still open, the loop takes them: rent until the rent paid equals
+# the price, then buy, which costs at most about twice the better choice.
+_LOOP_STEP = 32   # the slot loop's step, in passes over a slot
 
 # Everything a kernel needs to know about the system, built once per run.
 # The per-relay vectors have length max(n, 1); the `_cum` ones are
@@ -108,8 +116,9 @@ def _draw(rng, count, n):
     return (*u, rng.random((count, max(n, 1))), rng.random((count, max(n, 1))))
 
 
-def _slot_kernel(model, rng, start, count, queues, stats, trace):
-    """Walk `count` slots of the protocol on `_draw(rng, count, n)`, then
+def _slot_kernel(model, rng, start, count, queues, stats, trace, skip=0):
+    """Walk slots `skip` to `count - 1` of the chunk of `count` slots that
+    starts at slot `start` of the run, on `_draw(rng, count, n)`, then
     tally them.  `queues[c, j]` is the class-c queue j (0 the user, 1 + k
     relay k), carried across chunks; the first `len(trace)` slots of the
     run are written to `trace`.  Returns 0, or 1 (2) when the primary
@@ -119,7 +128,9 @@ def _slot_kernel(model, rng, start, count, queues, stats, trace):
      f_p, f_s, perm_p_cum, perm_p_orders, perm_s_cum, perm_s_orders,
      pmd_p, pmd_s, pfa) = model
     (u_arr_p, u_arr_s, u_dest, u_sched, u_assign, u_perm, u_alpha,
-     u_md1, u_md2, u_dec, u_acc) = _draw(rng, count, n)
+     u_md1, u_md2, u_dec, u_acc) = (u[skip:] for u in _draw(rng, count, n))
+    start += skip
+    count -= skip
     # per class: destination and relay decoding, acceptance, rank orders
     pbar_d = (pbar_ppd, pbar_ssd)
     pbar_r = (pbar_pk, pbar_sk)
@@ -332,21 +343,33 @@ def _lindley_kernel(model, rng, start, count, queues, stats):
     """`_slot_kernel` on `_draw(rng, count, n)` without a per-slot loop:
     the same stats, queues and status, bit for bit, and no trace.
 
-    Valid when no queue's increment depends on a queue downstream of it:
-    under perfect sensing, and with sensing errors when relays are
-    saturated (a relay that senses idle transmits whatever its queue
-    holds).  Each queue then follows the Lindley recursion with an
-    increment fixed by the draws and the queues upstream of it, in the
-    order primary, secondary, relays.  A relay admits packets only in
-    slots where a user transmits and serves only in slots where neither
-    does.  The draws are taken one row at a time and cut at once to the
-    few bits the chain needs, so that no chunk of floats stays live.
+    Each queue follows the Lindley recursion, in the order primary,
+    secondary, relays: a relay admits packets only in slots where a user
+    transmits and serves only in slots where neither does.  The increment
+    of a queue is fixed by the draws and the queues upstream of it, save
+    in one case: with sensing errors, the scheduled relay may sense idle
+    while a user transmits; it is then not listening, and the slot
+    collides only if the relay's chosen queue holds a packet.  Under
+    perfect sensing no relay senses idle under a user, and saturated
+    relays always transmit, so one pass is exact.  With true queues the
+    pass runs on a guess of which of those slots collide (all of them at
+    first), reads the truth back from the relay queues, and runs again
+    from the first slot it got wrong, with the truth it read as the next
+    guess.  The truth of a slot depends only on the slots before it, so
+    the fixed point is unique, it is the slot loop's trajectory, and
+    every pass fixes at least one more slot.  When the passes stop paying
+    off (`_LOOP_STEP`), the slot loop walks the rest of the chunk on the
+    same draws.  The draws are taken one row at a time and cut at once
+    to the few bits the chain needs, so that no chunk of floats stays
+    live, and a relay queue is kept as the slots where it may change.
     """
     (n, ordered, saturated, errors, lam_p, lam_s, pbar_ppd, pbar_ssd,
      pbar_pk, pbar_sk, pbar_kpd, pbar_ksd, omega_cum, assign_cum, alpha,
      f_p, f_s, perm_p_cum, perm_p_orders, perm_s_cum, perm_s_orders,
      pmd_p, pmd_s, pfa) = model
-    assert saturated or not errors, "coupled queues need the slot loop"
+    errors = errors and n > 0      # with no relay nothing senses
+    coupled = errors and not saturated
+    chunk_start = rng.bit_generator.state if coupled else None
     arr_p = rng.random(count) < lam_p
     arr_s = rng.random(count) < lam_s
     u_dest = rng.random(count)
@@ -362,8 +385,7 @@ def _lindley_kernel(model, rng, start, count, queues, stats):
     use_p = rng.random(count) < alpha[r]
     send_p = use_p & (u_dest < pbar_kpd[r])
     send_s = ~use_p & (u_dest < pbar_ksd[r])
-    del u_dest, use_p
-    errors = errors and n > 0      # with no relay nothing senses
+    del u_dest
     if errors:
         # the scheduled relay's verdict on each sensing interval
         u = rng.random(count)
@@ -388,6 +410,16 @@ def _lindley_kernel(model, rng, start, count, queues, stats):
         del u
         win_p = _first_taker(order_p, perm_p_orders, takes_p)
         win_s = _first_taker(order_s, perm_s_orders, takes_s)
+        if coupled:
+            # a relay that senses idle is not listening, so where it
+            # missed the user the packet goes to the next taker in order
+            for win, miss, order, orders, takes in (
+                    (win_p, miss_p, order_p, perm_p_orders, takes_p),
+                    (win_s, miss_s, order_s, perm_s_orders, takes_s)):
+                rows = np.flatnonzero(miss)
+                takes = takes[rows]
+                takes[np.arange(rows.size), r[rows]] = False
+                win[rows] = _first_taker(order[rows], orders, takes)
     else:
         at = decoder[:, None]
         u_k = np.take_along_axis(u, at, axis=1)[:, 0]
@@ -398,66 +430,145 @@ def _lindley_kernel(model, rng, start, count, queues, stats):
         del u
         takes_p &= u_k < f_p[decoder]
         takes_s &= u_k < f_s[decoder]
+        if coupled:
+            deaf = decoder == r    # the assigned decoder is not listening
+            takes_p &= ~(miss_p & deaf)
+            takes_s &= ~(miss_s & deaf)
         win_p = np.where(takes_p, decoder, -1)
         win_s = np.where(takes_s, decoder, -1)
     del takes_p, takes_s
+    base_p = direct_p | (win_p >= 0)   # served unless the slot collides
+    base_s = direct_s | (win_s >= 0)
 
-    # a relay that senses idle under a user transmits (it is saturated),
-    # so the slot collides; the loop's rule that such a relay is not
-    # listening therefore never changes a capture here
-    serve_p = direct_p | (win_p >= 0)
-    serve_s = direct_s | (win_s >= 0)
-    if errors:
-        serve_p &= ~miss_p
-        serve_s &= ~miss_s
+    # the user queues slot by slot, after the slot's arrivals (until the
+    # first pass, slot 0 holds the chunk's starting state); each relay
+    # queue as the slots where it may change and its level before the
+    # first of them and after each
+    qp_in = np.empty(count, dtype=np.int32)
+    qs_in = np.empty(count, dtype=np.int32)
+    dep_p = np.empty(count, dtype=bool)
+    dep_s = np.empty(count, dtype=bool)
+    qp_in[0] = queues[0, 0] + arr_p[0]
+    qs_in[0] = queues[1, 0] + arr_s[0]
+    relay_adm = np.empty((2, n, count), dtype=bool)
+    relay_out = np.empty((2, n, count), dtype=bool)   # sends if nonempty
+    relay = [[(np.empty(0, dtype=np.intp), queues[c, 1 + k:2 + k].astype(
+        np.int32)) for k in range(n)] for c in (0, 1)]
+    # the guess that the scheduled relay's chosen queue holds a packet (a
+    # saturated relay always has one to send)
+    busy = np.ones(count, dtype=bool) if errors else None
 
-    qp = _lindley(np.subtract(arr_p, serve_p, dtype=np.int8), queues[0, 0])
-    qp_in = _before(qp, queues[0, 0]) + arr_p   # after arrivals
-    pu_tx = qp_in > 0
-    serve_s &= ~pu_tx
-    qs = _lindley(np.subtract(arr_s, serve_s, dtype=np.int8), queues[1, 0])
-    qs_in = _before(qs, queues[1, 0]) + arr_s
-    backlog_s = qs_in > 0
+    def sweep(lo):
+        """Every queue from slot `lo` on, from its state at the start of
+        slot `lo`, which the slots before it fix."""
+        at = slice(lo, count)
+        serve_p, serve_s = base_p[at], base_s[at]
+        if errors:
+            serve_p = serve_p & ~(miss_p[at] & busy[at])
+            serve_s = serve_s & ~(miss_s[at] & busy[at])
+        q0 = int(qp_in[lo]) - int(arr_p[lo])
+        qp_in[at] = _before(_lindley(np.subtract(
+            arr_p[at], serve_p, dtype=np.int8), q0), q0) + arr_p[at]
+        pu_tx = qp_in[at] > 0
+        dep_p[at] = pu_tx & serve_p
+        serve_s &= ~pu_tx
+        q0 = int(qs_in[lo]) - int(arr_s[lo])
+        qs_in[at] = _before(_lindley(np.subtract(
+            arr_s[at], serve_s, dtype=np.int8), q0), q0) + arr_s[at]
+        dep_s[at] = (qs_in[at] > 0) & serve_s
+        if n == 0:
+            return
+        sends = ~pu_tx & (qs_in[at] == 0)
+        if errors:
+            sends &= hears_idle[at]
+        caps = (dep_p[at] & ~direct_p[at], dep_s[at] & ~direct_s[at])
+        wins = (win_p[at], win_s[at])
+        sent = (send_p[at] & sends, send_s[at] & sends)
+        r_at = r[at]
+        for k in range(n):
+            at_k = r_at == k
+            for c in (0, 1):
+                adm = np.logical_and(caps[c], wins[c] == k,
+                                     out=relay_adm[c, k, at])
+                out = np.logical_and(sent[c], at_k, out=relay_out[c, k, at])
+                ev, level = relay[c][k]
+                keep = np.searchsorted(ev, lo)
+                new = np.flatnonzero(adm | out)
+                relay[c][k] = (
+                    np.concatenate((ev[:keep], new + lo)),
+                    np.concatenate((level[:keep + 1], _lindley(np.subtract(
+                        adm[new], out[new], dtype=np.int8), level[keep]))))
+
+    sweep(0)
+    end = count   # the slots before `end` are exact
+    if coupled:
+        # the slots a guess can matter in, grouped by the queue each reads
+        rows = np.flatnonzero(miss_p | miss_s)
+        reads = [(c, k, np.flatnonzero((use_p[rows] == (c == 0))
+                                       & (r[rows] == k)))
+                 for c in (0, 1) for k in range(n)]
+        truth = np.empty(rows.size, dtype=bool)
+        j = 0       # rows[j:] are the rows from the last pass's start
+        swept = 0   # slots the passes after the first went over
+        while True:
+            for c, k, sel in reads:
+                ev, level = relay[c][k]
+                truth[sel] = level[np.searchsorted(ev, rows[sel])] > 0
+            at = rows[j:]
+            # the relay sensed idle while a user transmitted
+            unheard = np.where(qp_in[at] > 0, miss_p[at],
+                               miss_s[at] & (qs_in[at] > 0))
+            wrong = unheard & (truth[j:] != busy[at])
+            busy[at] = truth[j:]
+            if not wrong.any():
+                break
+            skip = int(wrong.argmax())
+            assert skip > 0 or swept == 0, "a pass fixed no slot"
+            j += skip
+            lo = int(rows[j])
+            if swept >= _LOOP_STEP * (count - lo):
+                end = lo
+                break
+            sweep(lo)
+            swept += count - lo
 
     status = 0
-    m = count
-    over = (qp > QUEUE_GUARD) | (qs > QUEUE_GUARD)
+    m = end
+    over = ((qp_in[:end] - dep_p[:end] > QUEUE_GUARD)
+            | (qs_in[:end] - dep_s[:end] > QUEUE_GUARD))
     if over.any():
         m = int(over.argmax()) + 1
-        status = 1 if qp[m - 1] > QUEUE_GUARD else 2
-    queues[:, 0] = qp[m - 1], qs[m - 1]
-    del qp, qs, over
-
-    dep_p = pu_tx & serve_p
-    dep_s = backlog_s & serve_s
-    flows = ([(arr_p, dep_p, qp_in)], [(arr_s, dep_s, qs_in)])
-    dlv_p = dep_p & direct_p
-    dlv_s = dep_s & direct_s
-    idle = ~pu_tx & ~backlog_s
-    collisions = None
-    if n > 0:
-        sends = idle
+        status = 1 if qp_in[m - 1] - dep_p[m - 1] > QUEUE_GUARD else 2
+    del over
+    if m > 0:
+        last = m - 1
+        queues[:, 0] = (qp_in[last] - dep_p[last], qs_in[last] - dep_s[last])
+        pu_tx = qp_in > 0
+        backlog_s = qs_in > 0
+        idle = ~pu_tx & ~backlog_s
+        collisions = None
         if errors:
-            collisions = (pu_tx & miss_p) | (~pu_tx & backlog_s & miss_s)
-            sends = idle & hears_idle
-        send_p &= sends
-        send_s &= sends
-        cap_p = dep_p & ~direct_p
-        cap_s = dep_s & ~direct_s
-        for k in range(n):
-            at_k = r == k
-            for c, cap, win, send, dlv in ((0, cap_p, win_p, send_p, dlv_p),
-                                           (1, cap_s, win_s, send_s, dlv_s)):
-                adm = cap & (win == k)
-                out = send & at_k
-                q0 = queues[c, 1 + k]
-                q = _lindley(np.subtract(adm[:m], out[:m], dtype=np.int8), q0)
-                prev = _before(q, q0)
-                dep = out[:m] & (prev > 0)
-                queues[c, 1 + k] = q[-1]
+            collisions = busy & ((pu_tx & miss_p)
+                                | (~pu_tx & backlog_s & miss_s))
+        flows = ([(arr_p, dep_p, qp_in)], [(arr_s, dep_s, qs_in)])
+        delivered = [dep_p & direct_p, dep_s & direct_s]
+        for c in (0, 1):
+            for k, (ev, level) in enumerate(relay[c]):
+                # the level before each slot: its last change before it
+                prev = np.repeat(level, np.diff(ev, prepend=-1,
+                                                append=count - 1))
+                adm = relay_adm[c, k]
+                dep = relay_out[c, k] & (prev > 0)
+                queues[c, 1 + k] = prev[last] + adm[last] - dep[last]
                 flows[c].append((adm, dep, prev))
-                dlv[:m] |= dep
-    _tally(stats, start, m, flows, (dlv_p, dlv_s), collisions, idle)
+                delivered[c] |= dep
+        _tally(stats, start, m, flows, delivered, collisions, idle)
+    if status == 0 and m < count:
+        # the slot loop walks the rest of the chunk from its exact state
+        redo = np.random.Generator(type(rng.bit_generator)())
+        redo.bit_generator.state = chunk_start
+        status = _slot_kernel(model, redo, start, count, queues, stats,
+                              np.zeros((0, 7), dtype=np.int64), skip=m)
     return status
 
 
@@ -553,9 +664,8 @@ def run(cfg: OutageTable | NetworkConfig, params: StrategyParams,
 
     Raises UnstableQueueError when a user queue exceeds the runaway
     guard.  With perfect sensing a collision is impossible and asserted
-    to be absent.  True queues with sensing errors, and runs that keep a
-    trace, go through the per-slot loop; every other run through the
-    Lindley kernel, with the same result.
+    to be absent.  Runs that keep a trace go through the per-slot loop,
+    every other run through the Lindley kernel, with the same result.
     """
     _check_integer("slots", slots, 1)
     _check_integer("seed", seed, 0)
@@ -609,9 +719,7 @@ def run(cfg: OutageTable | NetworkConfig, params: StrategyParams,
     queues = np.zeros((2, 1 + n), dtype=np.int64)
     trace_rows = np.zeros((trace_limit, 7), dtype=np.int64)
 
-    # with sensing errors a true-queue relay with nothing to send stays
-    # silent, so whether the primary collides depends on relay queues
-    loop = trace_limit > 0 or (sensing is not None and mode == "true_queues")
+    loop = trace_limit > 0
     rng = np.random.default_rng(seed)
     done = 0
     status = 0

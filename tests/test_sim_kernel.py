@@ -35,7 +35,7 @@ def od2(f=1.0):
 _STRATEGIES = (StrategyKind.ORDERED, StrategyKind.RANDOM,
                StrategyKind.ROUND_ROBIN)
 _MODES = (("true_queues", False), ("saturated_relays", False),
-          ("saturated_relays", True))
+          ("saturated_relays", True), ("true_queues", True))
 
 
 def _probs(rng, size):
@@ -175,11 +175,61 @@ def test_lindley_kernel_guard_matches_loop(monkeypatch, lam_p, lam_s, queue):
     assert str(loop) == str(fast)
 
 
+@pytest.mark.parametrize("lam_p,lam_s,queue", [(1.0, 0.0, "primary"),
+                                               (0.0, 1.0, "secondary")])
+def test_coupled_guard_matches_loop(monkeypatch, lam_p, lam_s, queue):
+    # true queues with sensing errors: the users reach the destination
+    # only through the relays, which are never idle to forward, so they
+    # fill up and the slots where a relay misses the user collide more
+    # and more often until the guard trips mid-chunk
+    monkeypatch.setattr(sim, "QUEUE_GUARD", 1_500)
+    out = OutageTable(1.0, 1.0, np.full(2, 0.9), np.full(2, 0.9),
+                      np.full(2, 0.5), np.full(2, 0.5))
+    se = SensingErrorParams([0.3, 0.5], [0.4, 0.2], [0.1, 0.05])
+
+    def call():
+        with pytest.raises(UnstableQueueError) as err:
+            sim.run(out, od2(), TrafficParams(lam_p, lam_s), sensing=se,
+                    slots=5_000, seed=3)
+        return err.value
+
+    loop, fast = _loop_and_fast(call)
+    assert loop.queue == fast.queue == queue
+    assert str(loop) == str(fast)
+
+
+def test_coupled_fallback_matches_loop(monkeypatch):
+    # relays that almost never hear a user: most busy slots hinge on a
+    # relay queue, each pass fixes little, and the slot loop takes over
+    # part way through a chunk
+    monkeypatch.setattr(sim, "CHUNK", 4_096)
+    se = SensingErrorParams([0.9, 0.9], [0.9, 0.9], [0.5, 0.5])
+    skips = []
+    slot_kernel = sim._slot_kernel
+
+    def spy(*args, skip=0):
+        skips.append(skip)
+        return slot_kernel(*args, skip=skip)
+
+    def call():
+        return sim.run(TABLE_ROWS12, od2(), TrafficParams(0.1, 0.2),
+                       sensing=se, slots=8_192, seed=0, batches=7)
+
+    loop, _ = _loop_and_fast(call)
+    monkeypatch.setattr(sim, "_slot_kernel", spy)
+    fast = call()
+    assert estimates_equal(loop, fast)
+    assert fast.collisions > 0
+    # the loop takes the end of one of the two chunks
+    assert len(skips) == 1 and 0 < skips[0] < 4_096
+
+
 def test_traced_run_equals_untraced():
     rng = np.random.default_rng(77)
     out, params, traffic, sensing = random_case(rng, 3, StrategyKind.ORDERED)
     kw = dict(slots=3_000, seed=8, batches=11)
-    for s, mode in ((None, "true_queues"), (sensing, "saturated_relays")):
+    for s, mode in ((None, "true_queues"), (sensing, "saturated_relays"),
+                    (sensing, "true_queues")):
         traced = sim.run(out, params, traffic, sensing=s, mode=mode,
                          trace_limit=500, **kw)
         plain = sim.run(out, params, traffic, sensing=s, mode=mode, **kw)
