@@ -25,15 +25,6 @@ class UnstableQueueError(CogRelayError, RuntimeError):
         super().__init__(message or f"queue '{queue}' is not stable")
 
 
-class InfeasibleError(CogRelayError, RuntimeError):
-    """A feasibility problem has no solution; `violations` names the
-    constraints that cannot be met."""
-
-    def __init__(self, violations, message: str = ""):
-        self.violations = list(violations)
-        super().__init__(message or f"infeasible: {', '.join(self.violations)}")
-
-
 class NoFeasibleRelayCount(CogRelayError, RuntimeError):
     """No relay count up to the search limit satisfies the QoS targets."""
 

@@ -8,8 +8,19 @@ The solver is a deterministic multi-start projected local search:
 coordinate moves with box projection for the per-relay probabilities and
 simplex projection for the schedule, assignment and rank-distribution
 weights.  Restarts draw their starting points from independent seeded
-streams, and results merge by best secondary rate with lexicographic
+streams, and results merge by best merit with lexicographic
 tie-breaking, so output depends only on (configuration, budget, seed).
+
+Under perfect sensing the relay schedule (omega, alpha) enters only the
+relay service rates, so the search moves the capture variables alone
+(f_p, f_s and the rank distributions or the assignment) and gives each
+capture point its least schedule in closed form, by water-filling
+(`_least_mass`, `_CaptureScorer`).  Under sensing errors the user rates
+depend on omega too, and the search moves every variable and scores
+each point through `evaluate`.  Before either search,
+`secondary_rate_ceiling` bounds the secondary rate; where it proves that
+no point meets the delay ceilings, the search returns infeasible at
+once.
 """
 
 from __future__ import annotations
@@ -21,16 +32,20 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import StrategyKind
-from .errors import ConfigError, InfeasibleError, NoFeasibleRelayCount
+from .errors import ConfigError, NoFeasibleRelayCount
 from .network import NetworkConfig, OutageTable, TrafficParams
 from .orders import (DENSE_LIMIT, OrderDistribution, first_rank_perm,
                      rank_order)
-from .rates import (EPS_STAB, StrategyParams, evaluate, primary_rate_bound,
-                    rate_report, sensing_terms)
+from .rates import (EPS_STAB, SensingTerms, StrategyParams, _user_rates,
+                    evaluate, primary_rate_bound, sensing_terms)
 
 DENSE_ORDER_LIMIT = 5  # optimize the full N!-simplex only up to here
 _BIG = 1e6             # stands in for an infinite violation in the merit
 CEILING_MESH = 32      # cells per capture total in `secondary_rate_ceiling`
+# relative allowance `secondary_rate_ceiling` adds for rounding: the rate
+# chain reaches the capture-limited rate by other floating-point steps,
+# and lands up to a few units in the last place above the mesh's value
+CEILING_ROUNDING = 1e-12
 
 
 @dataclass(frozen=True)
@@ -56,6 +71,7 @@ class OptResult:
     evaluations: int
     budget_exhausted: bool
     first_violation: str | None  # "stability" or "delay" when infeasible
+    ceiling: float | None        # `secondary_rate_ceiling`; None: no point
 
 
 def _dense_orders(n: int) -> bool:
@@ -68,13 +84,19 @@ class _Space:
     Every point the search builds lies in its box or on its simplex, so
     `to_params` skips the parameter checks; the rank order of each
     permutation it can put in a distribution is worked out here, once.
+    Without `schedule` the space holds only the capture groups (f_p, f_s
+    and the rank distributions or the assignment), and `to_params` puts
+    placeholders in omega and alpha.
     """
 
-    def __init__(self, strategy: StrategyKind, n: int):
+    def __init__(self, strategy: StrategyKind, n: int, schedule: bool = True):
         self.strategy = strategy
         self.n = n
-        self.box = ["alpha", "f_p", "f_s"]
-        self.simplex = {"omega": n}
+        self.schedule = schedule
+        self.box = ["alpha", "f_p", "f_s"] if schedule else ["f_p", "f_s"]
+        self.simplex = {"omega": n} if schedule else {}
+        self._placeholder = (np.full(n, 1.0 / n) if n else np.zeros(0),
+                             np.full(n, 0.5))
         if strategy is StrategyKind.RANDOM:
             self.simplex["beta"] = n
         if strategy is StrategyKind.ORDERED:
@@ -104,9 +126,10 @@ class _Space:
                 else:  # the first-rank profile's deterministic completion
                     weights = probs = point["beta" + key].tolist()
                 kw[name] = self._dist(weights, probs)
+        omega, alpha = ((point["omega"], point["alpha"]) if self.schedule
+                        else self._placeholder)
         return StrategyParams._unchecked(
-            self.strategy, point["omega"], point["alpha"], point["f_p"],
-            point["f_s"], **kw)
+            self.strategy, omega, alpha, point["f_p"], point["f_s"], **kw)
 
     def _dist(self, weights: list[float],
               probs: list[float]) -> OrderDistribution:
@@ -121,8 +144,9 @@ class _Space:
         return OrderDistribution._unchecked(self.n, entries, tuple(support))
 
     def from_params(self, params: StrategyParams) -> dict:
-        point = {"alpha": params.alpha.copy(), "f_p": params.f_p.copy(),
-                 "f_s": params.f_s.copy(), "omega": params.omega.copy()}
+        point = {"f_p": params.f_p.copy(), "f_s": params.f_s.copy()}
+        if self.schedule:
+            point.update(alpha=params.alpha.copy(), omega=params.omega.copy())
         if self.strategy is StrategyKind.RANDOM:
             point["beta"] = params.beta.copy()
         if self.strategy is StrategyKind.ORDERED:
@@ -154,26 +178,30 @@ def _normalized(v: np.ndarray) -> np.ndarray:
     return v / total
 
 
+def _violation(residuals: dict) -> float:
+    return sum(min(max(0.0, -v), _BIG) for v in residuals.values())
+
+
 class _Evaluator:
-    """Caches the problem data and scores candidate points.
+    """Scores points of the whole space through `evaluate`.
 
     Merit is lexicographic: total constraint violation first (0 means
     feasible), then the negated secondary rate.
     """
 
-    def __init__(self, network: NetworkConfig, strategy: StrategyKind,
+    def __init__(self, outages: OutageTable, sensing: SensingTerms | None,
                  qos: QosSpec):
-        self.outages = network.outages(strategy)
-        self.sensing = (None if network.sensing is None
-                        else sensing_terms(network.sensing))
+        self.outages = outages
+        self.sensing = sensing
         self.qos = qos
         self.traffic = qos.traffic
         self.evaluations = 0
         self.relay_keys = [(f"stability_pk{k + 1}", f"stability_sk{k + 1}")
-                           for k in range(network.n_relays)]
+                           for k in range(outages.n_relays)]
 
     def residuals(self, params: StrategyParams) -> tuple[dict, float]:
-        self.evaluations += 1
+        """Constraint residuals (negative: violated) and mu_s; not counted
+        as an evaluation."""
         ev = evaluate(self.outages, params, self.traffic, self.sensing)
         report = ev.report
         res = {
@@ -194,10 +222,150 @@ class _Evaluator:
             res["delay_s"] = -math.inf
         return res, report.mu_s
 
-    def merit(self, params: StrategyParams):
+    def merit(self, params: StrategyParams) -> tuple:
+        self.evaluations += 1
         res, mu_s = self.residuals(params)
-        violation = sum(min(max(0.0, -v), _BIG) for v in res.values())
-        return violation, -mu_s, res, mu_s
+        return _violation(res), -mu_s
+
+    def result_params(self, params: StrategyParams) -> StrategyParams:
+        """The operating point the search reports for a best point."""
+        return params
+
+
+def _least_mass(lam: float, mu: float, lam_k: list, c_k: list,
+                d_max: float) -> tuple[float, list | None]:
+    """The least relay schedule with which one user's relaying queues meet
+    its delay ceiling and the stability margin, in closed form.
+
+    The user's queue must be stable (mu >= lam + EPS_STAB), and every
+    relay k with arrivals lam_k[k] > 0 must have service c_k[k] > 0 per
+    unit of schedule.  Relay k then serves the user's queue at z_k c_k,
+    with slack s_k = z_k c_k - l_k, and the user's end-to-end delay is
+    D + sum_k a_k / s_k / lam, with D = (1 - lam) / (mu - lam) and
+    a_k = l_k (1 - l_k).  The least mass sum_k z_k = sum_k (l_k + s_k) /
+    c_k with sum_k a_k / s_k <= B = lam (d_max - D) and s_k >= EPS_STAB
+    is a water-filling problem (Boyd & Vandenberghe, Convex Optimization,
+    2004, §5.5.3): s_k = max(EPS_STAB, sqrt(nu a_k c_k)) for the one nu
+    that spends B.  With no slack at its floor, s_k = (S / B) sqrt(a_k c_k)
+    with S = sum_k sqrt(a_k / c_k), and the mass is sum_k l_k / c_k +
+    S^2 / B; a slack below EPS_STAB is clamped there and the others are
+    solved again with the part of B the clamped ones leave.
+
+    Returns (excess, z): excess = max(0, D - d_max), the part of the
+    ceiling no schedule helps with (the delay is 1/mu when lam = 0), and
+    z the mass per relay (0 where a relay has no arrivals), or None when
+    no schedule meets the ceiling (B <= 0 with relay arrivals).
+    """
+    z = [0.0] * len(lam_k)
+    if lam == 0.0:      # the queue is never backlogged: nothing is relayed
+        return max(0.0, 1.0 / mu - d_max), z
+    own = (1.0 - lam) / (mu - lam)
+    excess = max(0.0, own - d_max)
+    free = [k for k, l in enumerate(lam_k) if l > 0.0]
+    if not free:
+        return excess, z
+    budget = lam * (d_max - own)
+    if budget <= 0.0:
+        return excess, None
+    spread = [l * (1.0 - l) for l in lam_k]
+    while free:
+        ratio = sum(math.sqrt(spread[k] / c_k[k]) for k in free) / budget
+        kept = []
+        for k in free:
+            slack = ratio * math.sqrt(spread[k] * c_k[k])
+            if slack < EPS_STAB:            # clamped for good
+                slack = EPS_STAB
+                budget -= spread[k] / EPS_STAB
+            else:
+                kept.append(k)
+            z[k] = (lam_k[k] + slack) / c_k[k]
+        if len(kept) == len(free):
+            break
+        free = kept
+    return excess, z
+
+
+class _CaptureScorer(_Evaluator):
+    """Scores points of the capture space under perfect sensing, with the
+    relay schedule solved in closed form.
+
+    The user rates and the relay arrival rates depend on the captures
+    alone (`rates._user_rates`); omega and alpha enter only the relay
+    service mu_pk = z_k c_pk and mu_sk = y_k c_sk, with z_k = omega_k
+    alpha_k, y_k = omega_k (1 - alpha_k) and c_uk = pi_p0 pi_s0 (1 - relay
+    outage), and (z, y) ranges over the whole 2N-simplex.  A capture point
+    is therefore feasible exactly when the least masses M_p and M_s of
+    `_least_mass` fit in the schedule: M_p + M_s <= 1.  Merit is
+    lexicographic: the stability violation (the user queues' shortfall,
+    or the arrivals of relaying queues that no schedule serves), then the
+    delay violation no schedule helps with plus max(0, M_p + M_s - 1),
+    then the negated secondary rate.
+    """
+
+    def __init__(self, outages: OutageTable, qos: QosSpec):
+        super().__init__(outages, None, qos)
+        self.serve_p = (1.0 - outages.relay_pd).tolist()
+        self.serve_s = (1.0 - outages.relay_sd).tolist()
+
+    def merit(self, params: StrategyParams) -> tuple:
+        self.evaluations += 1
+        return self._solve(_user_rates(self.outages, params, self.traffic))[0]
+
+    def _solve(self, user) -> tuple:
+        """The merit, and the per-relay z and y at the least masses (None
+        where a user's queue or relays leave no finite mass)."""
+        lam_p, lam_s = self.traffic.lambda_p, self.traffic.lambda_s
+        stab = (max(0.0, -(user.mu_p - lam_p - EPS_STAB))
+                + max(0.0, -(user.mu_s - lam_s - EPS_STAB)))
+        idle = user.pi_p0 * user.pi_s0
+        c_p = [idle * v for v in self.serve_p]
+        c_s = [idle * v for v in self.serve_s]
+        if stab == 0.0:
+            stab = sum(lam + EPS_STAB for lam, c in zip(
+                user.lambda_pk + user.lambda_sk, c_p + c_s)
+                if lam > 0.0 and c <= 0.0)
+        if stab > 0.0:
+            return (stab, math.inf, -user.mu_s), None
+        excess_p, z = _least_mass(lam_p, user.mu_p, user.lambda_pk, c_p,
+                                  self.qos.d_p_max)
+        excess_s, y = _least_mass(lam_s, user.mu_s, user.lambda_sk, c_s,
+                                  self.qos.d_s_max)
+        mass = _BIG if z is None or y is None else min(_BIG, sum(z) + sum(y))
+        merit = (0.0, excess_p + excess_s + max(0.0, mass - 1.0), -user.mu_s)
+        return merit, (z, y)
+
+    def result_params(self, params: StrategyParams) -> StrategyParams:
+        """`params` with the schedule of its capture point.
+
+        Where the point is feasible, (z, y) are the least masses of
+        `_least_mass`; elsewhere they are the least masses that keep every
+        relaying queue stable, (l_k + EPS_STAB) / c_k (0 where c_k = 0).
+        Either is scaled to fill the schedule: omega_k = w_k / sum(w) with
+        w_k = z_k + y_k, and alpha_k = z_k / w_k.  A relay with w_k = 0
+        gets alpha 0.5, and when no relay has arrivals the schedule is
+        uniform.
+        """
+        user = _user_rates(self.outages, params, self.traffic)
+        merit, masses = self._solve(user)
+        if merit[:2] != (0.0, 0.0):
+            idle = user.pi_p0 * user.pi_s0
+            masses = ([(lam + EPS_STAB) / (idle * v)
+                       if lam > 0.0 and idle * v > 0.0 else 0.0
+                       for lam, v in zip(lams, serve)]
+                      for lams, serve in ((user.lambda_pk, self.serve_p),
+                                          (user.lambda_sk, self.serve_s)))
+        z, y = masses
+        w = [a + b for a, b in zip(z, y)]
+        total = sum(w)
+        if total > 0.0:
+            omega = [v / total for v in w]
+            alpha = [a / v if v > 0.0 else 0.5 for a, v in zip(z, w)]
+        else:
+            omega, alpha = [1.0 / len(w) for _ in w], [0.5 for _ in w]
+        return StrategyParams._unchecked(
+            params.strategy, np.array(omega, dtype=float),
+            np.array(alpha, dtype=float), params.f_p, params.f_s,
+            params.order_p, params.order_s, params.beta)
 
 
 def _coordinate_moves(space: _Space, point: dict, scale: float):
@@ -227,9 +395,9 @@ def _coordinate_moves(space: _Space, point: dict, scale: float):
 _SCALES = (0.5, 0.25, 0.1, 0.04, 0.015, 0.005, 0.002)
 
 
-def _local_search(space, evaluator, start, budget_left):
+def _local_search(space, scorer, start, budget_left):
     point = {k: np.asarray(v, dtype=float).copy() for k, v in start.items()}
-    best = evaluator.merit(space.to_params(point))
+    best = scorer.merit(space.to_params(point))
     used = 1
     for scale in _SCALES:
         improved = True
@@ -240,9 +408,9 @@ def _local_search(space, evaluator, start, budget_left):
                     break
                 trial = dict(point)
                 trial[name] = vec
-                cand = evaluator.merit(space.to_params(trial))
+                cand = scorer.merit(space.to_params(trial))
                 used += 1
-                if cand[:2] < best[:2]:
+                if cand < best:
                     best = cand
                     point = trial
                     improved = True
@@ -254,18 +422,17 @@ def _designed_starts(space: _Space, outages: OutageTable) -> list[dict]:
     starts = []
 
     def base(alpha, f_p, f_s):
-        point = {"alpha": np.full(n, alpha), "f_p": np.full(n, f_p),
-                 "f_s": np.full(n, f_s),
-                 "omega": np.full(n, 1.0 / n) if n else np.zeros(0)}
+        point = {"f_p": np.full(n, f_p), "f_s": np.full(n, f_s)}
+        if space.schedule:
+            point["alpha"] = np.full(n, alpha)
         for name, size in space.simplex.items():
-            if name != "omega":
-                point[name] = (np.full(size, 1.0 / size) if size
-                               else np.zeros(0))
+            point[name] = np.full(size, 1.0 / size) if size else np.zeros(0)
         return point
 
     starts.append(base(0.5, 1.0, 1.0))
     starts.append(base(0.5, 0.0, 0.0))          # no relaying fallback
-    starts.append(base(0.3, 1.0, 1.0))
+    if space.schedule:                          # (1, 1) with another alpha
+        starts.append(base(0.3, 1.0, 1.0))
     starts.append(base(0.7, 1.0, 0.0))
     if n:
         # concentrate the decoding role on the strongest relay per user
@@ -283,25 +450,6 @@ def _designed_starts(space: _Space, outages: OutageTable) -> list[dict]:
                 point[key] = np.array(
                     [dist.entries.get(p, 0.0) for p in space.perms])
             starts.append(point)
-    if n >= 2:
-        # dedicated relays: the primary's relaying goes to its strongest
-        # relay and the secondary's to the strongest of the others, with
-        # the schedule split evenly or given wholly to the secondary's
-        # relay (no primary relaying).  When the secondary delay ceiling
-        # binds, moving schedule from the primary's relay to the
-        # secondary's needs omega and f_p to move together, which no
-        # single-coordinate move does, so the search needs a start there.
-        own_p = int(np.argmin(outages.pu_relay))
-        own_s = int(np.argmin(np.where(np.arange(n) == own_p, np.inf,
-                                       outages.su_relay)))
-        for share_p in (0.5, 0.0):
-            point = base(0.5, 0.0, 0.0)
-            point["alpha"][[own_p, own_s]] = (1.0, 0.0)
-            point["f_p"][own_p] = 1.0 if share_p else 0.0
-            point["f_s"][own_s] = 1.0
-            point["omega"] = np.zeros(n)
-            point["omega"][[own_p, own_s]] = (share_p, 1.0 - share_p)
-            starts.append(point)
     return starts
 
 
@@ -309,12 +457,16 @@ def maximize_secondary_throughput(
         network: NetworkConfig, strategy: StrategyKind, qos: QosSpec, *,
         budget: int = 20_000, restarts: int = 8, seed: int = 0,
         extra_starts: tuple[StrategyParams, ...] = ()) -> OptResult:
-    """Best feasible secondary service rate found within `budget` rate
-    evaluations, or the least-infeasible point when none is found.
+    """Best feasible secondary service rate found within `budget` scored
+    points, or the least-infeasible point when none is found.
 
     `extra_starts` seeds additional local searches (e.g. a solution found
     for another relay count, grown by `_extend`); each must be for this
-    strategy and relay count.
+    strategy and relay count.  Under perfect sensing the search moves the
+    capture variables only and gives each point its least relay schedule
+    in closed form (`_CaptureScorer`); under sensing errors it moves every
+    variable and scores each point through `evaluate`.  A problem that
+    `secondary_rate_ceiling` rules out returns infeasible at once.
     """
     if budget < 1:
         raise ConfigError("budget must be >= 1")
@@ -328,31 +480,45 @@ def maximize_secondary_throughput(
     if strategy is StrategyKind.ORDERED and n > DENSE_LIMIT:
         raise ConfigError(f"ordered-strategy search supports at most "
                           f"{DENSE_LIMIT} relays")
-    evaluator = _Evaluator(network, strategy, qos)
+    outages = network.outages(strategy)
+    ceiling = secondary_rate_ceiling(outages, qos)
 
     # a primary queue that cannot be stabilized even at the rate bound
-    # makes the whole problem infeasible outright
-    mu_p_cap = primary_rate_bound(evaluator.outages, strategy)
+    # makes the whole problem infeasible outright, and so does a ceiling
+    # certificate that no point meets the delay ceilings; the violation
+    # is stability where the certificate rules every point out even
+    # without ceilings, delay elsewhere
+    traffic = qos.traffic
+    mu_p_cap = primary_rate_bound(outages, strategy)
     if network.sensing is not None and n > 0:
         mu_p_cap *= float(np.max(1.0 - network.sensing.p_md_primary ** 2))
-    if qos.traffic.lambda_p >= mu_p_cap - EPS_STAB:
+    unstable = traffic.lambda_p >= mu_p_cap - EPS_STAB
+    if unstable or ceiling is None:
+        unstable = unstable or secondary_rate_ceiling(
+            outages, QosSpec(math.inf, math.inf, traffic)) is None
         return OptResult(
             best_params=None, best_mu_s=0.0, feasible=False,
             constraint_residuals={"stability_p": float(
-                mu_p_cap - qos.traffic.lambda_p - EPS_STAB)},
+                mu_p_cap - traffic.lambda_p - EPS_STAB)},
             restarts_used=0, evaluations=0, budget_exhausted=False,
-            first_violation="stability")
+            first_violation="stability" if unstable else "delay",
+            ceiling=ceiling)
 
-    space = _Space(strategy, n)
-    starts = _designed_starts(space, evaluator.outages)
+    if network.sensing is None:
+        scorer = _CaptureScorer(outages, qos)
+        space = _Space(strategy, n, schedule=False)
+    else:
+        scorer = _Evaluator(outages, sensing_terms(network.sensing), qos)
+        space = _Space(strategy, n)
+    starts = _designed_starts(space, outages)
     starts.extend(space.from_params(p) for p in extra_starts)
 
     best_point = None
-    best = (math.inf, math.inf, {}, 0.0)
+    best = ()
     best_flat = ()
     restarts_used = 0
     index = 0
-    while evaluator.evaluations < budget:
+    while scorer.evaluations < budget:
         if index < len(starts):
             start = starts[index]
         elif index < len(starts) + restarts:
@@ -362,32 +528,33 @@ def maximize_secondary_throughput(
             break
         index += 1
         restarts_used += 1
-        point, merit, _ = _local_search(space, evaluator, start,
-                                        budget - evaluator.evaluations)
+        point, merit, _ = _local_search(space, scorer, start,
+                                        budget - scorer.evaluations)
         flat = space.flat(point)
-        if merit[:2] < best[:2] or (merit[:2] == best[:2] and
-                                    (best_point is None or flat < best_flat)):
+        if best_point is None or merit < best or (merit == best and
+                                                  flat < best_flat):
             best = merit
             best_point = point
             best_flat = flat
 
-    violation, _, residuals, mu_s = best
-    feasible = violation == 0.0
+    params = scorer.result_params(space.to_params(best_point))
+    residuals, mu_s = scorer.residuals(params)
+    feasible = _violation(residuals) == 0.0
     first = None
     if not feasible:
         stability_bad = any(v < 0 for k, v in residuals.items()
                             if k.startswith("stability"))
         first = "stability" if stability_bad else "delay"
     return OptResult(
-        best_params=_checked(space.to_params(best_point)) if best_point
-        else None,
+        best_params=_checked(params),
         best_mu_s=float(mu_s) if feasible else 0.0,
         feasible=bool(feasible),
         constraint_residuals={k: float(v) for k, v in residuals.items()},
         restarts_used=restarts_used,
-        evaluations=evaluator.evaluations,
-        budget_exhausted=evaluator.evaluations >= budget,
-        first_violation=first)
+        evaluations=scorer.evaluations,
+        budget_exhausted=scorer.evaluations >= budget,
+        first_violation=first,
+        ceiling=ceiling)
 
 
 def _checked(params: StrategyParams) -> StrategyParams:
@@ -396,64 +563,6 @@ def _checked(params: StrategyParams) -> StrategyParams:
               for name in ("order_p", "order_s")
               if getattr(params, name) is not None}
     return replace(params, **orders)
-
-
-def solve_feasibility_saturated(outages: OutageTable, params: StrategyParams,
-                                qos: QosSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Feasible relay-schedule split with saturated acceptance (f = 1).
-
-    With all acceptance probabilities one, the user rates and the relay
-    arrival rates are constants, and feasibility reduces to the linear
-    system lambda_pk < z_k * c_pk, lambda_sk < y_k * c_sk over the simplex
-    sum(z + y) = 1, with omega_k = z_k + y_k and alpha_k = z_k / omega_k.
-    Returns (z, y); raises InfeasibleError naming the binding constraints.
-    """
-    n = outages.n_relays
-    ones = np.ones(n)
-    sat = replace(params, f_p=ones, f_s=ones)
-    traffic = qos.traffic
-    report = rate_report(outages, sat, traffic)
-    bad = []
-    if not report.stable_p:
-        bad.append("primary stability")
-    if report.stable_p and not report.stable_s:
-        bad.append("secondary stability")
-    if bad:
-        raise InfeasibleError(bad)
-
-    idle = report.pi_p0 * report.pi_s0
-    c_p = idle * (1.0 - outages.relay_pd)
-    c_s = idle * (1.0 - outages.relay_sd)
-    lb_z = np.zeros(n)
-    lb_y = np.zeros(n)
-    for k in range(n):
-        if report.lambda_pk[k] > 0:
-            if c_p[k] <= 0:
-                bad.append(f"primary-relay-{k + 1} stability")
-                continue
-            lb_z[k] = (report.lambda_pk[k] + EPS_STAB) / c_p[k]
-        if report.lambda_sk[k] > 0:
-            if c_s[k] <= 0:
-                bad.append(f"secondary-relay-{k + 1} stability")
-                continue
-            lb_y[k] = (report.lambda_sk[k] + EPS_STAB) / c_s[k]
-    if bad:
-        raise InfeasibleError(bad)
-    surplus = 1.0 - lb_z.sum() - lb_y.sum()
-    if surplus < 0:
-        raise InfeasibleError(
-            [f"relay stability: schedule mass {lb_z.sum() + lb_y.sum():.6g} "
-             f"exceeds 1"])
-    z = lb_z + surplus / (2 * n)
-    y = lb_y + surplus / (2 * n)
-    return z, y
-
-
-def recover_schedule(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(omega, alpha) from the saturated-feasibility variables."""
-    omega = z + y
-    alpha = np.where(omega > 0, z / np.where(omega > 0, omega, 1.0), 0.0)
-    return omega, alpha
 
 
 def _pooled_arrivals(lam: float, direct_outage: float,
@@ -502,7 +611,9 @@ def secondary_rate_ceiling(outages: OutageTable,
     condition of the relaxation therefore makes its cell pass, with an
     mu_s no larger than the cell's, so the result bounds the whole
     continuum, not only the mesh; None is a proof of infeasibility at
-    any resolution.
+    any resolution.  The value is raised by CEILING_ROUNDING, relative,
+    so that it also bounds the rates `rate_report` computes, which reach
+    the capture-limited rate by other floating-point steps.
 
     Sensing errors.  At the same parameters, `apply_sensing_errors`
     scales mu_p, the secondary's conditional service and the relay
@@ -550,7 +661,7 @@ def secondary_rate_ceiling(outages: OutageTable,
                     & (d_s + extra_s <= qos.d_s_max))
     if not feasible.any():
         return None
-    return float(mu_s[feasible].max())
+    return float(mu_s[feasible].max()) * (1.0 + CEILING_ROUNDING)
 
 
 def minimize_relay_count(network: NetworkConfig, strategy: StrategyKind,

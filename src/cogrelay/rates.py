@@ -279,13 +279,27 @@ def _flagged_pi0(lam: float, mu: float) -> tuple[bool, float]:
     return False, 0.0
 
 
-def rate_report(outages: OutageTable, params: StrategyParams,
-                traffic: TrafficParams) -> RateReport:
-    """Full operating point.  Instability is reported through the flags;
-    an unstable queue is never empty (empty probability 0), which is what
-    every downstream formula then consumes.  The chain runs over plain
-    floats in numpy's order of operations."""
-    _check_relay_count(outages, params)
+class _UserRates(NamedTuple):
+    """The half of the rate chain that the relay schedule does not enter,
+    as plain floats."""
+
+    cap_p: list
+    cap_s: list
+    mu_p: float
+    stable_p: bool
+    pi_p0: float
+    mu_s: float
+    stable_s: bool
+    pi_s0: float
+    lambda_pk: list
+    lambda_sk: list
+
+
+def _user_rates(outages: OutageTable, params: StrategyParams,
+                traffic: TrafficParams) -> _UserRates:
+    """Capture weights, user rates, empty probabilities and relay arrival
+    rates.  They depend on the acceptance probabilities and the rank
+    orders or assignment only: `omega` and `alpha` are not read."""
     pu_pd, su_sd = float(outages.pu_pd), float(outages.su_sd)
     cap_p = capture_weights(outages.pu_relay.tolist(), params.f_p.tolist(),
                             params, "p")
@@ -299,16 +313,28 @@ def rate_report(outages: OutageTable, params: StrategyParams,
 
     to_relay_p = (1.0 - pi_p0) * pu_pd
     to_relay_s = (1.0 - pi_s0) * pi_p0 * su_sd
-    lambda_pk = [to_relay_p * c for c in cap_p]
-    lambda_sk = [to_relay_s * c for c in cap_s]
-    mu_pk, mu_sk = _relay_service(outages, params, pi_p0, pi_s0)
+    return _UserRates(cap_p, cap_s, mu_p, stable_p, pi_p0, mu_s, stable_s,
+                      pi_s0, [to_relay_p * c for c in cap_p],
+                      [to_relay_s * c for c in cap_s])
+
+
+def rate_report(outages: OutageTable, params: StrategyParams,
+                traffic: TrafficParams) -> RateReport:
+    """Full operating point.  Instability is reported through the flags;
+    an unstable queue is never empty (empty probability 0), which is what
+    every downstream formula then consumes.  The chain runs over plain
+    floats in numpy's order of operations."""
+    _check_relay_count(outages, params)
+    user = _user_rates(outages, params, traffic)
+    lambda_pk, lambda_sk = user.lambda_pk, user.lambda_sk
+    mu_pk, mu_sk = _relay_service(outages, params, user.pi_p0, user.pi_s0)
 
     return RateReport(
         strategy=params.strategy, traffic=traffic,
-        mu_p=mu_p, mu_s=mu_s, pi_p0=pi_p0, pi_s0=pi_s0,
+        mu_p=user.mu_p, mu_s=user.mu_s, pi_p0=user.pi_p0, pi_s0=user.pi_s0,
         lambda_pk=np.array(lambda_pk), lambda_sk=np.array(lambda_sk),
         mu_pk=np.array(mu_pk), mu_sk=np.array(mu_sk),
-        stable_p=stable_p, stable_s=stable_s,
+        stable_p=user.stable_p, stable_s=user.stable_s,
         stable_pk=_stable_flags(lambda_pk, mu_pk),
         stable_sk=_stable_flags(lambda_sk, mu_sk))
 

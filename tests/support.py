@@ -1,6 +1,7 @@
 """Shared test helpers: the exhaustive slot-outcome oracle, a relaxation
-bound on the delay-limited secondary rate, random configuration
-generators, and equality of simulator estimates.
+bound on the delay-limited secondary rate, the QoS search's closed-form
+schedule, random configuration generators, and equality of simulator
+estimates.
 
 The oracle enumerates every joint decode/acceptance outcome of one slot
 instead of using the prefix-product formulas, so it is an independent
@@ -17,8 +18,11 @@ from cogrelay.channel import StrategyKind
 from cogrelay.network import (OutageTable, SensingErrorParams,
                               TrafficParams)
 from cogrelay.orders import OrderDistribution
+from cogrelay.qos import QosSpec, _CaptureScorer, _checked
 from cogrelay.rates import StrategyParams
 from cogrelay.sim import SimEstimate
+
+ROUNDING = 1e-12   # relative allowance of `delay_limited_secondary_ceiling`
 
 
 def oracle_capture(outage_relay, f, scenarios):
@@ -119,7 +123,10 @@ def delay_limited_secondary_ceiling(outages: OutageTable,
     Stability is relaxed to a strict inequality without the EPS_STAB
     margin.  The result is the best grid point of the relaxation; for the
     criterion-07 table the default grid is within 1e-3 of a grid twice as
-    fine.
+    fine.  It is raised by ROUNDING, relative: where the bound is attained
+    (every relay capturing, at low primary load), `rate_report` computes
+    the same rate by other floating-point steps, up to a few units in the
+    last place above the grid's value.
     """
     lam_p, lam_s = traffic.lambda_p, traffic.lambda_s
     c_p = np.linspace(0.0, 1.0 - np.prod(outages.pu_relay), grid)[:, None]
@@ -152,7 +159,18 @@ def delay_limited_secondary_ceiling(outages: OutageTable,
     feasible = primary_ok & secondary_ok
     if not feasible.any():
         return None
-    return float(np.broadcast_to(mu_s, feasible.shape)[feasible].max())
+    return (float(np.broadcast_to(mu_s, feasible.shape)[feasible].max())
+            * (1.0 + ROUNDING))
+
+
+def closed_form(outages: OutageTable, params: StrategyParams,
+                qos: QosSpec) -> tuple[bool, StrategyParams]:
+    """The QoS search's closed-form verdict at the captures of `params`
+    under perfect sensing, and the operating point with the schedule it
+    gives those captures."""
+    scorer = _CaptureScorer(outages, qos)
+    feasible = scorer.merit(params)[:2] == (0.0, 0.0)
+    return feasible, _checked(scorer.result_params(params))
 
 
 def random_outages(rng: np.random.Generator, n: int,

@@ -4,11 +4,14 @@
 generated configurations; `rate_report` and `apply_sensing_errors`
 against the numpy array formulas they replaced, bit for bit; the
 dominance of perfect sensing over sensing errors that the relay-count
-certificate rests on; and the QoS search's unchecked trial points
-against the same points built through the checking constructors.
+certificate rests on; the QoS search's unchecked trial points against
+the same points built through the checking constructors; and the
+closed-form relay schedule of the perfect-sensing search against
+random schedules scored through `evaluate`.
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -20,8 +23,8 @@ from cogrelay.network import (OutageTable, SensingErrorParams,
                               TrafficParams)
 from cogrelay.orders import OrderDistribution
 from cogrelay.rates import StrategyParams, evaluate, rate_report
-from support import (oracle_user_rates, random_outages, random_params,
-                     random_sensing_errors)
+from support import (closed_form, oracle_user_rates, random_outages,
+                     random_params, random_sensing_errors, random_simplex)
 
 # exact 0 and 1 next to the open interval: outages and acceptance
 # probabilities at the ends are where the prefix products are exact
@@ -322,3 +325,68 @@ def test_unchecked_point_equals_checked(case):
     for name in a:
         assert np.array_equal(a[name], b[name]) if isinstance(
             a[name], np.ndarray) else _hexes(a[name]) == _hexes(b[name])
+
+
+def within_ceilings(ev: rates.Evaluation, target: qos.QosSpec) -> bool:
+    return (ev.status == "ok" and ev.d_p <= target.d_p_max
+            and ev.d_s <= target.d_s_max)
+
+
+def check_closed_form(seed: int, n: int, strategy: StrategyKind,
+                      schedules: int = 200) -> tuple[bool, int]:
+    """At random captures: a feasible closed-form verdict holds through
+    `evaluate`, with the same mu_s; no random schedule is feasible where
+    the verdict is infeasible; and no random feasible schedule gives
+    either user's relaying queues less mass than the closed form.
+    Returns the verdict and the number of random feasible schedules."""
+    rng = np.random.default_rng(seed)
+    outages = random_outages(rng, n, 0.01, 0.6)
+    params = random_params(rng, n, strategy)
+    target = qos.QosSpec(rng.uniform(1.2, 6.0), rng.uniform(1.5, 10.0),
+                         TrafficParams(rng.uniform(0, 0.6),
+                                       rng.uniform(0, 0.5)))
+    feasible, solved = closed_form(outages, params, target)
+    scorer = qos._CaptureScorer(outages, target)
+    merit, masses = scorer._solve(
+        rates._user_rates(outages, params, target.traffic))
+    if feasible:
+        ev = evaluate(outages, solved, target.traffic)
+        assert within_ceilings(ev, target)
+        assert float.hex(ev.report.mu_s) == float.hex(-merit[2])
+    report = rate_report(outages, params, target.traffic)
+    active_p, active_s = report.lambda_pk > 0, report.lambda_sk > 0
+    found = 0
+    for _ in range(schedules):
+        trial = replace(params, omega=random_simplex(rng, n),
+                        alpha=rng.uniform(0, 1, n))
+        if not within_ceilings(evaluate(outages, trial, target.traffic),
+                               target):
+            continue
+        found += 1
+        assert feasible
+        z, y = masses
+        share = trial.omega * trial.alpha
+        assert share[active_p].sum() >= sum(z) * (1 - 1e-12)
+        share = trial.omega * (1 - trial.alpha)
+        assert share[active_s].sum() >= sum(y) * (1 - 1e-12)
+    return feasible, found
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3), strategy=st.sampled_from(list(StrategyKind)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_closed_form_schedule_against_random_schedules(n, strategy, seed):
+    check_closed_form(seed, n, strategy)
+
+
+def test_closed_form_property_meets_both_verdicts():
+    # the family behind the property above gives both verdicts, and
+    # random schedules that are feasible to compare masses with
+    verdicts, found = [], 0
+    for seed in range(45):
+        feasible, count = check_closed_form(
+            seed, 1 + seed % 3, list(StrategyKind)[seed // 3 % 3])
+        verdicts.append(feasible)
+        found += count
+    assert 0.2 <= np.mean(verdicts) <= 0.8
+    assert found >= 100

@@ -1,23 +1,25 @@
 import math
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cogrelay.qos as qos_module
 from cogrelay.channel import StrategyKind
-from cogrelay.errors import ConfigError, InfeasibleError, NoFeasibleRelayCount
+from cogrelay.errors import ConfigError, NoFeasibleRelayCount
+from cogrelay.experiments import load_spec
 from cogrelay.network import NetworkConfig, OutageTable, TrafficParams
 from cogrelay.orders import OrderDistribution
 from cogrelay.qos import (QosSpec, maximize_secondary_throughput,
-                          minimize_relay_count, recover_schedule,
-                          secondary_rate_ceiling, solve_feasibility_saturated)
+                          minimize_relay_count, secondary_rate_ceiling)
 from cogrelay.rates import (EPS_STAB, StrategyParams, end_to_end_delays,
                             evaluate, rate_report, secondary_rate_cap)
-from support import (delay_limited_secondary_ceiling, random_outages,
-                     random_params, random_sensing_errors)
+from support import (closed_form, delay_limited_secondary_ceiling,
+                     random_outages, random_params, random_sensing_errors)
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 TABLE_ROWS12 = OutageTable(0.1, 0.2, [0.1, 0.02], [0.1, 0.1],
                            [0.1, 0.1], [0.1, 0.1])
 
@@ -70,10 +72,10 @@ class TestMaximizeSecondaryThroughput:
         assert np.array_equal(a.best_params.omega, b.best_params.omega)
         assert a.best_params.order_p.entries == b.best_params.order_p.entries
 
-    def test_dedicated_relay_start_escapes_shared_schedule(self):
-        # at lambda_p = 0.4 the search from the shared-schedule starts ends
-        # at mu_s / (1 - lambda_p) = 0.821; the designed starts alone must
-        # reach the secondary-only relaying point (0.907)
+    def test_designed_starts_reach_the_secondary_only_point(self):
+        # at lambda_p = 0.4 the best known point relays the secondary
+        # only (0.918 of 1 - lambda_p); the designed starts alone, with
+        # no random restart, must reach 0.9
         net = fig3_network(0.4)
         res = maximize_secondary_throughput(
             net, StrategyKind.ORDERED, QosSpec(1.6, 3.0, net.traffic),
@@ -159,52 +161,168 @@ class TestMaximizeSecondaryThroughput:
                 net, StrategyKind.ORDERED, QosSpec(2, 2, net.traffic), budget=0)
 
 
+class TestOptResultCeiling:
+    """`OptResult.ceiling` is the certificate `secondary_rate_ceiling`
+    gives the search's problem, and bounds the rate the search finds."""
+
+    def test_certified_infeasible_exits_at_once(self):
+        net = fig3_network(0.5)
+        qos = QosSpec(1.6, 3.0, net.traffic)
+        assert secondary_rate_ceiling(TABLE_ROWS12, qos) is None
+        res = maximize_secondary_throughput(net, StrategyKind.ORDERED, qos,
+                                            budget=20_000)
+        assert not res.feasible and res.first_violation == "delay"
+        assert res.ceiling is None
+        assert res.evaluations == 0 and res.best_params is None
+
+    def test_exit_names_stability_where_no_point_is_stable(self):
+        # on fig10 the certificate rules out every ordered-acceptance
+        # point at lambda_p 0.3 even without delay ceilings
+        spec = load_spec(CONFIGS / "fig10_feedback_n2.cfg")
+        net = spec.network_at(0.3)
+        qos = QosSpec(spec.qos.d_p_max, spec.qos.d_s_max, net.traffic)
+        assert secondary_rate_ceiling(
+            net.outages(StrategyKind.ORDERED),
+            QosSpec(math.inf, math.inf, net.traffic)) is None
+        res = maximize_secondary_throughput(net, StrategyKind.ORDERED, qos)
+        assert (res.feasible, res.first_violation) == (False, "stability")
+        assert (res.ceiling, res.evaluations) == (None, 0)
+
+    @pytest.mark.parametrize("with_errors", [False, True])
+    def test_exit_holds_under_sensing_errors(self, with_errors):
+        spec = load_spec(CONFIGS / "fig11_minrelays_n3.cfg")
+        traffic = TrafficParams(0.74, 0.2)
+        net = replace(spec.network, traffic=traffic,
+                      sensing=spec.network.sensing if with_errors else None)
+        res = maximize_secondary_throughput(
+            net.take(1), StrategyKind.ORDERED, QosSpec(4.0, 8.0, traffic),
+            budget=1_000)
+        assert (res.feasible, res.first_violation) == (False, "delay")
+        assert (res.ceiling, res.evaluations) == (None, 0)
+
+    @pytest.mark.parametrize("criterion", ["07", "08", "10"])
+    def test_ceiling_bounds_criterion_searches(self, criterion,
+                                              monkeypatch):
+        results = []
+        search = maximize_secondary_throughput
+
+        def recorded(network, strategy, qos, **kwargs):
+            result = search(network, strategy, qos, **kwargs)
+            assert result.ceiling == secondary_rate_ceiling(
+                network.outages(strategy), qos)
+            results.append(result)
+            return result
+
+        monkeypatch.setattr(qos_module, "maximize_secondary_throughput",
+                            recorded)
+        for network, strategy, qos, kwargs in CRITERION_SEARCHES[criterion]():
+            if kwargs.pop("ladder", False):
+                try:
+                    minimize_relay_count(network, strategy, qos, 3, **kwargs)
+                except NoFeasibleRelayCount:
+                    pass
+            else:
+                recorded(network, strategy, qos, **kwargs)
+        assert results
+        for result in results:
+            if result.feasible:
+                assert result.best_mu_s <= result.ceiling
+
+
+def _criterion_07():
+    for lam_p in (0.1, 0.2, 0.3, 0.4, 0.5):
+        net = fig3_network(lam_p)
+        yield (net, StrategyKind.ORDERED, QosSpec(1.6, 3.0, net.traffic),
+               dict(budget=20_000, restarts=8, seed=31001))
+
+
+def _criterion_08():
+    spec = load_spec(CONFIGS / "fig10_feedback_n2.cfg")
+    traffic = TrafficParams(0.3, 0.4)
+    timing = spec.network.channels.timing
+    for tau_f in (2.4e-4, 0.0):
+        channels = replace(spec.network.channels,
+                           timing=replace(timing, feedback_seconds=tau_f))
+        net = NetworkConfig(channels, traffic)
+        for kind in (StrategyKind.RANDOM, StrategyKind.ORDERED):
+            yield (net, kind, QosSpec(5.0, 5.0, traffic),
+                   dict(budget=15_000, restarts=6, seed=8))
+
+
+def _criterion_10():
+    spec = load_spec(CONFIGS / "fig11_minrelays_n3.cfg")
+    for lam_p in (0.70, 0.72, 0.74):
+        traffic = TrafficParams(lam_p, 0.2)
+        for sensing in (None, spec.network.sensing):
+            net = replace(spec.network, traffic=traffic, sensing=sensing)
+            yield (net, StrategyKind.ORDERED, QosSpec(10.0, 20.0, traffic),
+                   dict(budget=8000, restarts=4, seed=11, ladder=True))
+    traffic = TrafficParams(0.74, 0.2)
+    for d_p, d_s in ((4, 8), (6, 14), (10, 20), (30, 60),
+                     (math.inf, math.inf)):
+        net = replace(spec.network, traffic=traffic)
+        yield (net, StrategyKind.ORDERED, QosSpec(d_p, d_s, traffic),
+               dict(budget=8000, restarts=4, seed=11, ladder=True))
+
+
+# the searches of acceptance criteria 07, 08 and 10, with their settings
+CRITERION_SEARCHES = {"07": _criterion_07, "08": _criterion_08,
+                      "10": _criterion_10}
+
+
 class TestSaturatedFeasibility:
+    """The closed-form schedule at saturated acceptance (f = 1) with no
+    delay ceilings, where it reduces to relay stability: the schedule
+    must give each relaying queue with arrivals l_k at least
+    (l_k + EPS_STAB) / c_k."""
+
     PARAMS = StrategyParams(StrategyKind.RANDOM, [0.5, 0.5], [0.5, 0.5],
                             [1, 1], [1, 1], beta=[0.5, 0.5])
 
+    @staticmethod
+    def split(params):
+        return params.omega * params.alpha, params.omega * (1 - params.alpha)
+
     def test_zero_traffic_uniform_split(self):
         qos = QosSpec(math.inf, math.inf, TrafficParams(0.0, 0.0))
-        z, y = solve_feasibility_saturated(TABLE_ROWS12, self.PARAMS, qos)
+        feasible, params = closed_form(TABLE_ROWS12, self.PARAMS, qos)
+        z, y = self.split(params)
+        assert feasible
         assert np.allclose(z, 0.25) and np.allclose(y, 0.25)
 
     def test_recovered_point_is_stable(self):
         qos = QosSpec(math.inf, math.inf, TrafficParams(0.4, 0.3))
-        z, y = solve_feasibility_saturated(TABLE_ROWS12, self.PARAMS, qos)
+        feasible, params = closed_form(TABLE_ROWS12, self.PARAMS, qos)
+        z, y = self.split(params)
+        assert feasible
         assert z.sum() + y.sum() == pytest.approx(1.0)
-        omega, alpha = recover_schedule(z, y)
-        params = StrategyParams(StrategyKind.RANDOM, omega, alpha,
-                                [1, 1], [1, 1], beta=[0.5, 0.5])
         report = rate_report(TABLE_ROWS12, params, qos.traffic)
         assert report.stable_p and report.stable_s
         assert np.all(report.stable_pk) and np.all(report.stable_sk)
 
     def test_near_corner_instance(self):
-        # push the load toward the feasibility edge: the lower bounds on
-        # the schedule shares approach the full simplex mass and the
-        # solver must still return a valid strict-interior point
+        # push the load toward the feasibility edge: the least masses
+        # approach the whole schedule and the point must stay strictly
+        # stable
         qos_edge = None
         lo, hi = 0.0, 0.62
         for _ in range(40):
             mid = (lo + hi) / 2
             qos = QosSpec(math.inf, math.inf, TrafficParams(0.62, mid))
-            try:
-                solve_feasibility_saturated(TABLE_ROWS12, self.PARAMS, qos)
+            if closed_form(TABLE_ROWS12, self.PARAMS, qos)[0]:
                 lo, qos_edge = mid, qos
-            except InfeasibleError:
+            else:
                 hi = mid
         assert qos_edge is not None
-        z, y = solve_feasibility_saturated(TABLE_ROWS12, self.PARAMS, qos_edge)
-        omega, alpha = recover_schedule(z, y)
-        params = StrategyParams(StrategyKind.RANDOM, omega, alpha,
-                                [1, 1], [1, 1], beta=[0.5, 0.5])
+        feasible, params = closed_form(TABLE_ROWS12, self.PARAMS, qos_edge)
+        assert feasible
         report = rate_report(TABLE_ROWS12, params, qos_edge.traffic)
         assert np.all(report.stable_pk) and np.all(report.stable_sk)
 
     def test_verdict_agrees_with_direct_grid_check(self):
-        # when the solver declares infeasibility, no point on a dense
-        # random grid over the schedule simplex satisfies the linear
-        # system either (and feasible verdicts re-validate exactly)
+        # when the closed form declares infeasibility, no point on a
+        # dense random grid over the schedule simplex satisfies the
+        # linear stability system either; feasible verdicts satisfy it
         rng = np.random.default_rng(77)
         infeasible_seen = 0
         for trial in range(12):
@@ -214,16 +332,10 @@ class TestSaturatedFeasibility:
                               rng.uniform(0.3, 0.95, n), rng.uniform(0.3, 0.95, n))
             traffic = TrafficParams(rng.uniform(0.3, 0.6), rng.uniform(0.1, 0.3))
             qos = QosSpec(math.inf, math.inf, traffic)
-            try:
-                z, y = solve_feasibility_saturated(out, self.PARAMS, qos)
-                feasible = True
-            except InfeasibleError:
-                feasible = False
-            # the linear system the solver decides
-            sat = StrategyParams(StrategyKind.RANDOM, [0.5, 0.5], [0.5, 0.5],
-                                 [1, 1], [1, 1], beta=[0.5, 0.5])
-            report = rate_report(out, sat, traffic)
+            feasible, params = closed_form(out, self.PARAMS, qos)
+            report = rate_report(out, self.PARAMS, traffic)
             if not (report.stable_p and report.stable_s):
+                assert not feasible
                 continue
             idle = report.pi_p0 * report.pi_s0
             c_p = idle * (1 - out.relay_pd)
@@ -234,7 +346,7 @@ class TestSaturatedFeasibility:
                         and np.all(report.lambda_sk + EPS_STAB <= yy * c_s))
 
             if feasible:
-                assert point_ok(z, y)
+                assert point_ok(*self.split(params))
             else:
                 infeasible_seen += 1
                 grid = rng.dirichlet(np.ones(2 * n), size=10_000)
@@ -245,16 +357,17 @@ class TestSaturatedFeasibility:
         out = OutageTable(0.9, 0.9, [0.05, 0.05], [0.05, 0.05],
                           [0.999, 0.999], [0.999, 0.999])
         qos = QosSpec(math.inf, math.inf, TrafficParams(0.5, 0.2))
-        with pytest.raises(InfeasibleError):
-            solve_feasibility_saturated(out, self.PARAMS, qos)
+        assert not closed_form(out, self.PARAMS, qos)[0]
 
     def test_unstable_primary_reported(self):
         out = OutageTable(1.0, 0.2, [0.9, 0.9], [0.1, 0.1],
                           [0.1, 0.1], [0.1, 0.1])
         qos = QosSpec(math.inf, math.inf, TrafficParams(0.5, 0.1))
-        with pytest.raises(InfeasibleError) as err:
-            solve_feasibility_saturated(out, self.PARAMS, qos)
-        assert any("primary" in v for v in err.value.violations)
+        scorer = qos_module._CaptureScorer(out, qos)
+        stability, _, _ = scorer.merit(self.PARAMS)
+        # the primary is served at 0.1, 0.4 short of its load, and never
+        # empties, so the secondary is not served at all
+        assert stability == pytest.approx(0.4 + 0.1 + 2 * EPS_STAB)
 
 
 class TestMinimizeRelayCount:
@@ -532,6 +645,8 @@ class TestSecondaryRateCeiling:
             assert ceiling <= secondary_rate_cap(qos.traffic)
 
     def test_no_relays_no_load_no_ceilings(self):
-        # the bound is attained: the secondary gets its whole direct link
+        # the bound is attained: the secondary gets its whole direct link,
+        # up to the allowance for rounding
         qos = QosSpec(math.inf, math.inf, TrafficParams(0.0, 0.0))
-        assert secondary_rate_ceiling(TABLE_ROWS12.take(0), qos) == 1 - 0.2
+        assert secondary_rate_ceiling(TABLE_ROWS12.take(0), qos) == (
+            (1 - 0.2) * (1 + qos_module.CEILING_ROUNDING))

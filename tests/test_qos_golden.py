@@ -4,13 +4,14 @@
 Every float is pinned by `float.hex`: the best secondary rate, every
 constraint residual (in the order the search reports them) and every
 coordinate of the best point, next to the evaluation count, the restarts
-used, budget exhaustion and the first violation.  Any change to how a
-trial point is built or scored shows here.  The values in
-`qos_golden.json` were recorded before the search built its trial points
-without re-validating them, except for the two minimum-relay ladders,
-recorded once the ladder skipped the counts `secondary_rate_ceiling`
-rules out.  A change that means to alter search results must say so and
-record them again with
+used, budget exhaustion, the first violation and the certificate
+`secondary_rate_ceiling` gave the search.  Any change to how a trial
+point is built or scored shows here.  The values in `qos_golden.json`
+were recorded once the perfect-sensing search solved the relay schedule
+in closed form and the search returned at once where the certificate
+rules every point out; the two sensing-error cases kept the values the
+search gave before.  A change that means to alter search results must
+say so and record them again with
 
     PYTHONPATH=src python tests/test_qos_golden.py
 """
@@ -73,6 +74,7 @@ def digest(result: qos.OptResult) -> dict:
         "restarts_used": int(result.restarts_used),
         "budget_exhausted": bool(result.budget_exhausted),
         "first_violation": result.first_violation,
+        "ceiling": None if result.ceiling is None else _hex(result.ceiling),
     }
 
 
@@ -169,6 +171,23 @@ def test_cases_cover_both_verdicts(golden):
     assert verdicts == {True, False}
     ladder = golden["min_relays_fig11_od_0.72_sensing"]["searches"]
     assert any(s["extra_starts"] for s in ladder)
+
+
+def _results(record: dict):
+    """Every search result in a golden record."""
+    if "searches" in record:
+        return [search["result"] for search in record["searches"]]
+    return [record]
+
+
+def test_ceiling_bounds_every_result(golden):
+    results = [r for c in CASES for r in _results(golden[c])]
+    assert any(r["ceiling"] is None for r in results)
+    for r in results:
+        if r["ceiling"] is None:
+            assert not r["feasible"] and r["first_violation"] == "delay"
+        else:
+            assert float.fromhex(r["best_mu_s"]) <= float.fromhex(r["ceiling"])
 
 
 if __name__ == "__main__":
