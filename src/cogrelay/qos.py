@@ -18,9 +18,10 @@ capture point its least schedule in closed form, by water-filling
 (`_least_mass`, `_CaptureScorer`).  Under sensing errors the user rates
 depend on omega too, and the search moves every variable and scores
 each point through `evaluate`.  Before either search,
-`secondary_rate_ceiling` bounds the secondary rate; where it proves that
-no point meets the delay ceilings, the search returns infeasible at
-once.
+`secondary_rate_ceiling` bounds the secondary rate, with the network's
+sensing errors taken into the bound; where it proves that no point meets
+the delay ceilings, the search returns infeasible at once, and the
+relay-count ladder skips the count.
 """
 
 from __future__ import annotations
@@ -33,11 +34,12 @@ import numpy as np
 
 from .channel import StrategyKind
 from .errors import ConfigError, NoFeasibleRelayCount
-from .network import NetworkConfig, OutageTable, TrafficParams
+from .network import (NetworkConfig, OutageTable, SensingErrorParams,
+                      TrafficParams)
 from .orders import (DENSE_LIMIT, OrderDistribution, first_rank_perm,
                      rank_order)
-from .rates import (EPS_STAB, SensingTerms, StrategyParams, _user_rates,
-                    evaluate, primary_rate_bound, sensing_terms)
+from .rates import (EPS_STAB, SIMPLEX_TOL, SensingTerms, StrategyParams,
+                    _user_rates, evaluate, primary_rate_bound, sensing_terms)
 
 DENSE_ORDER_LIMIT = 5  # optimize the full N!-simplex only up to here
 _BIG = 1e6             # stands in for an infinite violation in the merit
@@ -466,7 +468,8 @@ def maximize_secondary_throughput(
     capture variables only and gives each point its least relay schedule
     in closed form (`_CaptureScorer`); under sensing errors it moves every
     variable and scores each point through `evaluate`.  A problem that
-    `secondary_rate_ceiling` rules out returns infeasible at once.
+    `secondary_rate_ceiling` rules out, with the network's sensing
+    errors, returns infeasible at once.
     """
     if budget < 1:
         raise ConfigError("budget must be >= 1")
@@ -481,7 +484,7 @@ def maximize_secondary_throughput(
         raise ConfigError(f"ordered-strategy search supports at most "
                           f"{DENSE_LIMIT} relays")
     outages = network.outages(strategy)
-    ceiling = secondary_rate_ceiling(outages, qos)
+    ceiling = secondary_rate_ceiling(outages, qos, network.sensing)
 
     # a primary queue that cannot be stabilized even at the rate bound
     # makes the whole problem infeasible outright, and so does a ceiling
@@ -495,7 +498,8 @@ def maximize_secondary_throughput(
     unstable = traffic.lambda_p >= mu_p_cap - EPS_STAB
     if unstable or ceiling is None:
         unstable = unstable or secondary_rate_ceiling(
-            outages, QosSpec(math.inf, math.inf, traffic)) is None
+            outages, QosSpec(math.inf, math.inf, traffic),
+            network.sensing) is None
         return OptResult(
             best_params=None, best_mu_s=0.0, feasible=False,
             constraint_residuals={"stability_p": float(
@@ -575,11 +579,13 @@ def _pooled_arrivals(lam: float, direct_outage: float,
     return np.where(bracket > 0, pooled, 0.0)
 
 
-def secondary_rate_ceiling(outages: OutageTable,
-                           qos: QosSpec) -> float | None:
+def secondary_rate_ceiling(outages: OutageTable, qos: QosSpec,
+                           sensing: SensingErrorParams | SensingTerms
+                           | None = None) -> float | None:
     """Upper bound on the secondary service rate of any operating point,
     of any strategy, that meets the delay ceilings of `qos` over
-    `outages`; None certifies that no point meets them.
+    `outages`, with the relays' sensing errors `sensing` (None: perfect
+    sensing); None certifies that no point meets them.
 
     The bound relaxes the model in `rates`:
 
@@ -615,13 +621,23 @@ def secondary_rate_ceiling(outages: OutageTable,
     so that it also bounds the rates `rate_report` computes, which reach
     the capture-limited rate by other floating-point steps.
 
-    Sensing errors.  At the same parameters, `apply_sensing_errors`
-    scales mu_p, the secondary's conditional service and the relay
-    service by factors in [0, 1] and leaves every relay arrival rate as
-    it is (the smaller pi_p0 and pi_s0 cancel against the smaller
-    service).  So every queue is at most as fast and no slower to fill:
-    a point feasible under sensing errors is feasible, with no smaller
-    mu_s, under perfect sensing, and the bound holds for both.
+    Sensing errors.  `apply_sensing_errors` scales mu_p by the schedule
+    average of 1 - p_md_primary[k]^2, the secondary's conditional
+    service (1 - su_sd + su_sd C_s) by that of survive_s[k], and relay
+    k's service by (1 - p_false_alarm[k])^2.  The relaxation takes each
+    average at its largest value over the relays, and the relay service
+    of step 3 at max_k (1 - relay outage_k) (1 - p_false_alarm[k])^2
+    over both relay outages.  `StrategyParams` lets the schedule sum to
+    1 + SIMPLEX_TOL, so the three factors are raised by that much too.
+    The pooled arrivals stay Lambda_P = lambda_p pu_pd C_p / mu_p and
+    Lambda_S = lambda_s su_sd C_s / (1 - su_sd + su_sd C_s) with the
+    perfect-sensing mu_p: the smaller pi_p0 and pi_s0 cancel against the
+    smaller service.  Every term keeps the direction it grows in, so the
+    cells are scored as above and None is still a proof.  The rates
+    `apply_sensing_errors` recovers by dividing and multiplying back are
+    off by a few units in the last place, which CEILING_ROUNDING covers.
+    Where every factor is at most 1 the bound is at most the
+    perfect-sensing one.
     """
     lam_p, lam_s = qos.traffic.lambda_p, qos.traffic.lambda_s
     pu_pd, su_sd = float(outages.pu_pd), float(outages.su_sd)
@@ -629,11 +645,23 @@ def secondary_rate_ceiling(outages: OutageTable,
                           CEILING_MESH + 1)
     edges_s = np.linspace(0.0, 1.0 - np.prod(outages.su_relay),
                           CEILING_MESH + 1)
-    relay_best = np.max(1.0 - np.concatenate((outages.relay_pd,
-                                              outages.relay_sd)), initial=0.0)
+    serve = 1.0 - np.concatenate((outages.relay_pd, outages.relay_sd))
+    scale_p = scale_s = 1.0
+    if sensing is not None:
+        terms = sensing_terms(sensing)
+        if len(terms.no_false_alarm) != outages.n_relays:
+            raise ConfigError(
+                f"sensing errors are over {len(terms.no_false_alarm)} "
+                f"relays, the outage table over {outages.n_relays}")
+        if outages.n_relays:
+            slack = 1.0 + SIMPLEX_TOL
+            scale_p = float(np.max(terms.survive_p)) * slack
+            scale_s = float(np.max(terms.survive_s)) * slack
+            serve = serve * np.tile(terms.no_false_alarm, 2) * slack
+    relay_best = np.max(serve, initial=0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         # primary terms, one per C_p cell
-        mu_p = 1.0 - pu_pd + pu_pd * edges_p[1:]
+        mu_p = (1.0 - pu_pd + pu_pd * edges_p[1:]) * scale_p
         pi_p0 = 1.0 - lam_p / mu_p
         d_p = (1.0 - lam_p) / (mu_p - lam_p)
         pool_p = _pooled_arrivals(lam_p, pu_pd, edges_p)
@@ -646,7 +674,8 @@ def secondary_rate_ceiling(outages: OutageTable,
             spread_p > 0, spread_p / (lam_p * (qos.d_p_max - d_p)), 0.0)
 
         # secondary terms, C_p cells down and C_s cells across
-        mu_s = pi_p0[:, None] * (1.0 - su_sd + su_sd * edges_s[None, 1:])
+        mu_s = pi_p0[:, None] * ((1.0 - su_sd + su_sd * edges_s[None, 1:])
+                                 * scale_s)
         pi_s0 = 1.0 - lam_s / mu_s
         d_s = (1.0 - lam_s) / (mu_s - lam_s)
         pool_s = _pooled_arrivals(lam_s, su_sd, edges_s)
@@ -670,11 +699,12 @@ def minimize_relay_count(network: NetworkConfig, strategy: StrategyKind,
     """Smallest relay count in 0..n_max with a feasible operating point,
     searching `network` restricted to its first n relays.  Counts beyond
     the network's relays are skipped, and so are the counts at which
-    `secondary_rate_ceiling` certifies that no point is feasible, with or
-    without sensing errors.  The solution found at each searched count
-    seeds the search at the next count, so feasibility can only get
-    easier as relays are added; a skipped count seeds nothing, and the
-    count after it starts from its designed starts alone.
+    `secondary_rate_ceiling` certifies that no point is feasible, with the
+    restricted network's sensing errors.  The solution found at each
+    searched count seeds the search at the next count, so feasibility can
+    only get easier as relays are added; a skipped count, and a search
+    that returns no point, seed nothing, and the count after them starts
+    from its designed starts alone.
     """
     carried: tuple[StrategyParams, ...] = ()
     for n in range(n_max + 1):
@@ -682,7 +712,8 @@ def minimize_relay_count(network: NetworkConfig, strategy: StrategyKind,
             restricted = network.take(n)
         except ConfigError:
             continue
-        if secondary_rate_ceiling(restricted.outages(strategy), qos) is None:
+        if secondary_rate_ceiling(restricted.outages(strategy), qos,
+                                  restricted.sensing) is None:
             carried = ()
             continue
         result = maximize_secondary_throughput(
@@ -690,8 +721,8 @@ def minimize_relay_count(network: NetworkConfig, strategy: StrategyKind,
             seed=seed, extra_starts=carried)
         if result.feasible:
             return n
-        if result.best_params is not None and n < n_max:
-            carried = (_extend(result.best_params, strategy),)
+        carried = ((_extend(result.best_params, strategy),)
+                   if result.best_params is not None and n < n_max else ())
     raise NoFeasibleRelayCount(
         f"no relay count up to {n_max} satisfies the QoS targets")
 

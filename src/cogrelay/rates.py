@@ -29,6 +29,9 @@ from .orders import OrderDistribution
 # Strict stability inequalities carry a concrete numerical margin:
 # a queue counts as stable when lambda <= mu - EPS_STAB (or lambda == 0).
 EPS_STAB = 1e-6
+# how far from 1 the sum of the schedule omega and of the assignment beta
+# may lie
+SIMPLEX_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -63,7 +66,7 @@ class StrategyParams:
             if not (np.all(v >= 0) and np.all(v <= 1)):
                 raise ConfigError(f"{name} entries must lie in [0, 1]")
             object.__setattr__(self, name, v)
-        if n > 0 and not abs(self.omega.sum() - 1.0) <= 1e-9:
+        if n > 0 and not abs(self.omega.sum() - 1.0) <= SIMPLEX_TOL:
             raise ConfigError(f"omega must sum to 1, got {self.omega.sum():.12g}")
         if self.strategy is StrategyKind.ORDERED:
             if n > 0 and (self.order_p is None or self.order_s is None):
@@ -78,8 +81,8 @@ class StrategyParams:
                 if self.beta is None:
                     raise ConfigError("random assignment requires beta")
                 b = np.asarray(self.beta, dtype=float)
-                if b.shape != (n,) or not (np.all(b >= 0)
-                                           and abs(b.sum() - 1.0) <= 1e-9):
+                if b.shape != (n,) or not (
+                        np.all(b >= 0) and abs(b.sum() - 1.0) <= SIMPLEX_TOL):
                     raise ConfigError("beta must be a probability vector over relays")
                 object.__setattr__(self, "beta", b)
         elif self.strategy is StrategyKind.ROUND_ROBIN:

@@ -3,11 +3,13 @@
 `rate_report` against the exhaustive slot-outcome oracle in `support`, on
 generated configurations; `rate_report` and `apply_sensing_errors`
 against the numpy array formulas they replaced, bit for bit; the
-dominance of perfect sensing over sensing errors that the relay-count
-certificate rests on; the QoS search's unchecked trial points against
-the same points built through the checking constructors; and the
-closed-form relay schedule of the perfect-sensing search against
-random schedules scored through `evaluate`.
+dominance of perfect sensing over sensing errors; the relay-count
+certificate under sensing errors against the perfect-sensing one and
+against random points scored through `evaluate`; the QoS search's
+unchecked trial points against the same points built through the
+checking constructors; and the closed-form relay schedule of the
+perfect-sensing search against random schedules scored through
+`evaluate`.
 """
 
 import itertools
@@ -221,8 +223,7 @@ def test_sensing_errors_bits_match_numpy_formulas(n, strategy, seed,
 @given(n=st.integers(0, 4), strategy=st.sampled_from(list(StrategyKind)),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_perfect_sensing_dominates_sensing_errors(n, strategy, seed):
-    # the fact `qos.secondary_rate_ceiling` rests on under sensing
-    # errors: at the same point they leave the relay arrivals as they
+    # at the same point sensing errors leave the relay arrivals as they
     # are and make no queue faster, so a point that meets the ceilings
     # with sensing errors meets them with perfect sensing, no slower
     rng = np.random.default_rng(seed)
@@ -390,3 +391,84 @@ def test_closed_form_property_meets_both_verdicts():
         found += count
     assert 0.2 <= np.mean(verdicts) <= 0.8
     assert found >= 100
+
+
+def edge_errors(rng: np.random.Generator, n: int) -> SensingErrorParams:
+    """Sensing errors up to 0.5, a fifth of them exactly 0: a relay with
+    no errors leaves a factor of the certificate at 1, where the schedule
+    sum's slack lifts it above 1."""
+    def draw():
+        return np.where(rng.uniform(size=n) < 0.2, 0.0,
+                        rng.uniform(0.0, 0.5, n))
+    return SensingErrorParams(draw(), draw(), draw())
+
+
+def edge_point(rng: np.random.Generator, n: int,
+               strategy: StrategyKind) -> StrategyParams:
+    """A random point, every other one accepting everything it decodes
+    and every third one scheduling a single relay, which is where the
+    certificate's factors are attained; its schedule sums to 1 - 1e-9,
+    1 or 1 + 1e-9 (to six digits: the most the checking constructor
+    allows)."""
+    params = random_params(rng, n, strategy)
+    if rng.uniform() < 0.5:
+        params = replace(params, f_p=np.ones(n), f_s=np.ones(n))
+    if n and rng.uniform() < 1 / 3:
+        params = replace(params, omega=np.eye(n)[rng.integers(n)])
+    scale = 1.0 + int(rng.integers(-1, 2)) * rates.SIMPLEX_TOL * (1 - 1e-6)
+    if n and params.omega.max() * scale <= 1.0:    # a vertex cannot grow
+        params = replace(params, omega=params.omega * scale)
+    return params
+
+
+def check_sensing_ceiling(seed: int, n: int,
+                          points: int = 30) -> tuple[int, bool]:
+    """On a random problem with `edge_errors`: where every factor of the
+    certificate is at most 1, the sensing-aware ceiling is at most the
+    perfect-sensing one, and None under perfect sensing gives None under
+    errors; and every point `evaluate` scores feasible under the errors
+    has an mu_s at or below the sensing-aware ceiling.  Returns the
+    number of feasible points and whether the errors lowered the
+    ceiling."""
+    rng = np.random.default_rng(seed)
+    outages = random_outages(rng, n, 0.01, 0.6)
+    target = qos.QosSpec(rng.uniform(1.2, 12.0), rng.uniform(1.5, 20.0),
+                         TrafficParams(rng.uniform(0, 0.5),
+                                       rng.uniform(0, 0.3)))
+    errors = edge_errors(rng, n)
+    perfect = qos.secondary_rate_ceiling(outages, target)
+    aware = qos.secondary_rate_ceiling(outages, target, errors)
+    terms = rates.sensing_terms(errors)
+    factors = ((1.0 + rates.SIMPLEX_TOL) * np.concatenate(
+        (terms.survive_p, terms.survive_s, terms.no_false_alarm))
+        if n else np.ones(1))
+    if factors.max() <= 1.0:
+        assert perfect is not None or aware is None
+        assert aware is None or aware <= perfect
+    found = 0
+    for i in range(points):
+        params = edge_point(rng, n, list(StrategyKind)[i % 3])
+        ev = evaluate(outages, params, target.traffic, errors)
+        if within_ceilings(ev, target):
+            found += 1
+            assert aware is not None and ev.report.mu_s <= aware
+    return found, perfect is not None and (aware is None or aware < perfect)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(0, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_sensing_aware_ceiling(n, seed):
+    check_sensing_ceiling(seed, n)
+
+
+def test_sensing_aware_ceiling_property_is_exercised():
+    # with relays, the family behind the property above has feasible
+    # points to bound and errors that lower the ceiling below the
+    # perfect-sensing one
+    found, lowered = 0, 0
+    for seed in range(60):
+        count, low = check_sensing_ceiling(seed, 1 + seed % 4)
+        found += count
+        lowered += low
+    assert found >= 100
+    assert lowered >= 20

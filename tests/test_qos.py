@@ -10,12 +10,14 @@ import cogrelay.qos as qos_module
 from cogrelay.channel import StrategyKind
 from cogrelay.errors import ConfigError, NoFeasibleRelayCount
 from cogrelay.experiments import load_spec
-from cogrelay.network import NetworkConfig, OutageTable, TrafficParams
+from cogrelay.network import (NetworkConfig, OutageTable, SensingErrorParams,
+                              TrafficParams)
 from cogrelay.orders import OrderDistribution
 from cogrelay.qos import (QosSpec, maximize_secondary_throughput,
                           minimize_relay_count, secondary_rate_ceiling)
 from cogrelay.rates import (EPS_STAB, StrategyParams, end_to_end_delays,
-                            evaluate, rate_report, secondary_rate_cap)
+                            evaluate, primary_rate_bound, rate_report,
+                            secondary_rate_cap, sensing_terms)
 from support import (closed_form, delay_limited_secondary_ceiling,
                      random_outages, random_params, random_sensing_errors)
 
@@ -197,7 +199,10 @@ class TestOptResultCeiling:
         res = maximize_secondary_throughput(
             net.take(1), StrategyKind.ORDERED, QosSpec(4.0, 8.0, traffic),
             budget=1_000)
-        assert (res.feasible, res.first_violation) == (False, "delay")
+        # with the sensing errors the certificate rules out every stable
+        # point on one relay at lambda_p 0.74, even without delay ceilings
+        violation = "stability" if with_errors else "delay"
+        assert (res.feasible, res.first_violation) == (False, violation)
         assert (res.ceiling, res.evaluations) == (None, 0)
 
     @pytest.mark.parametrize("criterion", ["07", "08", "10"])
@@ -209,7 +214,7 @@ class TestOptResultCeiling:
         def recorded(network, strategy, qos, **kwargs):
             result = search(network, strategy, qos, **kwargs)
             assert result.ceiling == secondary_rate_ceiling(
-                network.outages(strategy), qos)
+                network.outages(strategy), qos, network.sensing)
             results.append(result)
             return result
 
@@ -442,7 +447,7 @@ class TestMinimizeRelayCount:
         monkeypatch.setattr(qos_module, "maximize_secondary_throughput",
                             recorded)
         monkeypatch.setattr(qos_module, "secondary_rate_ceiling",
-                            lambda outages, qos: None
+                            lambda outages, qos, sensing=None: None
                             if outages.n_relays == 1 else 1.0)
         with pytest.raises(NoFeasibleRelayCount):
             minimize_relay_count(net, StrategyKind.RANDOM,
@@ -451,6 +456,35 @@ class TestMinimizeRelayCount:
         assert [n for n, _, _ in searches] == [0, 2]
         assert searches[0][2] is not None   # there was a point to carry
         assert searches[1][1] == ()
+
+    def test_search_without_a_point_seeds_nothing(self, monkeypatch):
+        # at two relays round robin's primary rate bound (0.335) is below
+        # lambda_p, so that search returns no point; the three-relay
+        # search starts from its designed starts, not from the one-relay
+        # point carried past it
+        out = OutageTable(0.95, 0.3, [0.45, 0.95, 0.55], [0.1] * 3,
+                          [0.05] * 3, [0.05] * 3)
+        net = NetworkConfig(out, TrafficParams(0.35, 0.01))
+        assert primary_rate_bound(out.take(2),
+                                  StrategyKind.ROUND_ROBIN) < 0.35
+        searches = []
+        search = maximize_secondary_throughput
+
+        def recorded(network, *args, **kwargs):
+            result = search(network, *args, **kwargs)
+            searches.append((network.n_relays, kwargs["extra_starts"],
+                             result.best_params))
+            return result
+
+        monkeypatch.setattr(qos_module, "maximize_secondary_throughput",
+                            recorded)
+        with pytest.raises(NoFeasibleRelayCount):
+            minimize_relay_count(net, StrategyKind.ROUND_ROBIN,
+                                 QosSpec(20, 100, net.traffic), 3,
+                                 budget=200, restarts=0)
+        assert [n for n, _, _ in searches] == [1, 2, 3]
+        assert searches[0][2] is not None and searches[1][2] is None
+        assert searches[2][1] == ()
 
     def test_qos_spec_validation(self):
         with pytest.raises(ConfigError):
@@ -608,7 +642,7 @@ class TestSecondaryRateCeiling:
             outages, qos = _random_problem(rng)
             n = outages.n_relays
             sensing = random_sensing_errors(rng, n) if with_errors else None
-            ceiling = secondary_rate_ceiling(outages, qos)
+            ceiling = secondary_rate_ceiling(outages, qos, sensing)
             for i in range(40):
                 params = random_params(rng, n, strategies[i % 3])
                 ev = evaluate(outages, params, qos.traffic, sensing)
@@ -618,6 +652,40 @@ class TestSecondaryRateCeiling:
                     assert ceiling is not None
                     assert ev.report.mu_s <= ceiling
         assert checked >= 100  # the family really exercises the bound
+
+    def test_covers_the_schedule_sum_slack(self):
+        # with error-free relays, a schedule summing to 1 + 1e-9 lifts the
+        # sensing chain's rates about 1e-9 above any perfect-sensing rate:
+        # the ceiling with the errors covers the point, the one without
+        # them does not
+        qos = QosSpec(math.inf, math.inf, TrafficParams(0.3, 0.2))
+        errors = SensingErrorParams(np.zeros(2), np.zeros(2), np.zeros(2))
+        order = OrderDistribution(2, {(1, 2): 1.0})
+        params = StrategyParams(
+            StrategyKind.ORDERED, np.full(2, 0.5) * (1 + 0.999999e-9),
+            np.full(2, 0.5), np.ones(2), np.ones(2), order_p=order,
+            order_s=order)
+        ev = evaluate(TABLE_ROWS12, params, qos.traffic, errors)
+        assert ev.status == "ok"
+        assert ev.report.mu_s > secondary_rate_ceiling(TABLE_ROWS12, qos)
+        assert ev.report.mu_s <= secondary_rate_ceiling(TABLE_ROWS12, qos,
+                                                        errors)
+
+    def test_takes_sensing_terms_as_well(self):
+        spec = load_spec(CONFIGS / "fig11_minrelays_n3.cfg")
+        outages = spec.network.outages(StrategyKind.ORDERED)
+        qos = QosSpec(10.0, 20.0, TrafficParams(0.3, 0.2))
+        errors = spec.network.sensing
+        assert secondary_rate_ceiling(outages, qos, errors) == (
+            secondary_rate_ceiling(outages, qos, sensing_terms(errors)))
+
+    @pytest.mark.parametrize("n, m", [(2, 1), (2, 3), (0, 2)])
+    def test_sensing_errors_over_other_relays_raise(self, n, m):
+        errors = SensingErrorParams([0.1] * m, [0.1] * m, [0.1] * m)
+        qos = QosSpec(4.0, 8.0, TrafficParams(0.3, 0.2))
+        for sensing in (errors, sensing_terms(errors)):
+            with pytest.raises(ConfigError):
+                secondary_rate_ceiling(TABLE_ROWS12.take(n), qos, sensing)
 
     def test_criterion_07_table(self):
         def ceiling(lam_p):

@@ -9,14 +9,16 @@ used, budget exhaustion, the first violation and the certificate
 point is built or scored shows here.  The values in `qos_golden.json`
 were recorded once the perfect-sensing search solved the relay schedule
 in closed form and the search returned at once where the certificate
-rules every point out; the two sensing-error cases kept the values the
-search gave before.  A change that means to alter search results must
-say so and record them again with
+rules every point out, and again once the certificate took the sensing
+errors: that changed only the sensing-error ceilings and the searches
+the certificate now rules out.  A change that means to alter search
+results must say so and record them again with
 
     PYTHONPATH=src python tests/test_qos_golden.py
 """
 
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -27,7 +29,8 @@ import cogrelay.qos as qos
 from cogrelay.channel import StrategyKind
 from cogrelay.errors import NoFeasibleRelayCount
 from cogrelay.experiments import load_spec
-from cogrelay.network import NetworkConfig, OutageTable, TrafficParams
+from cogrelay.network import (NetworkConfig, OutageTable, SensingErrorParams,
+                              TrafficParams)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN_PATH = Path(__file__).with_name("qos_golden.json")
@@ -78,13 +81,22 @@ def digest(result: qos.OptResult) -> dict:
     }
 
 
-def _spec_search(name, strategy, lambda_p, budget, restarts):
+def _spec_problem(name, strategy, lambda_p, relays=None):
+    """(network, strategy, target, seed) of a bundled spec at one load,
+    cut to its first `relays` relays when given."""
     spec = load_spec(CONFIGS / f"{name}.cfg")
     network = spec.network_at(lambda_p)
+    if relays is not None:
+        network = network.take(relays)
     target = qos.QosSpec(spec.qos.d_p_max, spec.qos.d_s_max, network.traffic)
+    return network, strategy, target, spec.sim.seed
+
+
+def _spec_search(problem, budget, restarts):
+    network, strategy, target, seed = _spec_problem(*problem)
     return qos.maximize_secondary_throughput(
         network, strategy, target, budget=budget, restarts=restarts,
-        seed=spec.sim.seed)
+        seed=seed)
 
 
 def _six_relay_od():
@@ -130,8 +142,8 @@ def _min_relays_fig3_rd():
 
 def _min_relays_fig11_od_sensing():
     """The od ladder on fig11 with sensing errors at lambda_p 0.72 and
-    ceilings (6, 14): zero relays are ruled out, and the searches at one,
-    two and three relays fail, each of the first two seeding the next."""
+    ceilings (6, 14): with the sensing errors the certificate rules out
+    every count, so no search runs."""
     spec = load_spec(CONFIGS / "fig11_minrelays_n3.cfg")
     traffic = TrafficParams(0.72, 0.2)
     network = replace(spec.network, traffic=traffic)
@@ -139,20 +151,47 @@ def _min_relays_fig11_od_sensing():
                    11)
 
 
-CASES = {
-    **{f"fig3_{kind.value}_{lam}": (
-        lambda kind=kind, lam=lam: digest(
-            _spec_search("fig3_od_n2", kind, lam, 2_000, 3)))
+# three relays with sensing errors: the certificate rules out zero relays
+# only, and each search of the ladder seeds the next
+THREE_RELAYS = OutageTable(0.33, 0.52, [0.27, 0.48, 0.56], [0.15, 0.06, 0.29],
+                           [0.08, 0.18, 0.38], [0.2, 0.18, 0.26])
+THREE_RELAY_ERRORS = SensingErrorParams([0.05, 0.19, 0.01],
+                                        [0.06, 0.07, 0.12],
+                                        [0.0, 0.05, 0.09])
+
+
+def _min_relays_three_relays_sensing():
+    """The od ladder on three relays with sensing errors at lambda_p 0.36
+    and ceilings (9.2, 5.2): zero relays are ruled out, and the searches
+    at one, two and three relays fail, each of the first two seeding the
+    next."""
+    traffic = TrafficParams(0.36, 0.16)
+    network = NetworkConfig(THREE_RELAYS, traffic, THREE_RELAY_ERRORS)
+    return _ladder(network, OD, qos.QosSpec(9.2, 5.2, traffic), 3, 300, 1,
+                   11)
+
+
+# the single searches on bundled specs: (spec, strategy, lambda_p[,
+# relays]), budget and restarts
+SPEC_SEARCHES = {
+    **{f"fig3_{kind.value}_{lam}": (("fig3_od_n2", kind, lam), 2_000, 3)
        for kind in (OD, RD, RR) for lam in (0.3, 0.5)},
-    **{f"table1_{kind.value}_0.3": (
-        lambda kind=kind: digest(
-            _spec_search("table1_n5", kind, 0.3, 2_000, 2)))
+    **{f"table1_{kind.value}_0.3": (("table1_n5", kind, 0.3), 2_000, 2)
        for kind in (RD, RR)},
-    "fig11_od_0.3_sensing": lambda: digest(
-        _spec_search("fig11_minrelays_n3", OD, 0.3, 2_000, 2)),
+    "fig11_od_0.3_sensing": (("fig11_minrelays_n3", OD, 0.3), 2_000, 2),
+    # one relay with sensing errors at lambda_p 0.74: the certificate
+    # rules out every stable point
+    "fig11_od_0.74_sensing_one_relay": (
+        ("fig11_minrelays_n3", OD, 0.74, 1), 2_000, 2),
+}
+
+CASES = {
+    **{case: (lambda args=args: digest(_spec_search(*args)))
+       for case, args in SPEC_SEARCHES.items()},
     "six_relays_od_first_rank": lambda: digest(_six_relay_od()),
     "min_relays_fig3_rd_0.4": _min_relays_fig3_rd,
     "min_relays_fig11_od_0.72_sensing": _min_relays_fig11_od_sensing,
+    "min_relays_three_relays_od_sensing": _min_relays_three_relays_sensing,
 }
 
 
@@ -169,7 +208,7 @@ def test_search_matches_golden(case, golden):
 def test_cases_cover_both_verdicts(golden):
     verdicts = {golden[c]["feasible"] for c in CASES if "feasible" in golden[c]}
     assert verdicts == {True, False}
-    ladder = golden["min_relays_fig11_od_0.72_sensing"]["searches"]
+    ladder = golden["min_relays_three_relays_od_sensing"]["searches"]
     assert any(s["extra_starts"] for s in ladder)
 
 
@@ -182,12 +221,31 @@ def _results(record: dict):
 
 def test_ceiling_bounds_every_result(golden):
     results = [r for c in CASES for r in _results(golden[c])]
-    assert any(r["ceiling"] is None for r in results)
     for r in results:
-        if r["ceiling"] is None:
-            assert not r["feasible"] and r["first_violation"] == "delay"
-        else:
+        if r["ceiling"] is not None:
             assert float.fromhex(r["best_mu_s"]) <= float.fromhex(r["ceiling"])
+    # a ladder searches only the counts the certificate leaves open
+    assert all(r["ceiling"] is not None for c in CASES
+               if "searches" in golden[c] for r in _results(golden[c]))
+    # a search the certificate rules out names stability where the
+    # primary rate bound or the certificate without delay ceilings rules
+    # out every point, delay elsewhere
+    labels = []
+    for case, (problem, _, _) in SPEC_SEARCHES.items():
+        r = golden[case]
+        if r["ceiling"] is not None:
+            continue
+        network, strategy, target, _ = _spec_problem(*problem)
+        free = qos.secondary_rate_ceiling(
+            network.outages(strategy),
+            qos.QosSpec(math.inf, math.inf, target.traffic), network.sensing)
+        residuals = dict(r["residuals"])
+        unstable = (free is None
+                    or float.fromhex(residuals["stability_p"]) <= 0.0)
+        assert not r["feasible"] and r["evaluations"] == 0
+        assert r["first_violation"] == ("stability" if unstable else "delay")
+        labels.append(r["first_violation"])
+    assert set(labels) == {"stability", "delay"}
 
 
 if __name__ == "__main__":
