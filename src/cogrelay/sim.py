@@ -51,13 +51,28 @@ CHUNK = 1 << 16
 # the price, then buy, which costs at most about twice the better choice.
 _LOOP_STEP = 32   # the slot loop's step, in passes over a slot
 
+# A cumulative distribution this long or shorter is searched by a scan
+# (`_pick`).  Runs come in chunks of CHUNK slots plus one remainder.  On
+# uniform draws in chunks of 40,000-65,536 slots the scan costs about
+# 0.25 ns per entry and slot, and `searchsorted` 50-75 ns/slot at 64-719
+# entries: the scan is 2-3x faster at 64 and 119 entries (the uniform
+# order support at N=5), 1.5x at 160, and they break even near 250.  A
+# short remainder chunk pays the scan's per-entry call more: at 10,000
+# slots the break-even is near 140 entries, at 3,392 near 64.
+_PICK_SCAN = 160
+# The largest od capture table (`_capture_table`) built, in entries: it
+# holds every uniform order distribution up to six relays (720 x 64).
+_CAPTURE_CAP = 1 << 16
+
 # Everything a kernel needs to know about the system, built once per run.
 # The per-relay vectors have length max(n, 1); the `_cum` ones are
-# cumulative distributions, the `_orders` ones rank orders.
+# cumulative distributions, the `_orders` ones rank orders, the
+# `capture_` ones their capture tables (None where there is none).
 _Model = namedtuple("_Model", (
     "n ordered saturated errors lam_p lam_s pbar_ppd pbar_ssd pbar_pk "
     "pbar_sk pbar_kpd pbar_ksd omega_cum assign_cum alpha f_p f_s "
-    "perm_p_cum perm_p_orders perm_s_cum perm_s_orders pmd_p pmd_s pfa"))
+    "perm_p_cum perm_p_orders perm_s_cum perm_s_orders pmd_p pmd_s pfa "
+    "capture_p capture_s"))
 
 
 class _Stats(NamedTuple):
@@ -126,7 +141,7 @@ def _slot_kernel(model, rng, start, count, queues, stats, trace, skip=0):
     (n, ordered, saturated, errors, lam_p, lam_s, pbar_ppd, pbar_ssd,
      pbar_pk, pbar_sk, pbar_kpd, pbar_ksd, omega_cum, assign_cum, alpha,
      f_p, f_s, perm_p_cum, perm_p_orders, perm_s_cum, perm_s_orders,
-     pmd_p, pmd_s, pfa) = model
+     pmd_p, pmd_s, pfa, *_) = model
     (u_arr_p, u_arr_s, u_dest, u_sched, u_assign, u_perm, u_alpha,
      u_md1, u_md2, u_dec, u_acc) = (u[skip:] for u in _draw(rng, count, n))
     start += skip
@@ -324,9 +339,31 @@ def _before(q, q0):
 def _pick(cum, u):
     """Index the `while i < len(cum) and u >= cum[i]` scan of the slot
     loop stops at, for every slot, in the narrowest signed integer type
-    that also holds -1."""
-    return np.searchsorted(cum, u, side="right").astype(
-        np.min_scalar_type(-cum.size - 1))
+    that also holds -1.  On a nondecreasing `cum` that is the number of
+    entries at or below `u`, which a short `cum` counts entry by entry
+    and a long one finds by binary search (`_PICK_SCAN`)."""
+    kind = np.min_scalar_type(-cum.size - 1)
+    if cum.size > _PICK_SCAN:
+        return np.searchsorted(cum, u, side="right").astype(kind)
+    at = np.zeros(u.shape, dtype=kind)
+    for c in cum:
+        at += u >= c
+    return at
+
+
+def _capture_table(orders):
+    """The od capture rule as a table, or None past `_CAPTURE_CAP`
+    entries: entry [j, code] is the first relay in rank order `orders[j]`
+    whose bit is set in `code`, -1 for none."""
+    count, n = orders.shape
+    if count << n > _CAPTURE_CAP:
+        return None
+    codes = np.arange(1 << n)
+    table = np.full((count, 1 << n), -1, dtype=np.int8)
+    for k in orders.T[::-1]:       # the last rank first, the first wins
+        k = k[:, None]
+        np.copyto(table, k, where=(codes >> k) & 1 == 1)
+    return table
 
 
 def _first_taker(order, orders, takes):
@@ -337,6 +374,32 @@ def _first_taker(order, orders, takes):
     first = hit.argmax(axis=1)[:, None]
     return np.where(np.take_along_axis(hit, first, axis=1),
                     np.take_along_axis(ranked, first, axis=1), -1)[:, 0]
+
+
+def _captures(order, orders, table, takes, deaf, r):
+    """`_first_taker` in every slot, save that in the slots `deaf` marks
+    (None for none) the slot's relay `r` is not listening.  With a
+    capture table a slot's takers are one code, the sum over k of
+    `takes[:, k] << k`, and the winner one lookup at (rank order, code);
+    without one the rank orders are gathered row by row."""
+    if table is None:
+        win = _first_taker(order, orders, takes)
+        if deaf is not None:
+            rows = np.flatnonzero(deaf)
+            takes = takes[rows]
+            takes[np.arange(rows.size), r[rows]] = False
+            win[rows] = _first_taker(order[rows], orders, takes)
+        return win
+    n = takes.shape[1]
+    at = order.astype(np.int32) << n
+    for k in range(n):
+        at |= np.left_shift(takes[:, k], k, dtype=np.int32)
+    win = table.take(at)
+    if deaf is not None:
+        rows = np.flatnonzero(deaf)
+        win[rows] = table.take(at[rows] & ~np.left_shift(1, r[rows],
+                                                          dtype=np.int32))
+    return win
 
 
 def _lindley_kernel(model, rng, start, count, queues, stats):
@@ -362,11 +425,14 @@ def _lindley_kernel(model, rng, start, count, queues, stats):
     same draws.  The draws are taken one row at a time and cut at once
     to the few bits the chain needs, so that no chunk of floats stays
     live, and a relay queue is kept as the slots where it may change.
+    A slot's draws pick its relay, decoder and rank order by counting
+    cumulative entries (`_pick`), and its od capture winner is one lookup
+    in the run's capture table (`_captures`), with no per-row gather.
     """
     (n, ordered, saturated, errors, lam_p, lam_s, pbar_ppd, pbar_ssd,
      pbar_pk, pbar_sk, pbar_kpd, pbar_ksd, omega_cum, assign_cum, alpha,
      f_p, f_s, perm_p_cum, perm_p_orders, perm_s_cum, perm_s_orders,
-     pmd_p, pmd_s, pfa) = model
+     pmd_p, pmd_s, pfa, capture_p, capture_s) = model
     errors = errors and n > 0      # with no relay nothing senses
     coupled = errors and not saturated
     chunk_start = rng.bit_generator.state if coupled else None
@@ -408,18 +474,12 @@ def _lindley_kernel(model, rng, start, count, queues, stats):
         takes_p &= u < f_p
         takes_s &= u < f_s
         del u
-        win_p = _first_taker(order_p, perm_p_orders, takes_p)
-        win_s = _first_taker(order_s, perm_s_orders, takes_s)
-        if coupled:
-            # a relay that senses idle is not listening, so where it
-            # missed the user the packet goes to the next taker in order
-            for win, miss, order, orders, takes in (
-                    (win_p, miss_p, order_p, perm_p_orders, takes_p),
-                    (win_s, miss_s, order_s, perm_s_orders, takes_s)):
-                rows = np.flatnonzero(miss)
-                takes = takes[rows]
-                takes[np.arange(rows.size), r[rows]] = False
-                win[rows] = _first_taker(order[rows], orders, takes)
+        # a relay that senses idle is not listening, so where it missed
+        # the user the packet goes to the next taker in order
+        win_p = _captures(order_p, perm_p_orders, capture_p, takes_p,
+                          miss_p if coupled else None, r)
+        win_s = _captures(order_s, perm_s_orders, capture_s, takes_s,
+                          miss_s if coupled else None, r)
     else:
         at = decoder[:, None]
         u_k = np.take_along_axis(u, at, axis=1)[:, 0]
@@ -710,7 +770,9 @@ def run(cfg: OutageTable | NetworkConfig, params: StrategyParams,
                    traffic.lambda_p, traffic.lambda_s, 1.0 - outages.pu_pd,
                    1.0 - outages.su_sd, pbar_pk, pbar_sk, pbar_kpd, pbar_ksd,
                    omega_cum, assign_cum, alpha, f_p, f_s, np.cumsum(pp), po,
-                   np.cumsum(sp), so, pmd_p, pmd_s, pfa)
+                   np.cumsum(sp), so, pmd_p, pmd_s, pfa,
+                   *((_capture_table(po), _capture_table(so)) if ordered
+                     else (None, None)))
 
     batches = min(batches, slots)
     stats = _Stats(slots // batches, np.zeros(batches),

@@ -61,8 +61,9 @@ def _orders(rng, n):
                                  for i, w in zip(picks, weights)})
 
 
-def random_case(rng, n, strategy):
-    """A random outage table, strategy point and traffic over n relays."""
+def random_case(rng, n, strategy, uniform=False):
+    """A random outage table, strategy point and traffic over n relays;
+    `uniform` puts equal weight on every rank order (od, the same draws)."""
     out = OutageTable(*_probs(rng, 2), *(_probs(rng, n) for _ in range(4)))
     omega = _simplex(rng, n) if n else np.zeros(0)
     extra = {}
@@ -75,6 +76,10 @@ def random_case(rng, n, strategy):
     traffic = TrafficParams(*rng.uniform(0.0, 0.6, 2))
     sensing = SensingErrorParams(*(rng.uniform(0.0, 0.3, n)
                                    for _ in range(3)))
+    if uniform:
+        params = dataclasses.replace(params,
+                                     order_p=OrderDistribution.uniform(n),
+                                     order_s=OrderDistribution.uniform(n))
     return out, params, traffic, sensing
 
 
@@ -108,9 +113,9 @@ def _loop_and_fast(call):
 
 
 def _check_case(n, strategy, mode, errors, seed, slots, batches,
-                saturate=False):
+                saturate=False, uniform=False):
     rng = np.random.default_rng(seed)
-    out, params, traffic, sensing = random_case(rng, n, strategy)
+    out, params, traffic, sensing = random_case(rng, n, strategy, uniform)
     if saturate:
         traffic = TrafficParams(1.0, 0.0)
     loop, fast = _loop_and_fast(lambda: sim.run(
@@ -154,6 +159,99 @@ def test_lindley_kernel_matches_loop_property(n, strategy, mode, saturate,
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sim, "CHUNK", chunk)
         _check_case(n, strategy, *mode, seed, slots, batches, saturate)
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+@pytest.mark.parametrize("mode,errors", _MODES)
+def test_lindley_kernel_matches_loop_full_support(monkeypatch, n, mode,
+                                                  errors):
+    # od over every rank order, as the bundled configs run it (6 orders
+    # at N = 3, 120 at N = 5), through the capture table
+    monkeypatch.setattr(sim, "CHUNK", 1000)
+    seed = 7000 + 10 * n + _MODES.index((mode, errors))
+    _check_case(n, StrategyKind.ORDERED, mode, errors, seed, slots=2_503,
+                batches=7, uniform=True)
+
+
+def test_lindley_kernel_matches_loop_above_capture_cap():
+    # 5,040 rank orders x 2**7 takes codes is past the table cap, so the
+    # rank orders are gathered row by row
+    assert sim._capture_table(np.array(list(itertools.permutations(
+        range(7))))) is None
+    _check_case(7, StrategyKind.ORDERED, "true_queues", True, seed=7070,
+                slots=400, batches=4, uniform=True)
+
+
+def _first_in_order(order, orders, takes, deaf, r):
+    """The od capture rule slot by slot, as the slot loop states it."""
+    win = np.full(order.size, -1)
+    for i, j in enumerate(order):
+        for k in orders[j]:
+            if takes[i, k] and not (deaf is not None and deaf[i]
+                                    and k == r[i]):
+                win[i] = k
+                break
+    return win
+
+
+def _supports(n):
+    """Rank-order supports of one, n and n! orders over n relays (one
+    order over a single column at n = 0, as `sim.run` builds it)."""
+    if n == 0:
+        return [np.zeros((1, 1), dtype=np.int64)]
+    perms = np.array(list(itertools.permutations(range(n))))
+    return [perms[:1], perms[::max(1, perms.shape[0] // n)][:n], perms]
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_capture_table_matches_gather(n):
+    rng = np.random.default_rng(50 + n)
+    for orders in _supports(n):
+        table = sim._capture_table(orders)
+        assert table is not None and table.dtype == np.int8
+        rows, width = 3_000, orders.shape[1]
+        order = sim._pick(np.cumsum(np.full(orders.shape[0], 1.0))[:-1],
+                          rng.uniform(0, orders.shape[0], rows))
+        takes = rng.uniform(size=(rows, width)) < rng.uniform()
+        r = rng.integers(width, size=rows).astype(np.int8)
+        for deaf in (None, rng.uniform(size=rows) < 0.5):
+            want = _first_in_order(order, orders, takes, deaf, r)
+            for t in (table, None):
+                got = sim._captures(order, orders, t, takes, deaf, r)
+                assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("orders", [
+    np.array(list(itertools.permutations(range(7)))),   # past the cap
+    np.arange(8)[None, ::-1],     # one order over eight relays: bit 7 set
+])
+def test_capture_beyond_six_relays(orders):
+    rng = np.random.default_rng(len(orders))
+    table = sim._capture_table(orders)
+    assert (table is None) == (orders.shape[0] << orders.shape[1]
+                               > sim._CAPTURE_CAP)
+    rows, width = 2_000, orders.shape[1]
+    order = rng.integers(orders.shape[0], size=rows).astype(
+        np.min_scalar_type(-orders.shape[0] - 1))
+    takes = rng.uniform(size=(rows, width)) < 0.3
+    r = rng.integers(width, size=rows).astype(np.int8)
+    deaf = rng.uniform(size=rows) < 0.5
+    assert np.array_equal(sim._captures(order, orders, table, takes, deaf, r),
+                          _first_in_order(order, orders, takes, deaf, r))
+
+
+@pytest.mark.parametrize("size", (0, 1, 4, sim._PICK_SCAN,
+                                  sim._PICK_SCAN + 1, 119, 719))
+def test_pick_matches_searchsorted(size):
+    rng = np.random.default_rng(size)
+    # a distribution with zero weights, so that entries repeat
+    weights = rng.uniform(size=size + 1) * (rng.uniform(size=size + 1) < 0.6)
+    weights[0] += 1e-3
+    cum = np.cumsum(weights / weights.sum())[:-1]
+    u = np.concatenate((rng.uniform(size=5_000), cum, [0.0]))
+    got = sim._pick(cum, u)
+    assert got.dtype == np.min_scalar_type(-size - 1)
+    assert np.array_equal(got, np.searchsorted(cum, u, side="right"))
 
 
 @pytest.mark.parametrize("lam_p,lam_s,queue", [(1.0, 0.0, "primary"),
