@@ -8,18 +8,17 @@ assigned relay acceptance of undelivered packets, and relay forwarding.
 It is the independent check for every closed-form rate in `rates`.
 
 All randomness is pre-drawn in a fixed order from one seeded generator,
-so a run is bit-reproducible regardless of the code path taken inside a
-slot.  Two kernels compute a chunk of slots from those draws, and one
-tally counts it.  `_slot_kernel` walks the per-slot state machine and
-records a few events per slot.  `_lindley_kernel` computes the same chunk
-with one Lindley recursion per queue, each queue upstream of the next.
+so a run is bit-reproducible.  One kernel, `_lindley_kernel`, computes a
+chunk of slots from those draws with one Lindley recursion per queue,
+each queue upstream of the next, and one tally, `_tally`, counts it.
 With true queues and sensing errors a relay's queue decides whether a
-user's slot collides, so there it iterates the recursions to their
-causal fixed point, and hands the rest of a chunk to the slot loop when
-the iteration stops paying off.  `run` uses the slot loop alone only for
-traced runs.  Both kernels hand `_tally` every queue's arrivals,
-departures and length slot by slot, and `_tally` alone writes the
-per-batch counters, one row of four per queue.
+user's slot collides, so there the kernel iterates the recursions to
+their causal fixed point over windows of slots.  Traced runs go through
+the same kernel, which decodes the trace rows from its per-slot arrays.
+The kernel hands `_tally` every queue's arrivals, departures and length
+slot by slot, and `_tally` alone writes the per-batch counters, one row
+of four per queue.  The test suite keeps a per-slot loop over the same
+draws as the kernel's oracle.
 
 Queue-delay estimates use the time-average queue length divided by the
 delivery rate; with arrivals applied at slot start and a packet counted
@@ -44,12 +43,12 @@ from .rates import StrategyParams
 
 QUEUE_GUARD = 10_000_000  # abort threshold: the configuration is unstable
 CHUNK = 1 << 16
-# A pass of the Lindley chain over a slot costs about a fortieth of the
-# slot loop's step (35-60 ns against 2-7 us at N = 2-5).  Once the passes
-# that repeat part of a chunk have cost what the loop would take for the
-# slots still open, the loop takes them: rent until the rent paid equals
-# the price, then buy, which costs at most about twice the better choice.
-_LOOP_STEP = 32   # the slot loop's step, in passes over a slot
+# The least window of slots a coupled pass of `_lindley_kernel` covers.
+# At N = 2 in 65,536-slot chunks a pass costs about 55 ns a slot of its
+# window, plus about 0.3 ms that a narrower window does not save (numpy
+# calls, and the relay events before the window, which it keeps): a
+# window of a few thousand slots spends about as much on either.
+_WINDOW = 4096
 
 # A cumulative distribution this long or shorter is searched by a scan
 # (`_pick`).  Runs come in chunks of CHUNK slots plus one remainder.  On
@@ -64,10 +63,12 @@ _PICK_SCAN = 160
 # holds every uniform order distribution up to six relays (720 x 64).
 _CAPTURE_CAP = 1 << 16
 
-# Everything a kernel needs to know about the system, built once per run.
-# The per-relay vectors have length max(n, 1); the `_cum` ones are
+# Everything the kernel needs to know about the system, built once per
+# run.  The per-relay vectors have length max(n, 1); the `_cum` ones are
 # cumulative distributions, the `_orders` ones rank orders, the
-# `capture_` ones their capture tables (None where there is none).
+# `capture_` ones their capture tables (None where there is none).  When
+# both users draw from one rank-order distribution, their three share
+# the same arrays.
 _Model = namedtuple("_Model", (
     "n ordered saturated errors lam_p lam_s pbar_ppd pbar_ssd pbar_pk "
     "pbar_sk pbar_kpd pbar_ksd omega_cum assign_cum alpha f_p f_s "
@@ -120,203 +121,6 @@ def _tally(stats, start, m, flows, delivered, collisions, idle):
     if collisions is not None:
         stats.collisions[at] += sums(collisions)
     stats.idle[at] += sums(idle)
-
-
-def _draw(rng, count, n):
-    """One chunk's uniforms, in the layout every kernel consumes: nine
-    per-slot rows (user arrivals, destination decoding, schedule,
-    assignment, rank order, relay queue choice, the two sensing
-    intervals), then per-relay decoding and acceptance."""
-    u = rng.random((9, count))
-    return (*u, rng.random((count, max(n, 1))), rng.random((count, max(n, 1))))
-
-
-def _slot_kernel(model, rng, start, count, queues, stats, trace, skip=0):
-    """Walk slots `skip` to `count - 1` of the chunk of `count` slots that
-    starts at slot `start` of the run, on `_draw(rng, count, n)`, then
-    tally them.  `queues[c, j]` is the class-c queue j (0 the user, 1 + k
-    relay k), carried across chunks; the first `len(trace)` slots of the
-    run are written to `trace`.  Returns 0, or 1 (2) when the primary
-    (secondary) queue passed the guard, after that slot."""
-    (n, ordered, saturated, errors, lam_p, lam_s, pbar_ppd, pbar_ssd,
-     pbar_pk, pbar_sk, pbar_kpd, pbar_ksd, omega_cum, assign_cum, alpha,
-     f_p, f_s, perm_p_cum, perm_p_orders, perm_s_cum, perm_s_orders,
-     pmd_p, pmd_s, pfa, *_) = model
-    (u_arr_p, u_arr_s, u_dest, u_sched, u_assign, u_perm, u_alpha,
-     u_md1, u_md2, u_dec, u_acc) = (u[skip:] for u in _draw(rng, count, n))
-    start += skip
-    count -= skip
-    # per class: destination and relay decoding, acceptance, rank orders
-    pbar_d = (pbar_ppd, pbar_ssd)
-    pbar_r = (pbar_pk, pbar_sk)
-    pbar_rd = (pbar_kpd, pbar_ksd)
-    accept = (f_p, f_s)
-    perm_cum = (perm_p_cum, perm_s_cum)
-    perm_orders = (perm_p_orders, perm_s_orders)
-    guard = QUEUE_GUARD
-    trace_limit = len(trace)
-
-    arrivals = (u_arr_p < lam_p, u_arr_s < lam_s)
-    arr_p, arr_s = arrivals
-    # per-slot events, -1 for none: the class of the user packet that
-    # left its queue, the relay that admitted it, and the relay whose
-    # packet (of class `sent_class`) reached the destination
-    relay_index = np.min_scalar_type(-n - 1)
-    left = np.full(count, -1, dtype=np.int8)
-    admitted = np.full(count, -1, dtype=relay_index)
-    sent = np.full(count, -1, dtype=relay_index)
-    sent_class = np.zeros(count, dtype=np.int8)
-    collided = np.zeros(count, dtype=bool)
-    q0 = queues.tolist()
-    qp, qs = q0[0][0], q0[1][0]
-    relay = [row[1:] for row in q0]   # relay[c][k]
-
-    m = count
-    status = 0
-    for i in range(count):
-        # arrivals at slot start; a fresh packet may be served this slot
-        if arr_p[i]:
-            qp += 1
-        if arr_s[i]:
-            qs += 1
-        pu_tx = qp > 0
-        su_tx = (not pu_tx) and qs > 0
-
-        # schedule-selected relay and (assignment strategies) the decoder
-        r = -1
-        if n > 0:
-            r = 0
-            while r < n - 1 and u_sched[i] >= omega_cum[r]:
-                r += 1
-        a_dec = -1
-        if n > 0 and not ordered:
-            a_dec = 0
-            while a_dec < n - 1 and u_assign[i] >= assign_cum[a_dec]:
-                a_dec += 1
-
-        # the scheduled relay transmits only if both sensing intervals
-        # come back idle; a relay that believed the channel idle is not
-        # listening for a data packet that slot
-        relay_tx = False
-        relay_real = False
-        relay_class = 0
-        scheduled_listening = True
-        if n > 0:
-            if errors:
-                if pu_tx:
-                    idle1 = u_md1[i] < pmd_p[r]
-                    idle2 = u_md2[i] < pmd_p[r]
-                elif su_tx:
-                    idle1 = u_md1[i] >= pfa[r]
-                    idle2 = u_md2[i] < pmd_s[r]
-                else:
-                    idle1 = u_md1[i] >= pfa[r]
-                    idle2 = u_md2[i] >= pfa[r]
-                senses_idle = idle1 and idle2
-            else:
-                senses_idle = (not pu_tx) and (not su_tx)
-            if senses_idle:
-                scheduled_listening = False
-                relay_class = 0 if u_alpha[i] < alpha[r] else 1
-                relay_real = relay[relay_class][r] > 0
-                relay_tx = relay_real or saturated
-
-        n_tx = pu_tx + su_tx + relay_tx
-        who = 0
-        direct_ok = False
-        decode_mask = 0
-        verdict = 0
-        acceptor = -1
-
-        if n_tx >= 2:
-            # concurrent transmissions are all lost; nobody decodes
-            collided[i] = True
-            verdict = 2
-            who = 1 if pu_tx else 2
-        elif pu_tx or su_tx:
-            c = 0 if pu_tx else 1
-            who = 1 + c
-            verdict = 2
-            pk, fk = pbar_r[c], accept[c]
-            if u_dest[i] < pbar_d[c]:
-                direct_ok = True
-                verdict = 1
-            elif n > 0 and ordered:
-                cum, orders = perm_cum[c], perm_orders[c]
-                j = 0
-                while j < cum.shape[0] - 1 and u_perm[i] >= cum[j]:
-                    j += 1
-                for rank in range(n):
-                    k = orders[j, rank]
-                    if k == r and not scheduled_listening:
-                        continue
-                    if u_dec[i, k] < pk[k]:
-                        decode_mask |= 1 << k
-                        if u_acc[i, k] < fk[k]:
-                            acceptor = k
-                            break
-            elif n > 0:
-                k = a_dec
-                if (k != r or scheduled_listening) and u_dec[i, k] < pk[k]:
-                    decode_mask |= 1 << k
-                    if u_acc[i, k] < fk[k]:
-                        acceptor = k
-            if direct_ok or acceptor >= 0:
-                left[i] = c
-                if c == 0:
-                    qp -= 1
-                else:
-                    qs -= 1
-            if acceptor >= 0:
-                admitted[i] = acceptor
-                relay[c][acceptor] += 1
-        elif relay_tx:
-            who = 3
-            if relay_real:  # dummy packets deliver nothing
-                verdict = 2
-                if u_dest[i] < pbar_rd[relay_class][r]:
-                    direct_ok = True
-                    verdict = 1
-                    relay[relay_class][r] -= 1
-                    sent[i] = r
-                    sent_class[i] = relay_class
-
-        t = start + i
-        if t < trace_limit:
-            trace[t] = (who, r if who == 3 else -1, direct_ok, decode_mask,
-                        verdict, acceptor, n_tx >= 2)
-
-        if qp > guard or qs > guard:
-            status = 1 if qp > guard else 2
-            m = i + 1
-            break
-
-    queues[:, 0] = qp, qs
-    queues[:, 1:] = relay
-    del (u_arr_p, u_arr_s, u_dest, u_sched, u_assign, u_perm, u_alpha,
-         u_md1, u_md2, u_dec, u_acc)   # free the draws before the sums
-    # every queue's length, slot by slot, from its events: one cumulative
-    # sum of its increments from the chunk's starting length
-    left, admitted, sent, sent_class = (left[:m], admitted[:m], sent[:m],
-                                        sent_class[:m])
-    flows = ([], [])
-    delivered = []
-    for c in (0, 1):
-        out = left == c
-        x = np.subtract(arrivals[c][:m], out, dtype=np.int8)
-        flows[c].append((arrivals[c], out,
-                         q0[c][0] + np.cumsum(x, dtype=np.int32) + out))
-        relay_out = (sent >= 0) & (sent_class == c)
-        for k in range(n):
-            adm = out & (admitted == k)
-            dep = relay_out & (sent == k)
-            x = np.subtract(adm, dep, dtype=np.int8)
-            flows[c].append((adm, dep,
-                             q0[c][1 + k] + np.cumsum(x, dtype=np.int32) - x))
-        delivered.append((out & (admitted < 0)) | relay_out)
-    idle = (flows[0][0][2] == 0) & (flows[1][0][2] == 0)
-    _tally(stats, start, m, flows, delivered, collided, idle)
-    return status
 
 
 def _lindley(x, q0):
@@ -402,9 +206,12 @@ def _captures(order, orders, table, takes, deaf, r):
     return win
 
 
-def _lindley_kernel(model, rng, start, count, queues, stats):
-    """`_slot_kernel` on `_draw(rng, count, n)` without a per-slot loop:
-    the same stats, queues and status, bit for bit, and no trace.
+def _lindley_kernel(model, rng, start, count, queues, stats, trace):
+    """Compute and tally the chunk of `count` slots that starts at slot
+    `start` of the run; return 0, or 1 (2) when the primary (secondary)
+    queue passed the guard, after that slot.  `queues[c, j]` is the
+    class-c queue j (0 the user, 1 + k relay k), carried across chunks;
+    the first `len(trace)` slots of the run are written to `trace`.
 
     Each queue follows the Lindley recursion, in the order primary,
     secondary, relays: a relay admits packets only in slots where a user
@@ -414,20 +221,31 @@ def _lindley_kernel(model, rng, start, count, queues, stats):
     while a user transmits; it is then not listening, and the slot
     collides only if the relay's chosen queue holds a packet.  Under
     perfect sensing no relay senses idle under a user, and saturated
-    relays always transmit, so one pass is exact.  With true queues the
-    pass runs on a guess of which of those slots collide (all of them at
-    first), reads the truth back from the relay queues, and runs again
-    from the first slot it got wrong, with the truth it read as the next
-    guess.  The truth of a slot depends only on the slots before it, so
-    the fixed point is unique, it is the slot loop's trajectory, and
-    every pass fixes at least one more slot.  When the passes stop paying
-    off (`_LOOP_STEP`), the slot loop walks the rest of the chunk on the
-    same draws.  The draws are taken one row at a time and cut at once
-    to the few bits the chain needs, so that no chunk of floats stays
-    live, and a relay queue is kept as the slots where it may change.
-    A slot's draws pick its relay, decoder and rank order by counting
-    cumulative entries (`_pick`), and its od capture winner is one lookup
-    in the run's capture table (`_captures`), with no per-row gather.
+    relays always transmit, so one pass over the chunk is exact.  With
+    true queues the pass runs on a guess of which of those slots collide
+    (all of them at first) and reads the truth back from the relay
+    queues.  The truth of a slot depends only on the slots before it, so
+    the slots before the first one the guess got wrong are exact, and
+    the next pass, with the truth it read as the guess, starts there.
+    The fixed point is unique, and every pass fixes at least one more
+    slot.  The first pass guesses blind, so the second covers the rest of
+    the chunk; each later one covers a window from the first open slot,
+    8 times the mean gap between the wrong slots of the pass before it
+    (its width over their count) but at least `_WINDOW`, and after a
+    window that came back right, 8 times its width from its end.  A
+    window that would leave less than itself takes the rest.  So where
+    wrong slots are dense a pass sweeps a few thousand slots, and a chunk
+    where they are sparse takes a few passes over its rest.
+
+    The draws are taken one row at a time and cut at once to the few
+    bits the chain needs, so that no chunk of floats stays live, and a
+    relay queue is kept as the slots where it may change: a pass keeps
+    those before its window and redoes those in it.  A slot's draws pick
+    its relay, decoder and rank order by counting cumulative entries
+    (`_pick`), and its od capture winner is one lookup in the run's
+    capture table (`_captures`), with no per-row gather.  The trace rows
+    are decoded from the exact per-slot arrays and the relay-decoding
+    bits kept for the traced slots.
     """
     (n, ordered, saturated, errors, lam_p, lam_s, pbar_ppd, pbar_ssd,
      pbar_pk, pbar_sk, pbar_kpd, pbar_ksd, omega_cum, assign_cum, alpha,
@@ -435,7 +253,7 @@ def _lindley_kernel(model, rng, start, count, queues, stats):
      pmd_p, pmd_s, pfa, capture_p, capture_s) = model
     errors = errors and n > 0      # with no relay nothing senses
     coupled = errors and not saturated
-    chunk_start = rng.bit_generator.state if coupled else None
+    shown = min(max(len(trace) - start, 0), count)   # slots traced
     arr_p = rng.random(count) < lam_p
     arr_s = rng.random(count) < lam_s
     u_dest = rng.random(count)
@@ -447,7 +265,9 @@ def _lindley_kernel(model, rng, start, count, queues, stats):
     u = rng.random(count)
     if ordered:
         order_p = _pick(perm_p_cum[:-1], u)
-        order_s = _pick(perm_s_cum[:-1], u)
+        # both users on one distribution: the same draw, the same order
+        order_s = (order_p if perm_s_cum is perm_p_cum
+                   else _pick(perm_s_cum[:-1], u))
     use_p = rng.random(count) < alpha[r]
     send_p = use_p & (u_dest < pbar_kpd[r])
     send_s = ~use_p & (u_dest < pbar_ksd[r])
@@ -470,6 +290,7 @@ def _lindley_kernel(model, rng, start, count, queues, stats):
     if ordered:
         takes_p = u < pbar_pk
         takes_s = u < pbar_sk
+        heard = takes_p[:shown].copy(), takes_s[:shown].copy()   # traced
         u = rng.random((count, max(n, 1)))
         takes_p &= u < f_p
         takes_s &= u < f_s
@@ -485,6 +306,7 @@ def _lindley_kernel(model, rng, start, count, queues, stats):
         u_k = np.take_along_axis(u, at, axis=1)[:, 0]
         takes_p = u_k < pbar_pk[decoder]
         takes_s = u_k < pbar_sk[decoder]
+        heard = takes_p[:shown].copy(), takes_s[:shown].copy()   # traced
         u = rng.random((count, max(n, 1)))
         u_k = np.take_along_axis(u, at, axis=1)[:, 0]
         del u
@@ -500,16 +322,13 @@ def _lindley_kernel(model, rng, start, count, queues, stats):
     base_p = direct_p | (win_p >= 0)   # served unless the slot collides
     base_s = direct_s | (win_s >= 0)
 
-    # the user queues slot by slot, after the slot's arrivals (until the
-    # first pass, slot 0 holds the chunk's starting state); each relay
-    # queue as the slots where it may change and its level before the
-    # first of them and after each
+    # the user queues slot by slot, after the slot's arrivals
     qp_in = np.empty(count, dtype=np.int32)
     qs_in = np.empty(count, dtype=np.int32)
     dep_p = np.empty(count, dtype=bool)
     dep_s = np.empty(count, dtype=bool)
-    qp_in[0] = queues[0, 0] + arr_p[0]
-    qs_in[0] = queues[1, 0] + arr_s[0]
+    # each relay queue as the slots where it may change and its level
+    # before the first of them and after each
     relay_adm = np.empty((2, n, count), dtype=bool)
     relay_out = np.empty((2, n, count), dtype=bool)   # sends if nonempty
     relay = [[(np.empty(0, dtype=np.intp), queues[c, 1 + k:2 + k].astype(
@@ -518,21 +337,21 @@ def _lindley_kernel(model, rng, start, count, queues, stats):
     # saturated relay always has one to send)
     busy = np.ones(count, dtype=bool) if errors else None
 
-    def sweep(lo):
-        """Every queue from slot `lo` on, from its state at the start of
-        slot `lo`, which the slots before it fix."""
-        at = slice(lo, count)
+    def sweep(lo, hi):
+        """Every queue in slots `lo .. hi - 1`, from its state after slot
+        `lo - 1`, which the slots before `lo` fix."""
+        at = slice(lo, hi)
         serve_p, serve_s = base_p[at], base_s[at]
         if errors:
             serve_p = serve_p & ~(miss_p[at] & busy[at])
             serve_s = serve_s & ~(miss_s[at] & busy[at])
-        q0 = int(qp_in[lo]) - int(arr_p[lo])
+        q0 = int(queues[0, 0] if lo == 0 else qp_in[lo - 1] - dep_p[lo - 1])
         qp_in[at] = _before(_lindley(np.subtract(
             arr_p[at], serve_p, dtype=np.int8), q0), q0) + arr_p[at]
         pu_tx = qp_in[at] > 0
         dep_p[at] = pu_tx & serve_p
         serve_s &= ~pu_tx
-        q0 = int(qs_in[lo]) - int(arr_s[lo])
+        q0 = int(queues[1, 0] if lo == 0 else qs_in[lo - 1] - dep_s[lo - 1])
         qs_in[at] = _before(_lindley(np.subtract(
             arr_s[at], serve_s, dtype=np.int8), q0), q0) + arr_s[at]
         dep_s[at] = (qs_in[at] > 0) & serve_s
@@ -551,6 +370,8 @@ def _lindley_kernel(model, rng, start, count, queues, stats):
                 adm = np.logical_and(caps[c], wins[c] == k,
                                      out=relay_adm[c, k, at])
                 out = np.logical_and(sent[c], at_k, out=relay_out[c, k, at])
+                # the slots from `lo` on are redone, those from `hi` on
+                # dropped until a later pass reaches them
                 ev, level = relay[c][k]
                 keep = np.searchsorted(ev, lo)
                 new = np.flatnonzero(adm | out)
@@ -559,8 +380,7 @@ def _lindley_kernel(model, rng, start, count, queues, stats):
                     np.concatenate((level[:keep + 1], _lindley(np.subtract(
                         adm[new], out[new], dtype=np.int8), level[keep]))))
 
-    sweep(0)
-    end = count   # the slots before `end` are exact
+    sweep(0, count)
     if coupled:
         # the slots a guess can matter in, grouped by the queue each reads
         rows = np.flatnonzero(miss_p | miss_s)
@@ -568,67 +388,118 @@ def _lindley_kernel(model, rng, start, count, queues, stats):
                                        & (r[rows] == k)))
                  for c in (0, 1) for k in range(n)]
         truth = np.empty(rows.size, dtype=bool)
-        j = 0       # rows[j:] are the rows from the last pass's start
-        swept = 0   # slots the passes after the first went over
+        lo, hi = 0, count   # the slots before `lo` are exact
+        last = -1           # the last slot a pass got wrong
         while True:
+            j0, j1 = np.searchsorted(rows, (lo, hi))
             for c, k, sel in reads:
                 ev, level = relay[c][k]
+                sel = sel[slice(*np.searchsorted(sel, (j0, j1)))]
                 truth[sel] = level[np.searchsorted(ev, rows[sel])] > 0
-            at = rows[j:]
+            at = rows[j0:j1]
             # the relay sensed idle while a user transmitted
             unheard = np.where(qp_in[at] > 0, miss_p[at],
                                miss_s[at] & (qs_in[at] > 0))
-            wrong = unheard & (truth[j:] != busy[at])
-            busy[at] = truth[j:]
-            if not wrong.any():
+            wrong = unheard & (truth[j0:j1] != busy[at])
+            busy[at] = truth[j0:j1]
+            if wrong.any():
+                first = int(at[wrong.argmax()])
+                assert first > last, "a pass fixed no slot"
+                # the first pass guessed blind: the next takes the rest
+                width = (count if last < 0 else max(
+                    _WINDOW, 8 * (hi - lo) // int(np.count_nonzero(wrong))))
+                lo = last = first
+            elif hi < count:
+                width = 8 * (hi - lo)
+                lo = hi
+            else:
                 break
-            skip = int(wrong.argmax())
-            assert skip > 0 or swept == 0, "a pass fixed no slot"
-            j += skip
-            lo = int(rows[j])
-            if swept >= _LOOP_STEP * (count - lo):
-                end = lo
-                break
-            sweep(lo)
-            swept += count - lo
+            # a window that would leave less than itself takes the rest
+            hi = lo + width if lo + 2 * width < count else count
+            sweep(lo, hi)
 
     status = 0
-    m = end
-    over = ((qp_in[:end] - dep_p[:end] > QUEUE_GUARD)
-            | (qs_in[:end] - dep_s[:end] > QUEUE_GUARD))
+    m = count
+    over = (qp_in - dep_p > QUEUE_GUARD) | (qs_in - dep_s > QUEUE_GUARD)
     if over.any():
         m = int(over.argmax()) + 1
         status = 1 if qp_in[m - 1] - dep_p[m - 1] > QUEUE_GUARD else 2
     del over
-    if m > 0:
-        last = m - 1
-        queues[:, 0] = (qp_in[last] - dep_p[last], qs_in[last] - dep_s[last])
-        pu_tx = qp_in > 0
-        backlog_s = qs_in > 0
-        idle = ~pu_tx & ~backlog_s
-        collisions = None
+    last = m - 1
+    queues[:, 0] = (qp_in[last] - dep_p[last], qs_in[last] - dep_s[last])
+    pu_tx = qp_in > 0
+    backlog_s = qs_in > 0
+    idle = ~pu_tx & ~backlog_s
+    collisions = None
+    if errors:
+        collisions = busy & ((pu_tx & miss_p) | (~pu_tx & backlog_s & miss_s))
+    flows = ([(arr_p, dep_p, qp_in)], [(arr_s, dep_s, qs_in)])
+    delivered = [dep_p & direct_p, dep_s & direct_s]
+    shown = min(shown, m)
+    held = np.empty((2, n, shown), dtype=np.int32)   # traced relay levels
+    for c in (0, 1):
+        for k, (ev, level) in enumerate(relay[c]):
+            # the level before each slot: its last change before it
+            prev = np.repeat(level, np.diff(ev, prepend=-1,
+                                            append=count - 1))
+            adm = relay_adm[c, k]
+            dep = relay_out[c, k] & (prev > 0)
+            queues[c, 1 + k] = prev[last] + adm[last] - dep[last]
+            flows[c].append((adm, dep, prev))
+            delivered[c] |= dep
+            held[c, k] = prev[:shown]
+    _tally(stats, start, m, flows, delivered, collisions, idle)
+    if shown == 0:
+        return status
+
+    # the trace: who sent, what the destination and the relays decoded
+    t = slice(0, shown)
+    pu, su = pu_tx[t], ~pu_tx[t] & backlog_s[t]
+    user = pu | su
+    who = np.where(pu, 1, np.where(su, 2, 0))
+    sender = np.full(shown, -1)
+    relayed = np.zeros(shown, dtype=bool)    # a relay sent a real packet
+    clash = np.zeros(shown, dtype=bool)
+    mask = np.zeros(shown, dtype=np.int64)
+    if n:
+        r_t = r[t]
         if errors:
-            collisions = busy & ((pu_tx & miss_p)
-                                | (~pu_tx & backlog_s & miss_s))
-        flows = ([(arr_p, dep_p, qp_in)], [(arr_s, dep_s, qs_in)])
-        delivered = [dep_p & direct_p, dep_s & direct_s]
-        for c in (0, 1):
-            for k, (ev, level) in enumerate(relay[c]):
-                # the level before each slot: its last change before it
-                prev = np.repeat(level, np.diff(ev, prepend=-1,
-                                                append=count - 1))
-                adm = relay_adm[c, k]
-                dep = relay_out[c, k] & (prev > 0)
-                queues[c, 1 + k] = prev[last] + adm[last] - dep[last]
-                flows[c].append((adm, dep, prev))
-                delivered[c] |= dep
-        _tally(stats, start, m, flows, delivered, collisions, idle)
-    if status == 0 and m < count:
-        # the slot loop walks the rest of the chunk from its exact state
-        redo = np.random.Generator(type(rng.bit_generator)())
-        redo.bit_generator.state = chunk_start
-        status = _slot_kernel(model, redo, start, count, queues, stats,
-                              np.zeros((0, 7), dtype=np.int64), skip=m)
+            senses_idle = np.where(pu, miss_p[t],
+                                   np.where(su, miss_s[t], hears_idle[t]))
+        else:
+            senses_idle = ~user
+        relayed = senses_idle & (held[np.where(use_p[t], 0, 1), r_t,
+                                      np.arange(shown)] > 0)
+        relay_tx = relayed | (senses_idle & saturated)
+        clash = user & relay_tx
+        relay_only = relay_tx & ~user
+        who[relay_only] = 3
+        sender = np.where(relay_only, r_t, -1)
+        relayed &= relay_only
+        deaf = senses_idle & user    # the relay missed the user
+    user_only = user & ~clash
+    ok = (user_only & np.where(pu, direct_p[t], direct_s[t])
+          | relayed & (send_p[t] | send_s[t]))
+    verdict = np.where(ok, 1, np.where(user | relayed, 2, 0))
+    nack = user_only & ~ok
+    acceptor = np.where(nack, np.where(pu, win_p[t], win_s[t]), -1)
+    if n:
+        decoded = np.where(pu[:, None] if ordered else pu, *heard)
+        if ordered:
+            decoded[deaf, r_t[deaf]] = False
+            ranked = np.where(pu[:, None], perm_p_orders[order_p[t]],
+                              perm_s_orders[order_s[t]])
+            # the relays in rank order that decoded, up to the acceptor
+            hit = np.take_along_axis(decoded, ranked, axis=1)
+            taker = ranked == acceptor[:, None]
+            hit &= np.cumsum(taker, axis=1) - taker == 0
+            mask = np.sum(hit << ranked, axis=1)
+        else:
+            d = decoder[t]
+            mask = (decoded & ~(deaf & (d == r_t))) << d
+        mask = np.where(nack, mask, 0)
+    trace[start:start + shown] = np.column_stack(
+        (who, sender, ok, mask, verdict, acceptor, clash))
     return status
 
 
@@ -724,8 +595,9 @@ def run(cfg: OutageTable | NetworkConfig, params: StrategyParams,
 
     Raises UnstableQueueError when a user queue exceeds the runaway
     guard.  With perfect sensing a collision is impossible and asserted
-    to be absent.  Runs that keep a trace go through the per-slot loop,
-    every other run through the Lindley kernel, with the same result.
+    to be absent.  Every run, traced or not, goes through the one chunk
+    kernel, `_lindley_kernel`; a trace records the first
+    `min(trace_limit, slots)` slots and leaves the estimate as it is.
     """
     _check_integer("slots", slots, 1)
     _check_integer("seed", seed, 0)
@@ -746,12 +618,17 @@ def run(cfg: OutageTable | NetworkConfig, params: StrategyParams,
         raise ConfigError("sensing-error vectors sized for a different relay count")
 
     ordered = params.strategy is StrategyKind.ORDERED
+    # per user: the rank orders' cumulative distribution, the orders and
+    # their capture table; users on one distribution share all three
     if ordered and n > 0:
         pp, po = params.order_p.rank_orders()
         sp, so = params.order_s.rank_orders()
+        perm_p = np.cumsum(pp), po, _capture_table(po)
+        perm_s = (perm_p if np.array_equal(sp, pp) and np.array_equal(so, po)
+                  else (np.cumsum(sp), so, _capture_table(so)))
     else:
-        pp, po = np.zeros(1), np.zeros((1, max(n, 1)), dtype=np.int64)
-        sp, so = np.zeros(1), np.zeros((1, max(n, 1)), dtype=np.int64)
+        perm_p = perm_s = (np.zeros(1), np.zeros((1, max(n, 1)),
+                                                 dtype=np.int64), None)
 
     omega_cum = np.cumsum(params.omega) if n else np.zeros(1)
     assign_cum = (np.cumsum(params.assignment())
@@ -769,29 +646,23 @@ def run(cfg: OutageTable | NetworkConfig, params: StrategyParams,
     model = _Model(n, ordered, mode == "saturated_relays", sensing is not None,
                    traffic.lambda_p, traffic.lambda_s, 1.0 - outages.pu_pd,
                    1.0 - outages.su_sd, pbar_pk, pbar_sk, pbar_kpd, pbar_ksd,
-                   omega_cum, assign_cum, alpha, f_p, f_s, np.cumsum(pp), po,
-                   np.cumsum(sp), so, pmd_p, pmd_s, pfa,
-                   *((_capture_table(po), _capture_table(so)) if ordered
-                     else (None, None)))
+                   omega_cum, assign_cum, alpha, f_p, f_s, *perm_p[:2],
+                   *perm_s[:2], pmd_p, pmd_s, pfa, perm_p[2], perm_s[2])
 
     batches = min(batches, slots)
     stats = _Stats(slots // batches, np.zeros(batches),
                    np.zeros((batches, 2, 1 + n, 4)), np.zeros((batches, 2)),
                    np.zeros(batches), np.zeros(batches))
     queues = np.zeros((2, 1 + n), dtype=np.int64)
-    trace_rows = np.zeros((trace_limit, 7), dtype=np.int64)
+    trace_rows = np.zeros((min(trace_limit, slots), 7), dtype=np.int64)
 
-    loop = trace_limit > 0
     rng = np.random.default_rng(seed)
     done = 0
     status = 0
     while done < slots:
         count = min(CHUNK, slots - done)
-        if loop:
-            status = _slot_kernel(model, rng, done, count, queues, stats,
-                                  trace_rows)
-        else:
-            status = _lindley_kernel(model, rng, done, count, queues, stats)
+        status = _lindley_kernel(model, rng, done, count, queues, stats,
+                                 trace_rows)
         done += count
         if status != 0:
             raise UnstableQueueError(
@@ -824,7 +695,7 @@ def run(cfg: OutageTable | NetworkConfig, params: StrategyParams,
           "lambda_pk": ci_arrival[0], "lambda_sk": ci_arrival[1],
           "mu_pk": ci_served[0, 1:], "mu_sk": ci_served[1, 1:]}
 
-    trace = tuple(_decode_trace(row) for row in trace_rows[:min(trace_limit, slots)])
+    trace = tuple(_decode_trace(row) for row in trace_rows)
     return SimEstimate(
         mu_p_hat=served[0, 0], mu_s_hat=served[1, 0],
         pi_p0_hat=empty[0], pi_s0_hat=empty[1],

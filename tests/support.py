@@ -1,11 +1,13 @@
-"""Shared test helpers: the exhaustive slot-outcome oracle, a relaxation
-bound on the delay-limited secondary rate, the QoS search's closed-form
-schedule, random configuration generators, and equality of simulator
-estimates.
+"""Shared test helpers: the exhaustive slot-outcome oracle, the per-slot
+simulator loop, a relaxation bound on the delay-limited secondary rate,
+the QoS search's closed-form schedule, random configuration generators,
+and equality of simulator estimates.
 
 The oracle enumerates every joint decode/acceptance outcome of one slot
 instead of using the prefix-product formulas, so it is an independent
-check of the closed-form rates.
+check of the closed-form rates.  The slot loop (`slot_kernel`) walks the
+protocol's state machine slot by slot on the same draws as the
+simulator's vectorized chunk kernel, as the oracle of the lockstep tests.
 """
 
 import dataclasses
@@ -14,6 +16,7 @@ import math
 
 import numpy as np
 
+import cogrelay.sim as sim
 from cogrelay.channel import StrategyKind
 from cogrelay.network import (OutageTable, SensingErrorParams,
                               TrafficParams)
@@ -78,6 +81,202 @@ def oracle_user_rates(outages: OutageTable, params: StrategyParams,
     lambda_pk = (1.0 - pi_p0) * outages.pu_pd * cap_p
     lambda_sk = (1.0 - pi_s0) * pi_p0 * outages.su_sd * cap_s
     return mu_p, mu_s, lambda_pk, lambda_sk
+
+
+def draw(rng, count, n):
+    """One chunk's uniforms, in the layout the chunk kernel consumes: nine
+    per-slot rows (user arrivals, destination decoding, schedule,
+    assignment, rank order, relay queue choice, the two sensing
+    intervals), then per-relay decoding and acceptance."""
+    u = rng.random((9, count))
+    return (*u, rng.random((count, max(n, 1))), rng.random((count, max(n, 1))))
+
+
+def slot_kernel(model, rng, start, count, queues, stats, trace):
+    """Walk the chunk of `count` slots that starts at slot `start` of the
+    run, on `draw(rng, count, n)`, then tally them with `sim._tally`.
+    `queues[c, j]` is the class-c queue j (0 the user, 1 + k relay k),
+    carried across chunks; the first `len(trace)` slots of the run are
+    written to `trace`.  Returns 0, or 1 (2) when the primary (secondary)
+    queue passed the guard, after that slot.  It takes the place of
+    `sim._lindley_kernel` and must agree with it bit for bit."""
+    (n, ordered, saturated, errors, lam_p, lam_s, pbar_ppd, pbar_ssd,
+     pbar_pk, pbar_sk, pbar_kpd, pbar_ksd, omega_cum, assign_cum, alpha,
+     f_p, f_s, perm_p_cum, perm_p_orders, perm_s_cum, perm_s_orders,
+     pmd_p, pmd_s, pfa, *_) = model
+    (u_arr_p, u_arr_s, u_dest, u_sched, u_assign, u_perm, u_alpha,
+     u_md1, u_md2, u_dec, u_acc) = draw(rng, count, n)
+    # per class: destination and relay decoding, acceptance, rank orders
+    pbar_d = (pbar_ppd, pbar_ssd)
+    pbar_r = (pbar_pk, pbar_sk)
+    pbar_rd = (pbar_kpd, pbar_ksd)
+    accept = (f_p, f_s)
+    perm_cum = (perm_p_cum, perm_s_cum)
+    perm_orders = (perm_p_orders, perm_s_orders)
+    guard = sim.QUEUE_GUARD
+    trace_limit = len(trace)
+
+    arrivals = (u_arr_p < lam_p, u_arr_s < lam_s)
+    arr_p, arr_s = arrivals
+    # per-slot events, -1 for none: the class of the user packet that
+    # left its queue, the relay that admitted it, and the relay whose
+    # packet (of class `sent_class`) reached the destination
+    relay_index = np.min_scalar_type(-n - 1)
+    left = np.full(count, -1, dtype=np.int8)
+    admitted = np.full(count, -1, dtype=relay_index)
+    sent = np.full(count, -1, dtype=relay_index)
+    sent_class = np.zeros(count, dtype=np.int8)
+    collided = np.zeros(count, dtype=bool)
+    q0 = queues.tolist()
+    qp, qs = q0[0][0], q0[1][0]
+    relay = [row[1:] for row in q0]   # relay[c][k]
+
+    m = count
+    status = 0
+    for i in range(count):
+        # arrivals at slot start; a fresh packet may be served this slot
+        if arr_p[i]:
+            qp += 1
+        if arr_s[i]:
+            qs += 1
+        pu_tx = qp > 0
+        su_tx = (not pu_tx) and qs > 0
+
+        # schedule-selected relay and (assignment strategies) the decoder
+        r = -1
+        if n > 0:
+            r = 0
+            while r < n - 1 and u_sched[i] >= omega_cum[r]:
+                r += 1
+        a_dec = -1
+        if n > 0 and not ordered:
+            a_dec = 0
+            while a_dec < n - 1 and u_assign[i] >= assign_cum[a_dec]:
+                a_dec += 1
+
+        # the scheduled relay transmits only if both sensing intervals
+        # come back idle; a relay that believed the channel idle is not
+        # listening for a data packet that slot
+        relay_tx = False
+        relay_real = False
+        relay_class = 0
+        scheduled_listening = True
+        if n > 0:
+            if errors:
+                if pu_tx:
+                    idle1 = u_md1[i] < pmd_p[r]
+                    idle2 = u_md2[i] < pmd_p[r]
+                elif su_tx:
+                    idle1 = u_md1[i] >= pfa[r]
+                    idle2 = u_md2[i] < pmd_s[r]
+                else:
+                    idle1 = u_md1[i] >= pfa[r]
+                    idle2 = u_md2[i] >= pfa[r]
+                senses_idle = idle1 and idle2
+            else:
+                senses_idle = (not pu_tx) and (not su_tx)
+            if senses_idle:
+                scheduled_listening = False
+                relay_class = 0 if u_alpha[i] < alpha[r] else 1
+                relay_real = relay[relay_class][r] > 0
+                relay_tx = relay_real or saturated
+
+        n_tx = pu_tx + su_tx + relay_tx
+        who = 0
+        direct_ok = False
+        decode_mask = 0
+        verdict = 0
+        acceptor = -1
+
+        if n_tx >= 2:
+            # concurrent transmissions are all lost; nobody decodes
+            collided[i] = True
+            verdict = 2
+            who = 1 if pu_tx else 2
+        elif pu_tx or su_tx:
+            c = 0 if pu_tx else 1
+            who = 1 + c
+            verdict = 2
+            pk, fk = pbar_r[c], accept[c]
+            if u_dest[i] < pbar_d[c]:
+                direct_ok = True
+                verdict = 1
+            elif n > 0 and ordered:
+                cum, orders = perm_cum[c], perm_orders[c]
+                j = 0
+                while j < cum.shape[0] - 1 and u_perm[i] >= cum[j]:
+                    j += 1
+                for rank in range(n):
+                    k = orders[j, rank]
+                    if k == r and not scheduled_listening:
+                        continue
+                    if u_dec[i, k] < pk[k]:
+                        decode_mask |= 1 << k
+                        if u_acc[i, k] < fk[k]:
+                            acceptor = k
+                            break
+            elif n > 0:
+                k = a_dec
+                if (k != r or scheduled_listening) and u_dec[i, k] < pk[k]:
+                    decode_mask |= 1 << k
+                    if u_acc[i, k] < fk[k]:
+                        acceptor = k
+            if direct_ok or acceptor >= 0:
+                left[i] = c
+                if c == 0:
+                    qp -= 1
+                else:
+                    qs -= 1
+            if acceptor >= 0:
+                admitted[i] = acceptor
+                relay[c][acceptor] += 1
+        elif relay_tx:
+            who = 3
+            if relay_real:  # dummy packets deliver nothing
+                verdict = 2
+                if u_dest[i] < pbar_rd[relay_class][r]:
+                    direct_ok = True
+                    verdict = 1
+                    relay[relay_class][r] -= 1
+                    sent[i] = r
+                    sent_class[i] = relay_class
+
+        t = start + i
+        if t < trace_limit:
+            trace[t] = (who, r if who == 3 else -1, direct_ok, decode_mask,
+                        verdict, acceptor, n_tx >= 2)
+
+        if qp > guard or qs > guard:
+            status = 1 if qp > guard else 2
+            m = i + 1
+            break
+
+    queues[:, 0] = qp, qs
+    queues[:, 1:] = relay
+    del (u_arr_p, u_arr_s, u_dest, u_sched, u_assign, u_perm, u_alpha,
+         u_md1, u_md2, u_dec, u_acc)   # free the draws before the sums
+    # every queue's length, slot by slot, from its events: one cumulative
+    # sum of its increments from the chunk's starting length
+    left, admitted, sent, sent_class = (left[:m], admitted[:m], sent[:m],
+                                        sent_class[:m])
+    flows = ([], [])
+    delivered = []
+    for c in (0, 1):
+        out = left == c
+        x = np.subtract(arrivals[c][:m], out, dtype=np.int8)
+        flows[c].append((arrivals[c], out,
+                         q0[c][0] + np.cumsum(x, dtype=np.int32) + out))
+        relay_out = (sent >= 0) & (sent_class == c)
+        for k in range(n):
+            adm = out & (admitted == k)
+            dep = relay_out & (sent == k)
+            x = np.subtract(adm, dep, dtype=np.int8)
+            flows[c].append((adm, dep,
+                             q0[c][1 + k] + np.cumsum(x, dtype=np.int32) - x))
+        delivered.append((out & (admitted < 0)) | relay_out)
+    idle = (flows[0][0][2] == 0) & (flows[1][0][2] == 0)
+    sim._tally(stats, start, m, flows, delivered, collided, idle)
+    return status
 
 
 def delay_limited_secondary_ceiling(outages: OutageTable,

@@ -223,6 +223,13 @@ class TestGuardsAndTrace:
                 assert slot.feedback == "none"
         assert seen_accept
 
+    def test_trace_sized_by_the_run(self):
+        # a trace limit past the run's length asks for no more rows than
+        # the run has slots
+        est = run(TABLE_ROWS12, od2(0.5), TrafficParams(0.5, 0.4),
+                  slots=10, seed=15, trace_limit=10 ** 12)
+        assert len(est.trace) == 10
+
     def test_mode_validation(self):
         with pytest.raises(ConfigError):
             run(TABLE_ROWS12, od2(), TrafficParams(0.1, 0.1),

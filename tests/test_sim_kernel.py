@@ -1,7 +1,8 @@
-"""Kernel-level checks: the Lindley chunk kernel and the per-slot loop are
-the same function of the draws, and the random-draw layout is stable
-across chunking.  Both kernels count through `sim._tally`, so a fault in
-the tally shows in `test_sim_golden.py`, not here."""
+"""Kernel-level checks: the Lindley chunk kernel and the per-slot loop of
+`support.slot_kernel` are the same function of the draws, trace rows
+included, and the random-draw layout is stable across chunking.  Both
+count through `sim._tally`, so a fault in the tally shows in
+`test_sim_golden.py`, not here."""
 
 import copy
 import dataclasses
@@ -19,7 +20,7 @@ from cogrelay.network import OutageTable, SensingErrorParams, TrafficParams
 from cogrelay.orders import OrderDistribution
 from cogrelay.rates import StrategyParams, apply_sensing_errors, rate_report
 
-from support import estimates_equal
+from support import estimates_equal, slot_kernel
 
 TABLE_ROWS12 = OutageTable(0.1, 0.2, [0.1, 0.02], [0.1, 0.1],
                            [0.1, 0.1], [0.1, 0.1])
@@ -86,20 +87,23 @@ def random_case(rng, n, strategy, uniform=False):
 _LINDLEY_KERNEL = sim._lindley_kernel
 
 
-def _lockstep(model, rng, start, count, queues, stats):
-    """Run both chunk kernels on one chunk's draws and require the same
-    status, queues and stats, and the same draws consumed; the slot
-    loop's state is the one kept."""
+def _lockstep(model, rng, start, count, queues, stats, trace):
+    """Run the chunk kernel and the slot loop on one chunk's draws and
+    require the same status, queues, stats and trace rows, and the same
+    draws consumed; the slot loop's state is the one kept."""
     twin = copy.deepcopy(rng)
     fast_queues, fast_stats = queues.copy(), copy.deepcopy(stats)
-    got = _LINDLEY_KERNEL(model, twin, start, count, fast_queues, fast_stats)
-    want = sim._slot_kernel(model, rng, start, count, queues, stats,
-                            np.zeros((0, 7), dtype=np.int64))
+    fast_trace = trace.copy()
+    got = _LINDLEY_KERNEL(model, twin, start, count, fast_queues, fast_stats,
+                          fast_trace)
+    want = slot_kernel(model, rng, start, count, queues, stats, trace)
     assert got == want
     assert twin.bit_generator.state == rng.bit_generator.state
     assert np.array_equal(queues, fast_queues), "queues"
     for name, a, b in zip(stats._fields, stats, fast_stats):
         assert np.array_equal(a, b), name
+    if want == 0:
+        assert np.array_equal(trace, fast_trace), "trace"
     return want
 
 
@@ -298,28 +302,88 @@ def test_coupled_guard_matches_loop(monkeypatch, lam_p, lam_s, queue):
 
 def test_coupled_fallback_matches_loop(monkeypatch):
     # relays that almost never hear a user: most busy slots hinge on a
-    # relay queue, each pass fixes little, and the slot loop takes over
-    # part way through a chunk
+    # relay queue, each pass fixes little, and the passes go over a chunk
+    # window by window, each narrower than the rest of the chunk
     monkeypatch.setattr(sim, "CHUNK", 4_096)
+    monkeypatch.setattr(sim, "_WINDOW", 256)
     se = SensingErrorParams([0.9, 0.9], [0.9, 0.9], [0.5, 0.5])
-    skips = []
-    slot_kernel = sim._slot_kernel
+    widths = []   # slots each pass covers: every pass calls `_before` twice
+    before = sim._before
 
-    def spy(*args, skip=0):
-        skips.append(skip)
-        return slot_kernel(*args, skip=skip)
+    def spy(q, q0):
+        widths.append(q.size)
+        return before(q, q0)
 
     def call():
         return sim.run(TABLE_ROWS12, od2(), TrafficParams(0.1, 0.2),
                        sensing=se, slots=8_192, seed=0, batches=7)
 
     loop, _ = _loop_and_fast(call)
-    monkeypatch.setattr(sim, "_slot_kernel", spy)
+    monkeypatch.setattr(sim, "_before", spy)
     fast = call()
     assert estimates_equal(loop, fast)
     assert fast.collisions > 0
-    # the loop takes the end of one of the two chunks
-    assert len(skips) == 1 and 0 < skips[0] < 4_096
+    passes = widths[::2]
+    # the two chunks take many passes, some over no more than the least
+    # window
+    assert len(passes) > 20 and min(passes) <= 256
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 5), strategy=st.sampled_from(_STRATEGIES),
+       p_md=st.lists(st.sampled_from((0.0, 0.5, 0.9, 0.99, 1.0))
+                     | st.floats(0.0, 1.0), min_size=3, max_size=3),
+       p_fa=st.sampled_from((0.0, 0.01, 0.5, 1.0)) | st.floats(0.0, 1.0),
+       slots=st.integers(1, 1_500), batches=st.integers(1, 25),
+       chunk=st.integers(1, 700), window=st.integers(1, 64),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_coupled_windows_match_loop_property(n, strategy, p_md, p_fa, slots,
+                                             batches, chunk, window, seed):
+    # true queues with sensing errors up to certain misses and false
+    # alarms: small chunks and windows, so that a run spans chunks and
+    # batches and a chunk's passes many windows
+    rng = np.random.default_rng(seed)
+    out, params, traffic, _ = random_case(rng, n, strategy)
+    se = SensingErrorParams(*(np.full(n, v) for v in p_md[:2]),
+                            np.minimum(rng.uniform(size=n) * 2 * p_fa, 1.0))
+    se = dataclasses.replace(se, p_md_secondary=np.where(
+        rng.uniform(size=n) < 0.5, p_md[2], se.p_md_secondary))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "CHUNK", chunk)
+        mp.setattr(sim, "_WINDOW", window)
+        loop, fast = _loop_and_fast(lambda: sim.run(
+            out, params, traffic, sensing=se, slots=slots, seed=seed,
+            batches=batches))
+    assert estimates_equal(loop, fast)
+
+
+@pytest.mark.parametrize("n", range(6))
+@pytest.mark.parametrize("strategy", _STRATEGIES)
+@pytest.mark.parametrize("mode,errors", _MODES)
+def test_kernel_trace_matches_loop(monkeypatch, n, strategy, mode, errors):
+    # a trace over two chunk boundaries that stops inside the third
+    # chunk; every relay misses the primary in both sensing intervals,
+    # so with true queues a primary slot whose relay queue is empty has
+    # that relay deaf to the packet
+    monkeypatch.setattr(sim, "CHUNK", 1000)
+    seed = 9000 + 100 * n + 10 * _STRATEGIES.index(strategy) + \
+        _MODES.index((mode, errors))
+    rng = np.random.default_rng(seed)
+    out, params, traffic, _ = random_case(rng, n, strategy)
+    se = SensingErrorParams(np.ones(n), rng.uniform(0.0, 1.0, n),
+                            rng.uniform(0.0, 0.3, n))
+    loop, fast = _loop_and_fast(lambda: sim.run(
+        out, params, traffic, sensing=se if errors else None, mode=mode,
+        slots=2_503, seed=seed, batches=7, trace_limit=2_222))
+    assert len(loop.trace) == len(fast.trace) == 2_222
+    for t, (want, got) in enumerate(zip(loop.trace, fast.trace)):
+        for field in dataclasses.fields(sim.SlotOutcome):
+            assert getattr(got, field.name) == getattr(want, field.name), \
+                (t, field.name)
+    assert estimates_equal(loop, fast)
+    if n and errors and mode == "true_queues" and traffic.lambda_p > 0:
+        assert any(slot.transmitter == "primary" and not slot.collision
+                   for slot in fast.trace)
 
 
 def test_traced_run_equals_untraced():
