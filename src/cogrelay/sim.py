@@ -49,6 +49,13 @@ CHUNK = 1 << 16
 # calls, and the relay events before the window, which it keeps): a
 # window of a few thousand slots spends about as much on either.
 _WINDOW = 4096
+# A coupled pass after one that got slots wrong covers this many mean
+# gaps between those slots, and one after a window that came back right
+# this many times its width.  On nine 40,000-slot runs with fig11's
+# sensing errors 8 is the least that keeps the fewest passes (4 takes 4
+# more, 16 the same over more slots); without the growth after a right
+# window a stress case of table1 rd takes 128 passes instead of 119.
+_WIDEN = 8
 
 # A cumulative distribution this long or shorter is searched by a scan
 # (`_pick`).  Runs come in chunks of CHUNK slots plus one remainder.  On
@@ -230,12 +237,12 @@ def _lindley_kernel(model, rng, start, count, queues, stats, trace):
     The fixed point is unique, and every pass fixes at least one more
     slot.  The first pass guesses blind, so the second covers the rest of
     the chunk; each later one covers a window from the first open slot,
-    8 times the mean gap between the wrong slots of the pass before it
-    (its width over their count) but at least `_WINDOW`, and after a
-    window that came back right, 8 times its width from its end.  A
-    window that would leave less than itself takes the rest.  So where
-    wrong slots are dense a pass sweeps a few thousand slots, and a chunk
-    where they are sparse takes a few passes over its rest.
+    `_WIDEN` times the mean gap between the wrong slots of the pass
+    before it (its width over their count) but at least `_WINDOW`, and
+    after a window that came back right, `_WIDEN` times its width from
+    its end.  A window that would leave less than itself takes the rest.
+    So where wrong slots are dense a pass sweeps a few thousand slots,
+    and a chunk where they are sparse takes a few passes over its rest.
 
     The draws are taken one row at a time and cut at once to the few
     bits the chain needs, so that no chunk of floats stays live, and a
@@ -406,11 +413,11 @@ def _lindley_kernel(model, rng, start, count, queues, stats, trace):
                 first = int(at[wrong.argmax()])
                 assert first > last, "a pass fixed no slot"
                 # the first pass guessed blind: the next takes the rest
-                width = (count if last < 0 else max(
-                    _WINDOW, 8 * (hi - lo) // int(np.count_nonzero(wrong))))
+                width = (count if last < 0 else max(_WINDOW, _WIDEN * (
+                    hi - lo) // int(np.count_nonzero(wrong))))
                 lo = last = first
             elif hi < count:
-                width = 8 * (hi - lo)
+                width = _WIDEN * (hi - lo)
                 lo = hi
             else:
                 break
@@ -484,7 +491,8 @@ def _lindley_kernel(model, rng, start, count, queues, stats, trace):
     nack = user_only & ~ok
     acceptor = np.where(nack, np.where(pu, win_p[t], win_s[t]), -1)
     if n:
-        decoded = np.where(pu[:, None] if ordered else pu, *heard)
+        decoded = np.where(pu[:, None] if ordered else pu,
+                           *(h[t] for h in heard))   # cut at the guard
         if ordered:
             decoded[deaf, r_t[deaf]] = False
             ranked = np.where(pu[:, None], perm_p_orders[order_p[t]],
@@ -496,7 +504,9 @@ def _lindley_kernel(model, rng, start, count, queues, stats, trace):
             mask = np.sum(hit << ranked, axis=1)
         else:
             d = decoder[t]
-            mask = (decoded & ~(deaf & (d == r_t))) << d
+            # in int64: `d` is as narrow as int8, and relay 7 is bit 7
+            mask = np.left_shift(decoded & ~(deaf & (d == r_t)), d,
+                                 dtype=np.int64)
         mask = np.where(nack, mask, 0)
     trace[start:start + shown] = np.column_stack(
         (who, sender, ok, mask, verdict, acceptor, clash))
@@ -627,8 +637,11 @@ def run(cfg: OutageTable | NetworkConfig, params: StrategyParams,
         perm_s = (perm_p if np.array_equal(sp, pp) and np.array_equal(so, po)
                   else (np.cumsum(sp), so, _capture_table(so)))
     else:
-        perm_p = perm_s = (np.zeros(1), np.zeros((1, max(n, 1)),
-                                                 dtype=np.int64), None)
+        # od over no relay still reads its one-entry table: every slot's
+        # winner is one lookup, not a gather
+        po = np.zeros((1, max(n, 1)), dtype=np.int64)
+        perm_p = perm_s = (np.zeros(1), po,
+                           _capture_table(po) if ordered else None)
 
     omega_cum = np.cumsum(params.omega) if n else np.zeros(1)
     assign_cum = (np.cumsum(params.assignment())

@@ -102,8 +102,8 @@ def _lockstep(model, rng, start, count, queues, stats, trace):
     assert np.array_equal(queues, fast_queues), "queues"
     for name, a, b in zip(stats._fields, stats, fast_stats):
         assert np.array_equal(a, b), name
-    if want == 0:
-        assert np.array_equal(trace, fast_trace), "trace"
+    # both write the traced slots up to the one the guard stopped at
+    assert np.array_equal(trace, fast_trace), "trace"
     return want
 
 
@@ -261,7 +261,8 @@ def test_pick_matches_searchsorted(size):
 @pytest.mark.parametrize("lam_p,lam_s,queue", [(1.0, 0.0, "primary"),
                                                (0.0, 1.0, "secondary")])
 def test_lindley_kernel_guard_matches_loop(monkeypatch, lam_p, lam_s, queue):
-    # neither user is ever served, so the guard trips mid-chunk
+    # neither user is ever served, so the guard trips mid-chunk, inside
+    # the traced slots
     monkeypatch.setattr(sim, "QUEUE_GUARD", 1_500)
     out = OutageTable(1.0, 1.0, np.ones(2), np.ones(2),
                       np.full(2, 0.5), np.full(2, 0.5))
@@ -269,7 +270,7 @@ def test_lindley_kernel_guard_matches_loop(monkeypatch, lam_p, lam_s, queue):
     def call():
         with pytest.raises(UnstableQueueError) as err:
             sim.run(out, od2(), TrafficParams(lam_p, lam_s),
-                    slots=5_000, seed=3)
+                    slots=5_000, seed=3, trace_limit=5_000)
         return err.value
 
     loop, fast = _loop_and_fast(call)
@@ -283,7 +284,8 @@ def test_coupled_guard_matches_loop(monkeypatch, lam_p, lam_s, queue):
     # true queues with sensing errors: the users reach the destination
     # only through the relays, which are never idle to forward, so they
     # fill up and the slots where a relay misses the user collide more
-    # and more often until the guard trips mid-chunk
+    # and more often until the guard trips mid-chunk, inside the traced
+    # slots
     monkeypatch.setattr(sim, "QUEUE_GUARD", 1_500)
     out = OutageTable(1.0, 1.0, np.full(2, 0.9), np.full(2, 0.9),
                       np.full(2, 0.5), np.full(2, 0.5))
@@ -292,7 +294,7 @@ def test_coupled_guard_matches_loop(monkeypatch, lam_p, lam_s, queue):
     def call():
         with pytest.raises(UnstableQueueError) as err:
             sim.run(out, od2(), TrafficParams(lam_p, lam_s), sensing=se,
-                    slots=5_000, seed=3)
+                    slots=5_000, seed=3, trace_limit=5_000)
         return err.value
 
     loop, fast = _loop_and_fast(call)
@@ -357,19 +359,13 @@ def test_coupled_windows_match_loop_property(n, strategy, p_md, p_fa, slots,
     assert estimates_equal(loop, fast)
 
 
-@pytest.mark.parametrize("n", range(6))
-@pytest.mark.parametrize("strategy", _STRATEGIES)
-@pytest.mark.parametrize("mode,errors", _MODES)
-def test_kernel_trace_matches_loop(monkeypatch, n, strategy, mode, errors):
-    # a trace over two chunk boundaries that stops inside the third
-    # chunk; every relay misses the primary in both sensing intervals,
-    # so with true queues a primary slot whose relay queue is empty has
-    # that relay deaf to the packet
-    monkeypatch.setattr(sim, "CHUNK", 1000)
-    seed = 9000 + 100 * n + 10 * _STRATEGIES.index(strategy) + \
-        _MODES.index((mode, errors))
-    rng = np.random.default_rng(seed)
-    out, params, traffic, _ = random_case(rng, n, strategy)
+def _check_trace(out, params, traffic, mode, errors, rng, seed):
+    """A trace over two chunk boundaries that stops inside the third
+    chunk, field by field against the loop's, and the estimates equal.
+    Every relay misses the primary in both sensing intervals, so with
+    true queues a primary slot whose relay queue is empty has that relay
+    deaf to the packet.  Returns the kernel's trace."""
+    n = params.n_relays
     se = SensingErrorParams(np.ones(n), rng.uniform(0.0, 1.0, n),
                             rng.uniform(0.0, 0.3, n))
     loop, fast = _loop_and_fast(lambda: sim.run(
@@ -384,6 +380,43 @@ def test_kernel_trace_matches_loop(monkeypatch, n, strategy, mode, errors):
     if n and errors and mode == "true_queues" and traffic.lambda_p > 0:
         assert any(slot.transmitter == "primary" and not slot.collision
                    for slot in fast.trace)
+    return fast.trace
+
+
+@pytest.mark.parametrize("n", range(6))
+@pytest.mark.parametrize("strategy", _STRATEGIES)
+@pytest.mark.parametrize("mode,errors", _MODES)
+def test_kernel_trace_matches_loop(monkeypatch, n, strategy, mode, errors):
+    monkeypatch.setattr(sim, "CHUNK", 1000)
+    seed = 9000 + 100 * n + 10 * _STRATEGIES.index(strategy) + \
+        _MODES.index((mode, errors))
+    rng = np.random.default_rng(seed)
+    _check_trace(*random_case(rng, n, strategy)[:3], mode, errors, rng, seed)
+
+
+@pytest.mark.parametrize("n", (8, 9))
+@pytest.mark.parametrize("strategy", _STRATEGIES[1:])
+@pytest.mark.parametrize("mode,errors", _MODES)
+def test_kernel_trace_matches_loop_many_relays(monkeypatch, n, strategy, mode,
+                                               errors):
+    # rd and rr take any relay count; relays 7 and 8 put their decoding
+    # bit past what an int8 relay index holds.  Weak direct links and
+    # strong relay links make NACKs that relays decoded common
+    monkeypatch.setattr(sim, "CHUNK", 1000)
+    seed = 9900 + 100 * n + 10 * _STRATEGIES.index(strategy) + \
+        _MODES.index((mode, errors))
+    rng = np.random.default_rng(seed)
+    out = OutageTable(0.7, 0.7, *(rng.uniform(0.0, 0.3, n) for _ in range(4)))
+    extra = dict(beta=_simplex(rng, n)) if strategy is StrategyKind.RANDOM \
+        else {}
+    params = StrategyParams(strategy, _simplex(rng, n), *(
+        rng.uniform(0.3, 1.0, n) for _ in range(3)), **extra)
+    traffic = TrafficParams(*rng.uniform(0.1, 0.4, 2))
+    trace = _check_trace(out, params, traffic, mode, errors, rng, seed)
+    # saturated relays that miss every primary packet send over it, so
+    # there only the few secondary NACKs carry a mask
+    if not (errors and mode == "saturated_relays"):
+        assert any(slot.decode_mask >= 1 << 7 for slot in trace)
 
 
 def test_traced_run_equals_untraced():
