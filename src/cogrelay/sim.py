@@ -66,19 +66,22 @@ _WIDEN = 8
 # short remainder chunk pays the scan's per-entry call more: at 10,000
 # slots the break-even is near 140 entries, at 3,392 near 64.
 _PICK_SCAN = 160
-# The largest od capture table (`_capture_table`) built, in entries: it
-# holds every uniform order distribution up to six relays (720 x 64).
+# The largest capture table (`_capture_table`) built, in entries: it
+# holds every uniform order distribution up to six relays (720 x 64), and
+# rd's and rr's one-relay orders up to twelve (12 x 4096).
 _CAPTURE_CAP = 1 << 16
 
 # Everything the kernel needs to know about the system, built once per
 # run.  The per-relay vectors have length max(n, 1); the `_cum` ones are
 # cumulative distributions, the `_orders` ones rank orders, the
-# `capture_` ones their capture tables (None where there is none).  When
-# both users draw from one rank-order distribution, their three share
-# the same arrays.
+# `capture_` ones their capture tables (None past `_CAPTURE_CAP`).  rd
+# and rr decode as one-relay rank orders, one per relay, drawn from the
+# assignment; `ordered` only says which draw picks the order.  When both
+# users draw from one rank-order distribution, their three share the
+# same arrays.
 _Model = namedtuple("_Model", (
     "n ordered saturated errors lam_p lam_s pbar_ppd pbar_ssd pbar_pk "
-    "pbar_sk pbar_kpd pbar_ksd omega_cum assign_cum alpha f_p f_s "
+    "pbar_sk pbar_kpd pbar_ksd omega_cum alpha f_p f_s "
     "perm_p_cum perm_p_orders perm_s_cum perm_s_orders pmd_p pmd_s pfa "
     "capture_p capture_s"))
 
@@ -162,11 +165,13 @@ def _pick(cum, u):
     return at
 
 
-def _capture_table(orders):
-    """The od capture rule as a table, or None past `_CAPTURE_CAP`
-    entries: entry [j, code] is the first relay in rank order `orders[j]`
-    whose bit is set in `code`, -1 for none."""
-    count, n = orders.shape
+def _capture_table(orders, n):
+    """The capture rule over `n` relays as a table, or None past
+    `_CAPTURE_CAP` entries: entry [j, code] is the first relay in rank
+    order `orders[j]` whose bit is set in `code`, -1 for none.  The codes
+    span all `n` relays, however few an order ranks: rd's and rr's rank
+    only the assigned decoder."""
+    count = orders.shape[0]
     if count << n > _CAPTURE_CAP:
         return None
     codes = np.arange(1 << n)
@@ -179,8 +184,10 @@ def _capture_table(orders):
 
 def _first_taker(order, orders, takes):
     """Relay that admits a NACKed packet in each slot, -1 for none: the
-    first in the slot's rank order that decodes and accepts."""
-    ranked = orders.astype(np.min_scalar_type(-orders.shape[1]))[order]
+    first in the slot's rank order that decodes and accepts.  Relay
+    indices are sized by the relay count: rd's and rr's orders are one
+    relay wide."""
+    ranked = orders.astype(np.min_scalar_type(-takes.shape[1]))[order]
     hit = np.take_along_axis(takes, ranked, axis=1)
     first = hit.argmax(axis=1)[:, None]
     return np.where(np.take_along_axis(hit, first, axis=1),
@@ -192,7 +199,9 @@ def _captures(order, orders, table, takes, deaf, r):
     (None for none) the slot's relay `r` is not listening.  With a
     capture table a slot's takers are one code, the sum over k of
     `takes[:, k] << k`, and the winner one lookup at (rank order, code);
-    without one the rank orders are gathered row by row."""
+    without one the rank orders are gathered row by row.  Under rd and
+    rr the order is the assigned decoder alone, so the winner is that
+    relay if it takes the packet and is listening."""
     if table is None:
         win = _first_taker(order, orders, takes)
         if deaf is not None:
@@ -248,14 +257,16 @@ def _lindley_kernel(model, rng, start, count, queues, stats, trace):
     bits the chain needs, so that no chunk of floats stays live, and a
     relay queue is kept as the slots where it may change: a pass keeps
     those before its window and redoes those in it.  A slot's draws pick
-    its relay, decoder and rank order by counting cumulative entries
-    (`_pick`), and its od capture winner is one lookup in the run's
-    capture table (`_captures`), with no per-row gather.  The trace rows
-    are decoded from the exact per-slot arrays and the relay-decoding
-    bits kept for the traced slots.
+    its relay and rank order by counting cumulative entries (`_pick`).
+    Every strategy captures through rank orders, rd's and rr's holding
+    one relay, the assigned decoder, so a slot's winner is one lookup in
+    the run's capture table (`_captures`), with no per-row gather, and
+    its trace mask one rule.  The trace rows are decoded from the exact
+    per-slot arrays and the relay-decoding bits kept for the traced
+    slots.
     """
     (n, ordered, saturated, errors, lam_p, lam_s, pbar_ppd, pbar_ssd,
-     pbar_pk, pbar_sk, pbar_kpd, pbar_ksd, omega_cum, assign_cum, alpha,
+     pbar_pk, pbar_sk, pbar_kpd, pbar_ksd, omega_cum, alpha,
      f_p, f_s, perm_p_cum, perm_p_orders, perm_s_cum, perm_s_orders,
      pmd_p, pmd_s, pfa, capture_p, capture_s) = model
     errors = errors and n > 0      # with no relay nothing senses
@@ -267,14 +278,13 @@ def _lindley_kernel(model, rng, start, count, queues, stats, trace):
     direct_p = u_dest < pbar_ppd
     direct_s = u_dest < pbar_ssd
     r = _pick(omega_cum[:n - 1], rng.random(count))   # scheduled relay
-    u = rng.random(count)
-    decoder = None if ordered else _pick(assign_cum[:n - 1], u)
-    u = rng.random(count)
-    if ordered:
-        order_p = _pick(perm_p_cum[:-1], u)
-        # both users on one distribution: the same draw, the same order
-        order_s = (order_p if perm_s_cum is perm_p_cum
-                   else _pick(perm_s_cum[:-1], u))
+    # rd and rr draw the assigned decoder, their one-relay order, from
+    # the first of these draws, od its rank order from the second
+    u = (rng.random(count), rng.random(count))[ordered]
+    order_p = _pick(perm_p_cum[:-1], u)
+    # both users on one distribution: the same draw, the same order
+    order_s = (order_p if perm_s_cum is perm_p_cum
+               else _pick(perm_s_cum[:-1], u))
     use_p = rng.random(count) < alpha[r]
     send_p = use_p & (u_dest < pbar_kpd[r])
     send_s = ~use_p & (u_dest < pbar_ksd[r])
@@ -294,37 +304,20 @@ def _lindley_kernel(model, rng, start, count, queues, stats, trace):
     del u
 
     u = rng.random((count, max(n, 1)))
-    if ordered:
-        takes_p = u < pbar_pk
-        takes_s = u < pbar_sk
-        heard = takes_p[:shown].copy(), takes_s[:shown].copy()   # traced
-        u = rng.random((count, max(n, 1)))
-        takes_p &= u < f_p
-        takes_s &= u < f_s
-        del u
-        # a relay that senses idle is not listening, so where it missed
-        # the user the packet goes to the next taker in order
-        win_p = _captures(order_p, perm_p_orders, capture_p, takes_p,
-                          miss_p if coupled else None, r)
-        win_s = _captures(order_s, perm_s_orders, capture_s, takes_s,
-                          miss_s if coupled else None, r)
-    else:
-        at = decoder[:, None]
-        u_k = np.take_along_axis(u, at, axis=1)[:, 0]
-        takes_p = u_k < pbar_pk[decoder]
-        takes_s = u_k < pbar_sk[decoder]
-        heard = takes_p[:shown].copy(), takes_s[:shown].copy()   # traced
-        u = rng.random((count, max(n, 1)))
-        u_k = np.take_along_axis(u, at, axis=1)[:, 0]
-        del u
-        takes_p &= u_k < f_p[decoder]
-        takes_s &= u_k < f_s[decoder]
-        if coupled:
-            deaf = decoder == r    # the assigned decoder is not listening
-            takes_p &= ~(miss_p & deaf)
-            takes_s &= ~(miss_s & deaf)
-        win_p = np.where(takes_p, decoder, -1)
-        win_s = np.where(takes_s, decoder, -1)
+    takes_p = u < pbar_pk
+    takes_s = u < pbar_sk
+    heard = takes_p[:shown].copy(), takes_s[:shown].copy()   # traced
+    u = rng.random((count, max(n, 1)))
+    takes_p &= u < f_p
+    takes_s &= u < f_s
+    del u
+    # a relay that senses idle is not listening, so where it missed the
+    # user the packet goes to the next taker in order (under rd and rr,
+    # to none)
+    win_p = _captures(order_p, perm_p_orders, capture_p, takes_p,
+                      miss_p if coupled else None, r)
+    win_s = _captures(order_s, perm_s_orders, capture_s, takes_s,
+                      miss_s if coupled else None, r)
     del takes_p, takes_s
     base_p = direct_p | (win_p >= 0)   # served unless the slot collides
     base_s = direct_s | (win_s >= 0)
@@ -491,23 +484,17 @@ def _lindley_kernel(model, rng, start, count, queues, stats, trace):
     nack = user_only & ~ok
     acceptor = np.where(nack, np.where(pu, win_p[t], win_s[t]), -1)
     if n:
-        decoded = np.where(pu[:, None] if ordered else pu,
+        decoded = np.where(pu[:, None],
                            *(h[t] for h in heard))   # cut at the guard
-        if ordered:
-            decoded[deaf, r_t[deaf]] = False
-            ranked = np.where(pu[:, None], perm_p_orders[order_p[t]],
-                              perm_s_orders[order_s[t]])
-            # the relays in rank order that decoded, up to the acceptor
-            hit = np.take_along_axis(decoded, ranked, axis=1)
-            taker = ranked == acceptor[:, None]
-            hit &= np.cumsum(taker, axis=1) - taker == 0
-            mask = np.sum(hit << ranked, axis=1)
-        else:
-            d = decoder[t]
-            # in int64: `d` is as narrow as int8, and relay 7 is bit 7
-            mask = np.left_shift(decoded & ~(deaf & (d == r_t)), d,
-                                 dtype=np.int64)
-        mask = np.where(nack, mask, 0)
+        decoded[deaf, r_t[deaf]] = False
+        ranked = np.where(pu[:, None], perm_p_orders[order_p[t]],
+                          perm_s_orders[order_s[t]])
+        # the relays in rank order that decoded, up to the acceptor, in
+        # int64 as the orders are: `run` traces at most 63 relays
+        hit = np.take_along_axis(decoded, ranked, axis=1)
+        taker = ranked == acceptor[:, None]
+        hit &= np.cumsum(taker, axis=1) - taker == 0
+        mask = np.where(nack, np.sum(hit << ranked, axis=1), 0)
     trace[start:start + shown] = np.column_stack(
         (who, sender, ok, mask, verdict, acceptor, clash))
     return status
@@ -626,26 +613,28 @@ def run(cfg: OutageTable | NetworkConfig, params: StrategyParams,
         raise ConfigError("params sized for a different relay count")
     if sensing is not None and sensing.n_relays != n:
         raise ConfigError("sensing-error vectors sized for a different relay count")
+    if trace_limit > 0 and n > 63:
+        raise ConfigError(f"a traced run holds decode_mask in 64 bits, so "
+                          f"at most 63 relays; got {n}")
 
     ordered = params.strategy is StrategyKind.ORDERED
     # per user: the rank orders' cumulative distribution, the orders and
-    # their capture table; users on one distribution share all three
+    # their capture table; users on one distribution share all three.
+    # rd's and rr's orders rank one relay each, the assigned decoder
     if ordered and n > 0:
         pp, po = params.order_p.rank_orders()
         sp, so = params.order_s.rank_orders()
-        perm_p = np.cumsum(pp), po, _capture_table(po)
+        perm_p = np.cumsum(pp), po, _capture_table(po, n)
         perm_s = (perm_p if np.array_equal(sp, pp) and np.array_equal(so, po)
-                  else (np.cumsum(sp), so, _capture_table(so)))
+                  else (np.cumsum(sp), so, _capture_table(so, n)))
     else:
-        # od over no relay still reads its one-entry table: every slot's
-        # winner is one lookup, not a gather
-        po = np.zeros((1, max(n, 1)), dtype=np.int64)
-        perm_p = perm_s = (np.zeros(1), po,
-                           _capture_table(po) if ordered else None)
+        # over no relay, one order over one empty column: every slot's
+        # winner is still one lookup, not a gather
+        po = np.arange(max(n, 1))[:, None]
+        cum = np.cumsum(params.assignment()) if n else np.zeros(1)
+        perm_p = perm_s = cum, po, _capture_table(po, max(n, 1))
 
     omega_cum = np.cumsum(params.omega) if n else np.zeros(1)
-    assign_cum = (np.cumsum(params.assignment())
-                  if (n and not ordered) else np.zeros(1))
     if sensing is not None:
         pmd_p, pmd_s, pfa = (sensing.p_md_primary, sensing.p_md_secondary,
                              sensing.p_false_alarm)
@@ -659,7 +648,7 @@ def run(cfg: OutageTable | NetworkConfig, params: StrategyParams,
     model = _Model(n, ordered, mode == "saturated_relays", sensing is not None,
                    traffic.lambda_p, traffic.lambda_s, 1.0 - outages.pu_pd,
                    1.0 - outages.su_sd, pbar_pk, pbar_sk, pbar_kpd, pbar_ksd,
-                   omega_cum, assign_cum, alpha, f_p, f_s, *perm_p[:2],
+                   omega_cum, alpha, f_p, f_s, *perm_p[:2],
                    *perm_s[:2], pmd_p, pmd_s, pfa, perm_p[2], perm_s[2])
 
     batches = min(batches, slots)

@@ -101,7 +101,7 @@ def slot_kernel(model, rng, start, count, queues, stats, trace):
     queue passed the guard, after that slot.  It takes the place of
     `sim._lindley_kernel` and must agree with it bit for bit."""
     (n, ordered, saturated, errors, lam_p, lam_s, pbar_ppd, pbar_ssd,
-     pbar_pk, pbar_sk, pbar_kpd, pbar_ksd, omega_cum, assign_cum, alpha,
+     pbar_pk, pbar_sk, pbar_kpd, pbar_ksd, omega_cum, alpha,
      f_p, f_s, perm_p_cum, perm_p_orders, perm_s_cum, perm_s_orders,
      pmd_p, pmd_s, pfa, *_) = model
     (u_arr_p, u_arr_s, u_dest, u_sched, u_assign, u_perm, u_alpha,
@@ -150,8 +150,10 @@ def slot_kernel(model, rng, start, count, queues, stats, trace):
                 r += 1
         a_dec = -1
         if n > 0 and not ordered:
+            # `sim.run` keeps rd's and rr's assignment as their rank-order
+            # distribution, one one-relay order per relay
             a_dec = 0
-            while a_dec < n - 1 and u_assign[i] >= assign_cum[a_dec]:
+            while a_dec < n - 1 and u_assign[i] >= perm_p_cum[a_dec]:
                 a_dec += 1
 
         # the scheduled relay transmits only if both sensing intervals

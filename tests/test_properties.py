@@ -9,7 +9,11 @@ against random points scored through `evaluate`; the QoS search's
 unchecked trial points against the same points built through the
 checking constructors; and the closed-form relay schedule of the
 perfect-sensing search against random schedules scored through
-`evaluate`.
+`evaluate`; and the invariants of acceptance criteria 04 and 05 on
+generated configurations: od with a first-rank profile serves every
+queue at least as fast as random assignment with that profile, and no
+strategy gives the secondary more than `1 - lambda_p`, with and without
+sensing errors.
 """
 
 import itertools
@@ -24,7 +28,8 @@ from cogrelay.channel import StrategyKind
 from cogrelay.network import (OutageTable, SensingErrorParams,
                               TrafficParams)
 from cogrelay.orders import OrderDistribution
-from cogrelay.rates import StrategyParams, evaluate, rate_report
+from cogrelay.rates import (StrategyParams, apply_sensing_errors, evaluate,
+                            rate_report, secondary_rate_cap)
 from support import (closed_form, oracle_user_rates, random_outages,
                      random_params, random_sensing_errors, random_simplex)
 
@@ -73,6 +78,70 @@ def operating_points(draw, max_relays=4):
     params = StrategyParams(strategy, draw(simplex(n)), draw(probs(n)),
                             draw(probs(n)), draw(probs(n)), **kw)
     return outages, params
+
+
+def sensing_errors(n):
+    """Sensing-error probabilities over n relays, exact 0s and 1s among
+    them."""
+    return st.builds(SensingErrorParams, *(probs(n).map(np.array)
+                                           for _ in range(3)))
+
+
+@st.composite
+def first_rank_pairs(draw, max_relays=4):
+    """An outage table, od whose rank orders follow a first-rank profile,
+    rd with that profile as its assignment, both at one schedule and one
+    acceptance, and sensing errors."""
+    n = draw(st.integers(1, max_relays))
+    outages = OutageTable(draw(PROB), draw(PROB), *(draw(probs(n))
+                                                    for _ in range(4)))
+    beta = draw(simplex(n))
+    order = OrderDistribution.from_first_rank_profile(beta)
+    shared = (draw(simplex(n)), *(draw(probs(n)) for _ in range(3)))
+    od = StrategyParams(StrategyKind.ORDERED, *shared, order_p=order,
+                        order_s=order)
+    rd = StrategyParams(StrategyKind.RANDOM, *shared, beta=beta)
+    return outages, od, rd, draw(sensing_errors(n))
+
+
+IDLE = TrafficParams(0.0, 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=first_rank_pairs(), load_p=st.floats(0.0, 0.9),
+       lambda_s=st.floats(0.0, 0.5))
+def test_first_rank_od_dominates_rd(case, load_p, lambda_s):
+    # criterion 04: a relay that rd assigns decodes first under od too,
+    # and the others only add captures; the primary load is a share of
+    # rd's service rate, as the criterion draws it
+    outages, od, rd, se = case
+    traffic = TrafficParams(load_p * rate_report(outages, rd, IDLE).mu_p,
+                            lambda_s)
+    r_od, r_rd = (rate_report(outages, p, traffic) for p in (od, rd))
+    for a, b in ((r_od, r_rd), (apply_sensing_errors(r_od, od, se),
+                                apply_sensing_errors(r_rd, rd, se))):
+        for name in ("mu_p", "mu_s", "mu_pk", "mu_sk"):
+            assert np.all(getattr(a, name) >= getattr(b, name) - 1e-12), name
+
+
+@st.composite
+def points_with_errors(draw):
+    outages, params = draw(operating_points())
+    return outages, params, draw(sensing_errors(params.n_relays))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=points_with_errors(), load_p=st.floats(0.0, 1.0),
+       lambda_s=st.floats(0.0, 1.0))
+def test_secondary_rate_within_cap(case, load_p, lambda_s):
+    # criterion 05: the secondary sends only in slots the primary leaves
+    # empty, for od, rd and rr alike
+    outages, params, se = case
+    traffic = TrafficParams(load_p * rate_report(outages, params, IDLE).mu_p,
+                            lambda_s)
+    report = rate_report(outages, params, traffic)
+    for got in (report, apply_sensing_errors(report, params, se)):
+        assert got.mu_s <= secondary_rate_cap(traffic) + 1e-12
 
 
 @settings(max_examples=80, deadline=None)

@@ -230,6 +230,33 @@ class TestGuardsAndTrace:
                   slots=10, seed=15, trace_limit=10 ** 12)
         assert len(est.trace) == 10
 
+    @pytest.mark.parametrize("strategy", list(StrategyKind))
+    def test_trace_refused_past_63_relays(self, strategy):
+        # decode_mask is an int64 trace column: relay 62 is its last bit.
+        # Only the last relay decodes and none accepts, so a NACK carries
+        # the last relay's bit when it is the decoder, and no other
+        def call(n, trace_limit):
+            last = np.eye(n)[n - 1]
+            out = OutageTable(0.9, 0.9, 1.0 - last, 1.0 - last,
+                              np.full(n, 0.5), np.full(n, 0.5))
+            kw = {}
+            if strategy is StrategyKind.ORDERED:
+                order = OrderDistribution(n, {tuple(range(1, n + 1)): 1.0})
+                kw = dict(order_p=order, order_s=order)
+            elif strategy is StrategyKind.RANDOM:
+                kw = dict(beta=last)
+            params = StrategyParams(strategy, np.full(n, 1.0 / n),
+                                    np.full(n, 0.5), np.zeros(n),
+                                    np.zeros(n), **kw)
+            return run(out, params, TrafficParams(0.3, 0.2), slots=2_000,
+                       seed=1, trace_limit=trace_limit)
+
+        masks = {slot.decode_mask for slot in call(63, 2_000).trace}
+        assert masks == {0, 1 << 62}
+        with pytest.raises(ConfigError, match="63 relays"):
+            call(70, 2_000)
+        assert call(70, 0).trace == ()
+
     def test_mode_validation(self):
         with pytest.raises(ConfigError):
             run(TABLE_ROWS12, od2(), TrafficParams(0.1, 0.1),

@@ -5,8 +5,10 @@ runaway guard.
 Every float is pinned by `float.hex`, so any change to what a run draws,
 counts or sums shows here even where both kernels would change alike.
 The values in `sim_golden.json` were recorded from the simulator before
-its batch statistics moved to the per-queue layout; a change that means
-to alter simulator output must say so and record them again.
+its batch statistics moved to the per-queue layout, and the table1 rd and
+rr, fig11 rd and traced rr cases before rd and rr captured through
+one-relay rank orders; a change that means to alter simulator output
+must say so and record them again.
 """
 
 import dataclasses
@@ -112,6 +114,35 @@ def _fig11_od3_traced():
                    trace_limit=500)
 
 
+def _table1_rd5_true_queues():
+    # an uneven assignment, so that rd does not draw as rr does
+    net, params = _spec_case("table1_n5", StrategyKind.RANDOM)
+    params = dataclasses.replace(params, beta=np.array([0.4, 0.1, 0.2, 0.05,
+                                                        0.25]))
+    return sim.run(net, params, TrafficParams(0.3, 0.2), slots=70_000,
+                   seed=20241, batches=20)
+
+
+def _table1_rr5_true_queues():
+    net, params = _spec_case("table1_n5", StrategyKind.ROUND_ROBIN)
+    return sim.run(net, params, TrafficParams(0.3, 0.2), slots=70_000,
+                   seed=20242, batches=20)
+
+
+def _fig11_rd3_errors_true_queues():
+    # rd over fig11's relays, whose sensing errors leave the assigned
+    # decoder deaf when it is the scheduled relay and missed the user
+    net, params = _spec_case("fig11_minrelays_n3", StrategyKind.RANDOM)
+    return sim.run(net, params, TrafficParams(0.3, 0.2), slots=70_000,
+                   seed=31005, batches=20)
+
+
+def _fig11_rr3_errors_traced():
+    net, params = _spec_case("fig11_minrelays_n3", StrategyKind.ROUND_ROBIN)
+    return sim.run(net, params, TrafficParams(0.3, 0.2), slots=5_000,
+                   seed=18, batches=9, trace_limit=500)
+
+
 CASES = {
     "n0_rr": _n0_rr,
     "table_rows12_od2_true_queues": _table_rows12_od2,
@@ -120,6 +151,10 @@ CASES = {
     "fig11_od3_errors_true_queues": _fig11_od3_errors_true_queues,
     "table1_rd5_errors_saturated": _table1_rd5_errors_saturated,
     "fig11_od3_traced_500": _fig11_od3_traced,
+    "table1_rd5_true_queues": _table1_rd5_true_queues,
+    "table1_rr5_true_queues": _table1_rr5_true_queues,
+    "fig11_rd3_errors_true_queues": _fig11_rd3_errors_true_queues,
+    "fig11_rr3_errors_traced_500": _fig11_rr3_errors_traced,
 }
 
 

@@ -181,7 +181,7 @@ def test_lindley_kernel_matches_loop_above_capture_cap():
     # 5,040 rank orders x 2**7 takes codes is past the table cap, so the
     # rank orders are gathered row by row
     assert sim._capture_table(np.array(list(itertools.permutations(
-        range(7))))) is None
+        range(7)))), 7) is None
     _check_case(7, StrategyKind.ORDERED, "true_queues", True, seed=7070,
                 slots=400, batches=4, uniform=True)
 
@@ -199,21 +199,23 @@ def _first_in_order(order, orders, takes, deaf, r):
 
 
 def _supports(n):
-    """Rank-order supports of one, n and n! orders over n relays (one
-    order over a single column at n = 0, as `sim.run` builds it)."""
+    """Rank-order supports of one, n and n! orders over n relays, and rd's
+    and rr's n one-relay orders (one order over a single column at n = 0,
+    as `sim.run` builds it)."""
     if n == 0:
         return [np.zeros((1, 1), dtype=np.int64)]
     perms = np.array(list(itertools.permutations(range(n))))
-    return [perms[:1], perms[::max(1, perms.shape[0] // n)][:n], perms]
+    return [perms[:1], perms[::max(1, perms.shape[0] // n)][:n], perms,
+            np.arange(n)[:, None]]
 
 
 @pytest.mark.parametrize("n", range(7))
 def test_capture_table_matches_gather(n):
     rng = np.random.default_rng(50 + n)
     for orders in _supports(n):
-        table = sim._capture_table(orders)
+        rows, width = 3_000, max(n, 1)
+        table = sim._capture_table(orders, width)
         assert table is not None and table.dtype == np.int8
-        rows, width = 3_000, orders.shape[1]
         order = sim._pick(np.cumsum(np.full(orders.shape[0], 1.0))[:-1],
                           rng.uniform(0, orders.shape[0], rows))
         takes = rng.uniform(size=(rows, width)) < rng.uniform()
@@ -228,17 +230,21 @@ def test_capture_table_matches_gather(n):
 @pytest.mark.parametrize("orders", [
     np.array(list(itertools.permutations(range(7)))),   # past the cap
     np.arange(8)[None, ::-1],     # one order over eight relays: bit 7 set
+    # rd's and rr's one-relay orders: past the cap at 13 relays, and past
+    # what an int8 relay index holds at 200
+    np.arange(13)[:, None],
+    np.arange(200)[:, None],
 ])
 def test_capture_beyond_six_relays(orders):
     rng = np.random.default_rng(len(orders))
-    table = sim._capture_table(orders)
-    assert (table is None) == (orders.shape[0] << orders.shape[1]
-                               > sim._CAPTURE_CAP)
-    rows, width = 2_000, orders.shape[1]
+    width = int(orders.max()) + 1
+    table = sim._capture_table(orders, width)
+    assert (table is None) == (orders.shape[0] << width > sim._CAPTURE_CAP)
+    rows = 2_000
     order = rng.integers(orders.shape[0], size=rows).astype(
         np.min_scalar_type(-orders.shape[0] - 1))
     takes = rng.uniform(size=(rows, width)) < 0.3
-    r = rng.integers(width, size=rows).astype(np.int8)
+    r = rng.integers(width, size=rows).astype(np.min_scalar_type(-width))
     deaf = rng.uniform(size=rows) < 0.5
     assert np.array_equal(sim._captures(order, orders, table, takes, deaf, r),
                           _first_in_order(order, orders, takes, deaf, r))
@@ -394,14 +400,18 @@ def test_kernel_trace_matches_loop(monkeypatch, n, strategy, mode, errors):
     _check_trace(*random_case(rng, n, strategy)[:3], mode, errors, rng, seed)
 
 
-@pytest.mark.parametrize("n", (8, 9))
+@pytest.mark.parametrize("n", (8, 9, 13))
 @pytest.mark.parametrize("strategy", _STRATEGIES[1:])
 @pytest.mark.parametrize("mode,errors", _MODES)
 def test_kernel_trace_matches_loop_many_relays(monkeypatch, n, strategy, mode,
                                                errors):
-    # rd and rr take any relay count; relays 7 and 8 put their decoding
-    # bit past what an int8 relay index holds.  Weak direct links and
-    # strong relay links make NACKs that relays decoded common
+    # rd and rr take any relay count; relays 7 and up put their decoding
+    # bit past what an int8 relay index holds.  At 13 relays the 13
+    # one-relay orders times 2**13 takes codes are past the capture table
+    # cap, so the assigned decoder's capture goes through `_first_taker`.
+    # Weak direct links and strong relay links make NACKs that relays
+    # decoded common
+    assert (sim._capture_table(np.arange(n)[:, None], n) is None) == (n == 13)
     monkeypatch.setattr(sim, "CHUNK", 1000)
     seed = 9900 + 100 * n + 10 * _STRATEGIES.index(strategy) + \
         _MODES.index((mode, errors))
