@@ -22,6 +22,18 @@ each point through `evaluate`.  Before either search,
 sensing errors taken into the bound; where it proves that no point meets
 the delay ceilings, the search returns infeasible at once, and the
 relay-count ladder skips the count.
+
+An evaluation is a trial point the search visits.  The search holds its
+point as tuples of plain floats and builds each move in numpy's order of
+operations; the capture scorer reads the captures straight from those
+floats, with no parameter objects built.  A trial point that differs
+from the current point in one group only, and that the search has seen
+since that group's neighbourhood memo was last cleared, is looked up
+instead of scored; the lookup counts as an evaluation all the same, so
+the budget, the path and every result are those of scoring it.  On the
+benchmark's `optimize-perfect` workload (fig3, two relays; a 2-core Xeon,
+Python 3.11) an evaluation costs about 23 us, against 36 us when every
+trial point was built as parameters (`BENCH_qos.json`, `lean_search`).
 """
 
 from __future__ import annotations
@@ -39,7 +51,9 @@ from .network import (NetworkConfig, OutageTable, SensingErrorParams,
 from .orders import (DENSE_LIMIT, OrderDistribution, first_rank_perm,
                      rank_order)
 from .rates import (EPS_STAB, SIMPLEX_TOL, SensingTerms, StrategyParams,
-                    _user_rates, evaluate, primary_rate_bound, sensing_terms)
+                    _acceptance, _array_sum, _assigned_capture,
+                    _ordered_capture, _user_chain, _user_rates, evaluate,
+                    primary_rate_bound, sensing_terms)
 
 DENSE_ORDER_LIMIT = 5  # optimize the full N!-simplex only up to here
 _BIG = 1e6             # stands in for an infinite violation in the merit
@@ -65,6 +79,10 @@ class QosSpec:
 
 @dataclass(frozen=True)
 class OptResult:
+    """What a search found.  `evaluations` counts the trial points it
+    visited, scored or found in a neighbourhood memo, and
+    `budget_exhausted` says that they reached the budget."""
+
     best_params: StrategyParams | None
     best_mu_s: float
     feasible: bool
@@ -83,12 +101,17 @@ def _dense_orders(n: int) -> bool:
 class _Space:
     """Search-space layout for one strategy: named box and simplex groups.
 
-    Every point the search builds lies in its box or on its simplex, so
-    `to_params` skips the parameter checks; the rank order of each
-    permutation it can put in a distribution is worked out here, once.
-    Without `schedule` the space holds only the capture groups (f_p, f_s
-    and the rank distributions or the assignment), and `to_params` puts
-    placeholders in omega and alpha.
+    The search moves a point as a tuple of groups, each a tuple of plain
+    floats, in the order of `names` (the box groups, then the simplex
+    groups); `groups` converts a start, a dict of arrays.  Every point
+    the search builds lies in its box or on its simplex, so `to_params`
+    skips the parameter checks, and `capture` reads a user's capture
+    weights from a point's rank weights or assignment without building
+    parameters; the rank order of each permutation it can put in a
+    distribution is worked out here, once.  Without `schedule` the space
+    holds only the capture groups (f_p, f_s and the rank distributions or
+    the assignment), and `to_params` puts placeholders in omega and
+    alpha.
     """
 
     def __init__(self, strategy: StrategyKind, n: int, schedule: bool = True):
@@ -114,36 +137,66 @@ class _Space:
             self._ranked = [(perm, rank_order(perm)) for perm in (
                 self.perms if self.perms is not None
                 else [first_rank_perm(n, k) for k in range(n)])]
+        self.names = self.box + list(self.simplex)
+        self._f = (self.names.index("f_p"), self.names.index("f_s"))
+        self._uniform = [1.0 / n] * n if n else []  # round robin's assignment
 
-    def to_params(self, point: dict) -> StrategyParams:
-        """The point as unchecked parameters (see the class docstring)."""
+    def groups(self, point: dict) -> tuple:
+        """A dict of arrays as the search moves it (see the class
+        docstring)."""
+        return tuple(tuple(np.asarray(point[name], dtype=float).tolist())
+                     for name in self.names)
+
+    def sides(self, groups: tuple) -> tuple:
+        """Each user's (f, choice) at a point: choice is its rank weights
+        or first-rank profile under od, the assignment under rd, and None
+        under rr."""
+        f_p, f_s = (groups[i] for i in self._f)
+        if self.strategy is StrategyKind.ROUND_ROBIN:
+            return (f_p, None), (f_s, None)
+        if self.strategy is StrategyKind.RANDOM:
+            return (f_p, groups[-1]), (f_s, groups[-1])
+        return (f_p, groups[-2]), (f_s, groups[-1])
+
+    def capture(self, accept: list, choice: tuple | None) -> list:
+        """One user's capture weights (`rates.capture_weights`) at its
+        acceptance probabilities and choice (see `sides`), read straight
+        from the choice."""
+        if self.strategy is StrategyKind.ROUND_ROBIN:
+            return _assigned_capture(accept, self._uniform)
+        if self.strategy is StrategyKind.RANDOM:
+            return _assigned_capture(accept, choice)
+        return _ordered_capture(accept, [(prob, order) for _, prob, order
+                                         in self._support(choice)])
+
+    def _support(self, choice: tuple) -> list:
+        """(permutation, probability, rank order) of each permutation that
+        an od choice puts weight on: the rank weights divided by their
+        sum, or the first-rank profile's deterministic completion."""
+        probs = choice
+        if self.perms is not None:
+            total = _array_sum(choice)
+            probs = [w / total for w in choice]
+        return [(perm, prob, order) for (perm, order), w, prob
+                in zip(self._ranked, choice, probs) if w > 0]
+
+    def to_params(self, groups: tuple) -> StrategyParams:
+        """A point as unchecked parameters (see the class docstring)."""
+        (f_p, choice_p), (f_s, choice_s) = self.sides(groups)
         kw = {}
         if self.strategy is StrategyKind.RANDOM:
-            kw["beta"] = point["beta"]
+            kw["beta"] = np.array(choice_p)
         if self.strategy is StrategyKind.ORDERED:
-            for name, key in (("order_p", "_p"), ("order_s", "_s")):
-                if self.perms is not None:
-                    rho = point["rho" + key]
-                    weights, probs = rho.tolist(), (rho / rho.sum()).tolist()
-                else:  # the first-rank profile's deterministic completion
-                    weights = probs = point["beta" + key].tolist()
-                kw[name] = self._dist(weights, probs)
-        omega, alpha = ((point["omega"], point["alpha"]) if self.schedule
-                        else self._placeholder)
-        return StrategyParams._unchecked(
-            self.strategy, omega, alpha, point["f_p"], point["f_s"], **kw)
-
-    def _dist(self, weights: list[float],
-              probs: list[float]) -> OrderDistribution:
-        """The distribution putting probs[i] on the i-th permutation,
-        wherever weights[i] is positive."""
-        entries = {}
-        support = []
-        for (perm, order), weight, prob in zip(self._ranked, weights, probs):
-            if weight > 0:
-                entries[perm] = prob
-                support.append((prob, order))
-        return OrderDistribution._unchecked(self.n, entries, tuple(support))
+            for name, choice in (("order_p", choice_p), ("order_s", choice_s)):
+                support = self._support(choice)
+                kw[name] = OrderDistribution._unchecked(
+                    self.n, {perm: prob for perm, prob, _ in support},
+                    tuple((prob, order) for _, prob, order in support))
+        point = dict(zip(self.names, groups))
+        omega, alpha = ((np.array(point["omega"]), np.array(point["alpha"]))
+                        if self.schedule else self._placeholder)
+        return StrategyParams._unchecked(self.strategy, omega, alpha,
+                                         np.array(f_p), np.array(f_s), **kw)
 
     def from_params(self, params: StrategyParams) -> dict:
         point = {"f_p": params.f_p.copy(), "f_s": params.f_s.copy()}
@@ -168,16 +221,20 @@ class _Space:
             point[name] = rng.dirichlet(np.ones(size)) if size else np.zeros(0)
         return point
 
-    def flat(self, point: dict) -> tuple:
-        names = self.box + sorted(self.simplex)
-        return tuple(float(v) for name in names for v in point[name])
+    def flat(self, groups: tuple) -> tuple:
+        """A point's coordinates, the box groups first and then the
+        simplex groups by name: the order that breaks ties of merit."""
+        point = dict(zip(self.names, groups))
+        return tuple(v for name in self.box + sorted(self.simplex)
+                     for v in point[name])
 
 
-def _normalized(v: np.ndarray) -> np.ndarray:
-    total = v.sum()
+def _normalized(v: list) -> tuple:
+    """`v` divided by its sum, or uniform where the sum is not positive."""
+    total = _array_sum(v)
     if total <= 0:
-        return np.full(v.size, 1.0 / v.size)
-    return v / total
+        return (1.0 / len(v),) * len(v)
+    return tuple([x / total for x in v])
 
 
 def _violation(residuals: dict) -> float:
@@ -197,13 +254,11 @@ class _Evaluator:
         self.sensing = sensing
         self.qos = qos
         self.traffic = qos.traffic
-        self.evaluations = 0
         self.relay_keys = [(f"stability_pk{k + 1}", f"stability_sk{k + 1}")
                            for k in range(outages.n_relays)]
 
     def residuals(self, params: StrategyParams) -> tuple[dict, float]:
-        """Constraint residuals (negative: violated) and mu_s; not counted
-        as an evaluation."""
+        """Constraint residuals (negative: violated) and mu_s."""
         ev = evaluate(self.outages, params, self.traffic, self.sensing)
         report = ev.report
         res = {
@@ -224,9 +279,9 @@ class _Evaluator:
             res["delay_s"] = -math.inf
         return res, report.mu_s
 
-    def merit(self, params: StrategyParams) -> tuple:
-        self.evaluations += 1
-        res, mu_s = self.residuals(params)
+    def score(self, space: _Space, groups: tuple) -> tuple:
+        """The merit of a search point (`_Space.groups`)."""
+        res, mu_s = self.residuals(space.to_params(groups))
         return _violation(res), -mu_s
 
     def result_params(self, params: StrategyParams) -> StrategyParams:
@@ -308,10 +363,29 @@ class _CaptureScorer(_Evaluator):
         super().__init__(outages, None, qos)
         self.serve_p = (1.0 - outages.relay_pd).tolist()
         self.serve_s = (1.0 - outages.relay_sd).tolist()
+        self.pu_relay = outages.pu_relay.tolist()
+        self.su_relay = outages.su_relay.tolist()
+        self.direct = float(outages.pu_pd), float(outages.su_sd)
+        # per user: the (f, choice, capture weights) it last scored
+        self._last = [(None, None, None), (None, None, None)]
 
-    def merit(self, params: StrategyParams) -> tuple:
-        self.evaluations += 1
-        return self._solve(_user_rates(self.outages, params, self.traffic))[0]
+    def score(self, space: _Space, groups: tuple) -> tuple:
+        """The merit of a search point, from its captures: the rate chain
+        of `_user_rates` without building parameters.  A move changes one
+        group, and a trial point shares the others with the point it came
+        from, so a user whose f and choice are the very objects it last
+        scored reuses its capture weights (at five relays under od, half
+        the work of a score)."""
+        caps = []
+        for user, relay, (f, choice) in zip((0, 1), (self.pu_relay,
+                                                     self.su_relay),
+                                            space.sides(groups)):
+            last = self._last[user]
+            if last[0] is not f or last[1] is not choice:
+                last = self._last[user] = (
+                    f, choice, space.capture(_acceptance(relay, f), choice))
+            caps.append(last[2])
+        return self._solve(_user_chain(*self.direct, *caps, self.traffic))[0]
 
     def _solve(self, user) -> tuple:
         """The merit, and the per-relay z and y at the least masses (None
@@ -370,52 +444,65 @@ class _CaptureScorer(_Evaluator):
             params.order_p, params.order_s, params.beta)
 
 
-def _coordinate_moves(space: _Space, point: dict, scale: float):
-    """Candidate single-coordinate moves at the given scale."""
-    for name in space.box:
-        vec = point[name]
-        for i in range(vec.size):
-            for delta in (scale, -scale):
-                new = vec.copy()
-                new[i] = min(1.0, max(0.0, new[i] + delta))
-                if new[i] != vec[i]:
-                    yield name, new
-    for name in space.simplex:
-        vec = point[name]
-        for i in range(vec.size):
-            if vec.size < 2:
-                continue
-            toward = vec * (1.0 - scale)
-            toward[i] += scale
-            yield name, _normalized(toward)
-            if vec[i] > 0.0:
-                away = vec.copy()
-                away[i] = max(0.0, away[i] - scale)
-                yield name, _normalized(away)
+def _coordinate_moves(space: _Space, point: tuple, scale: float):
+    """Candidate single-coordinate moves at the given scale, as (group
+    index, the group's new values), in numpy's order of operations."""
+    boxes = len(space.box)
+    for g, vec in enumerate(point):
+        if g < boxes:
+            for i, v in enumerate(vec):
+                for delta in (scale, -scale):
+                    new = min(1.0, max(0.0, v + delta))
+                    if new != v:
+                        yield g, vec[:i] + (new,) + vec[i + 1:]
+        elif len(vec) >= 2:
+            shrunk = [v * (1.0 - scale) for v in vec]
+            for i, v in enumerate(vec):
+                toward = shrunk.copy()
+                toward[i] += scale
+                yield g, _normalized(toward)
+                if v > 0.0:
+                    away = list(vec)
+                    away[i] = max(0.0, v - scale)
+                    yield g, _normalized(away)
 
 
 _SCALES = (0.5, 0.25, 0.1, 0.04, 0.015, 0.005, 0.002)
 
 
 def _local_search(space, scorer, start, budget_left):
-    point = {k: np.asarray(v, dtype=float).copy() for k, v in start.items()}
-    best = scorer.merit(space.to_params(point))
+    """Coordinate descent from `start` over `_SCALES`; returns the best
+    point (`_Space.groups`), its merit and the evaluations used.
+
+    Each move of a pass is built from the point where the pass started
+    and replaces one group of the current point.  Every group keeps the
+    merits of the points that differ from the current point in that group
+    alone, so a trial point seen before is looked up, not scored again; a
+    lookup still counts as an evaluation.  An accepted move changes one
+    group and clears the others' memos, and each scale starts fresh.
+    """
+    point = space.groups(start)
+    best = scorer.score(space, point)
     used = 1
     for scale in _SCALES:
+        memo = [{values: best} for values in point]
         improved = True
         while improved and used < budget_left:
             improved = False
-            for name, vec in _coordinate_moves(space, point, scale):
+            for g, vec in _coordinate_moves(space, point, scale):
                 if used >= budget_left:
                     break
-                trial = dict(point)
-                trial[name] = vec
-                cand = scorer.merit(space.to_params(trial))
+                trial = point[:g] + (vec,) + point[g + 1:]
+                cand = memo[g].get(vec)
+                if cand is None:
+                    cand = memo[g][vec] = scorer.score(space, trial)
                 used += 1
                 if cand < best:
                     best = cand
                     point = trial
                     improved = True
+                    memo = [m if h == g else {values: best}
+                            for h, (m, values) in enumerate(zip(memo, point))]
     return point, best, used
 
 
@@ -459,8 +546,11 @@ def maximize_secondary_throughput(
         network: NetworkConfig, strategy: StrategyKind, qos: QosSpec, *,
         budget: int = 20_000, restarts: int = 8, seed: int = 0,
         extra_starts: tuple[StrategyParams, ...] = ()) -> OptResult:
-    """Best feasible secondary service rate found within `budget` scored
-    points, or the least-infeasible point when none is found.
+    """Best feasible secondary service rate found within `budget`
+    evaluations, or the least-infeasible point when none is found.  An
+    evaluation is a trial point the search visits, whether it is scored
+    or found in the neighbourhood memo of `_local_search`; no memo
+    outlives the call.
 
     `extra_starts` seeds additional local searches (e.g. a solution found
     for another relay count, grown by `_extend`); each must be for this
@@ -521,8 +611,9 @@ def maximize_secondary_throughput(
     best = ()
     best_flat = ()
     restarts_used = 0
+    evaluations = 0
     index = 0
-    while scorer.evaluations < budget:
+    while evaluations < budget:
         if index < len(starts):
             start = starts[index]
         elif index < len(starts) + restarts:
@@ -532,8 +623,9 @@ def maximize_secondary_throughput(
             break
         index += 1
         restarts_used += 1
-        point, merit, _ = _local_search(space, scorer, start,
-                                        budget - scorer.evaluations)
+        point, merit, used = _local_search(space, scorer, start,
+                                           budget - evaluations)
+        evaluations += used
         flat = space.flat(point)
         if best_point is None or merit < best or (merit == best and
                                                   flat < best_flat):
@@ -555,8 +647,8 @@ def maximize_secondary_throughput(
         feasible=bool(feasible),
         constraint_residuals={k: float(v) for k, v in residuals.items()},
         restarts_used=restarts_used,
-        evaluations=scorer.evaluations,
-        budget_exhausted=scorer.evaluations >= budget,
+        evaluations=evaluations,
+        budget_exhausted=evaluations >= budget,
         first_violation=first,
         ceiling=ceiling)
 

@@ -163,14 +163,31 @@ def capture_weights(outage_relay: list[float], f: list[float],
     strategies: only the single assigned relay may capture.  Works over
     plain floats, operation for operation as numpy would.
     """
-    accept = [(1.0 - o) * a for o, a in zip(outage_relay, f)]
+    accept = _acceptance(outage_relay, f)
     if params.strategy is not StrategyKind.ORDERED:
-        return [a * b for a, b in zip(accept, params.assignment().tolist())]
-    weights = [0.0] * len(accept)
-    if not weights:
-        return weights
+        return _assigned_capture(accept, params.assignment().tolist())
+    if not accept:
+        return []
     dist = params.order_p if which == "p" else params.order_s
-    for prob, order in dist.ranked_support:
+    return _ordered_capture(accept, dist.ranked_support)
+
+
+def _acceptance(outage_relay: list[float], f: list[float]) -> list[float]:
+    """Per-relay probability of decoding and accepting a packet."""
+    return [(1.0 - o) * a for o, a in zip(outage_relay, f)]
+
+
+def _assigned_capture(accept: list[float],
+                     assignment: list[float]) -> list[float]:
+    """Capture weights when only the assigned relay may capture."""
+    return [a * b for a, b in zip(accept, assignment)]
+
+
+def _ordered_capture(accept: list[float], support) -> list[float]:
+    """Capture weights under ordered acceptance, over the (prob, order)
+    pairs of a rank-order distribution (`ranked_support`)."""
+    weights = [0.0] * len(accept)
+    for prob, order in support:
         miss = 1.0
         for k in order:                     # relays in rank order
             a = accept[k]
@@ -303,12 +320,19 @@ def _user_rates(outages: OutageTable, params: StrategyParams,
     """Capture weights, user rates, empty probabilities and relay arrival
     rates.  They depend on the acceptance probabilities and the rank
     orders or assignment only: `omega` and `alpha` are not read."""
-    pu_pd, su_sd = float(outages.pu_pd), float(outages.su_sd)
     cap_p = capture_weights(outages.pu_relay.tolist(), params.f_p.tolist(),
                             params, "p")
     cap_s = capture_weights(outages.su_relay.tolist(), params.f_s.tolist(),
                             params, "s")
+    return _user_chain(float(outages.pu_pd), float(outages.su_sd), cap_p,
+                      cap_s, traffic)
 
+
+def _user_chain(pu_pd: float, su_sd: float, cap_p: list, cap_s: list,
+               traffic: TrafficParams) -> _UserRates:
+    """`_user_rates` from the capture weights on: the direct-link outages
+    `pu_pd`, `su_sd` and the capture weights of each user give the user
+    rates, empty probabilities and relay arrival rates."""
     mu_p = (1.0 - pu_pd) + pu_pd * _array_sum(cap_p)
     stable_p, pi_p0 = _flagged_pi0(traffic.lambda_p, mu_p)
     mu_s = pi_p0 * ((1.0 - su_sd) + su_sd * _array_sum(cap_s))

@@ -1,7 +1,8 @@
 """Shared test helpers: the exhaustive slot-outcome oracle, the per-slot
 simulator loop, a relaxation bound on the delay-limited secondary rate,
-the QoS search's closed-form schedule, random configuration generators,
-and equality of simulator estimates.
+the QoS search's closed-form schedule, the QoS search's moves and merit
+over arrays and parameters, random configuration generators, and
+equality of simulator estimates.
 
 The oracle enumerates every joint decode/acceptance outcome of one slot
 instead of using the prefix-product formulas, so it is an independent
@@ -21,8 +22,8 @@ from cogrelay.channel import StrategyKind
 from cogrelay.network import (OutageTable, SensingErrorParams,
                               TrafficParams)
 from cogrelay.orders import OrderDistribution
-from cogrelay.qos import QosSpec, _CaptureScorer, _checked
-from cogrelay.rates import StrategyParams
+from cogrelay.qos import QosSpec, _CaptureScorer, _checked, _violation
+from cogrelay.rates import StrategyParams, _user_rates
 from cogrelay.sim import SimEstimate
 
 ROUNDING = 1e-12   # relative allowance of `delay_limited_secondary_ceiling`
@@ -370,8 +371,88 @@ def closed_form(outages: OutageTable, params: StrategyParams,
     under perfect sensing, and the operating point with the schedule it
     gives those captures."""
     scorer = _CaptureScorer(outages, qos)
-    feasible = scorer.merit(params)[:2] == (0.0, 0.0)
+    feasible = capture_merit(scorer, params)[:2] == (0.0, 0.0)
     return feasible, _checked(scorer.result_params(params))
+
+
+def oracle_normalized(v: np.ndarray) -> np.ndarray:
+    total = v.sum()
+    if total <= 0:
+        return np.full(v.size, 1.0 / v.size)
+    return v / total
+
+
+def oracle_coordinate_moves(space, point: dict, scale: float):
+    """The QoS search's candidate single-coordinate moves over a dict of
+    arrays, as (group name, new array): the numpy oracle of
+    `qos._coordinate_moves`."""
+    for name in space.box:
+        vec = point[name]
+        for i in range(vec.size):
+            for delta in (scale, -scale):
+                new = vec.copy()
+                new[i] = min(1.0, max(0.0, new[i] + delta))
+                if new[i] != vec[i]:
+                    yield name, new
+    for name in space.simplex:
+        vec = point[name]
+        for i in range(vec.size):
+            if vec.size < 2:
+                continue
+            toward = vec * (1.0 - scale)
+            toward[i] += scale
+            yield name, oracle_normalized(toward)
+            if vec[i] > 0.0:
+                away = vec.copy()
+                away[i] = max(0.0, away[i] - scale)
+                yield name, oracle_normalized(away)
+
+
+def capture_merit(scorer: _CaptureScorer, params: StrategyParams) -> tuple:
+    """The perfect-sensing search's merit of the captures of `params`,
+    through `rates._user_rates`."""
+    return scorer._solve(_user_rates(scorer.outages, params,
+                                     scorer.traffic))[0]
+
+
+def checked_params(space, point: dict) -> StrategyParams:
+    """A search point (a dict of arrays) through the checking
+    constructors, built the way the search built every trial point before
+    it skipped the checks; without the schedule in the space, omega is
+    uniform and alpha 0.5."""
+    kw = {}
+    if space.strategy is StrategyKind.RANDOM:
+        kw["beta"] = point["beta"]
+    if space.strategy is StrategyKind.ORDERED:
+        for name, key in (("order_p", "_p"), ("order_s", "_s")):
+            if space.perms is not None:
+                weights = point["rho" + key]
+                total = weights.sum()
+                kw[name] = OrderDistribution(space.n, {
+                    p: w / total for p, w in zip(space.perms, weights)
+                    if w > 0})
+            else:
+                kw[name] = OrderDistribution.from_first_rank_profile(
+                    point["beta" + key])
+    n = space.n
+    omega, alpha = ((point["omega"], point["alpha"]) if space.schedule else
+                    (np.full(n, 1.0 / n) if n else np.zeros(0),
+                     np.full(n, 0.5)))
+    return StrategyParams(space.strategy, omega, alpha, point["f_p"],
+                          point["f_s"], **kw)
+
+
+def oracle_merit(scorer, space, point: dict) -> tuple:
+    """The merit of a search point (a dict of arrays) through the
+    parameters it stands for, built by `checked_params`:
+    `rates._user_rates` and the closed-form schedule under
+    `_CaptureScorer`, `evaluate` under `_Evaluator`; the oracle of the
+    scorers' `score`."""
+    params = checked_params(space, point)
+    if isinstance(scorer, _CaptureScorer):
+        return capture_merit(scorer, params)
+    residuals, mu_s = scorer.residuals(params)
+    return _violation(residuals), -mu_s
 
 
 def random_outages(rng: np.random.Generator, n: int,

@@ -7,9 +7,10 @@ dominance of perfect sensing over sensing errors; the relay-count
 certificate under sensing errors against the perfect-sensing one and
 against random points scored through `evaluate`; the QoS search's
 unchecked trial points against the same points built through the
-checking constructors; and the closed-form relay schedule of the
-perfect-sensing search against random schedules scored through
-`evaluate`; and the invariants of acceptance criteria 04 and 05 on
+checking constructors; the search's float moves and merits against the
+numpy moves and the merits through checked parameters (`support`); and
+the closed-form relay schedule of the perfect-sensing search against
+random schedules scored through `evaluate`; and the invariants of acceptance criteria 04 and 05 on
 generated configurations: od with a first-rank profile serves every
 queue at least as fast as random assignment with that profile, and no
 strategy gives the secondary more than `1 - lambda_p`, with and without
@@ -20,6 +21,7 @@ import itertools
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +32,8 @@ from cogrelay.network import (OutageTable, SensingErrorParams,
 from cogrelay.orders import OrderDistribution
 from cogrelay.rates import (StrategyParams, apply_sensing_errors, evaluate,
                             rate_report, secondary_rate_cap)
-from support import (closed_form, oracle_user_rates, random_outages,
+from support import (checked_params, closed_form, oracle_coordinate_moves,
+                     oracle_merit, oracle_user_rates, random_outages,
                      random_params, random_sensing_errors, random_simplex)
 
 # exact 0 and 1 next to the open interval: outages and acceptance
@@ -318,27 +321,6 @@ def test_perfect_sensing_dominates_sensing_errors(n, strategy, seed):
         assert perfect.report.mu_s >= errors.report.mu_s * (1 - 1e-12)
 
 
-def checked_params(space: qos._Space, point: dict) -> StrategyParams:
-    """The search point through the checking constructors, built the
-    way the search built every trial point before it skipped the checks."""
-    kw = {}
-    if space.strategy is StrategyKind.RANDOM:
-        kw["beta"] = point["beta"]
-    if space.strategy is StrategyKind.ORDERED:
-        for name, key in (("order_p", "_p"), ("order_s", "_s")):
-            if space.perms is not None:
-                weights = point["rho" + key]
-                total = weights.sum()
-                kw[name] = OrderDistribution(space.n, {
-                    p: w / total for p, w in zip(space.perms, weights)
-                    if w > 0})
-            else:
-                kw[name] = OrderDistribution.from_first_rank_profile(
-                    point["beta" + key])
-    return StrategyParams(space.strategy, point["omega"], point["alpha"],
-                          point["f_p"], point["f_s"], **kw)
-
-
 @st.composite
 def search_points(draw):
     n = draw(st.integers(0, 6))      # 6 relays: first-rank profiles
@@ -382,7 +364,7 @@ def assert_same_params(a: StrategyParams, b: StrategyParams) -> None:
 @given(case=search_points())
 def test_unchecked_point_equals_checked(case):
     space, point = case
-    fast = space.to_params(point)
+    fast = space.to_params(space.groups(point))
     slow = checked_params(space, point)
     assert_same_params(fast, slow)
     assert_same_params(qos._checked(fast), slow)
@@ -395,6 +377,56 @@ def test_unchecked_point_equals_checked(case):
     for name in a:
         assert np.array_equal(a[name], b[name]) if isinstance(
             a[name], np.ndarray) else _hexes(a[name]) == _hexes(b[name])
+
+
+@st.composite
+def search_problems(draw, strategy: StrategyKind, n: int):
+    """A search space with a point on it, and the scorer of a problem to
+    score it on: with the schedule in the space, under sensing errors
+    through `evaluate`; without it, the perfect-sensing capture scorer."""
+    space = qos._Space(strategy, n, schedule=draw(st.booleans()))
+    point = {name: np.array(draw(probs(n))) for name in space.box}
+    for name, size in space.simplex.items():
+        point[name] = draw(simplex(size))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    target = qos.QosSpec(rng.uniform(1.2, 6.0), rng.uniform(1.5, 10.0),
+                         TrafficParams(rng.uniform(0, 0.6),
+                                       rng.uniform(0, 0.5)))
+    outages = random_outages(rng, n, 0.01, 0.6)
+    if space.schedule:
+        return space, point, qos._Evaluator(
+            outages, rates.sensing_terms(random_sensing_errors(rng, n, 0.5)),
+            target)
+    return space, point, qos._CaptureScorer(outages, target)
+
+
+@pytest.mark.parametrize("n", range(7))   # 6 relays: first-rank profiles
+@pytest.mark.parametrize("strategy", list(StrategyKind))
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_float_moves_and_merit_match_numpy_oracle(strategy, n, data):
+    """At every scale the search's float moves are the numpy moves, bit
+    for bit.  At one scale the scorer's merit of the point and of its
+    trial points (about 60 of them, evenly spread; under perfect sensing,
+    captures read straight from the groups) is the merit through the
+    parameters the point stands for."""
+    space, point, scorer = data.draw(search_problems(strategy, n))
+    groups = space.groups(point)
+    for scale in qos._SCALES:
+        fast = list(qos._coordinate_moves(space, groups, scale))
+        slow = list(oracle_coordinate_moves(space, point, scale))
+        # the float64 bytes: bit for bit, as `float.hex` is, but faster
+        assert [(g, np.array(vec).tobytes()) for g, vec in fast] == [
+            (space.names.index(name), vec.tobytes()) for name, vec in slow]
+    scale = data.draw(st.sampled_from(qos._SCALES))
+    trials = [(groups, point)] + [
+        (groups[:g] + (vec,) + groups[g + 1:], {**point, name: array})
+        for (g, vec), (name, array) in zip(
+            qos._coordinate_moves(space, groups, scale),
+            oracle_coordinate_moves(space, point, scale))]
+    for trial, trial_point in trials[::max(1, len(trials) // 60)]:
+        assert list(map(_hexes, scorer.score(space, trial))) == list(
+            map(_hexes, oracle_merit(scorer, space, trial_point)))
 
 
 def within_ceilings(ev: rates.Evaluation, target: qos.QosSpec) -> bool:

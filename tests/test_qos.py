@@ -18,8 +18,9 @@ from cogrelay.qos import (QosSpec, maximize_secondary_throughput,
 from cogrelay.rates import (EPS_STAB, StrategyParams, end_to_end_delays,
                             evaluate, primary_rate_bound, rate_report,
                             secondary_rate_cap, sensing_terms)
-from support import (closed_form, delay_limited_secondary_ceiling,
-                     random_outages, random_params, random_sensing_errors)
+from support import (capture_merit, closed_form,
+                     delay_limited_secondary_ceiling, random_outages,
+                     random_params, random_sensing_errors)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 TABLE_ROWS12 = OutageTable(0.1, 0.2, [0.1, 0.02], [0.1, 0.1],
@@ -369,7 +370,7 @@ class TestSaturatedFeasibility:
                           [0.1, 0.1], [0.1, 0.1])
         qos = QosSpec(math.inf, math.inf, TrafficParams(0.5, 0.1))
         scorer = qos_module._CaptureScorer(out, qos)
-        stability, _, _ = scorer.merit(self.PARAMS)
+        stability, _, _ = capture_merit(scorer, self.PARAMS)
         # the primary is served at 0.1, 0.4 short of its load, and never
         # empties, so the secondary is not served at all
         assert stability == pytest.approx(0.4 + 0.1 + 2 * EPS_STAB)

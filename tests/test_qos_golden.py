@@ -248,6 +248,41 @@ def test_ceiling_bounds_every_result(golden):
     assert set(labels) == {"stability", "delay"}
 
 
+def _count_scores(monkeypatch) -> list:
+    """Count the trial points the scorers score (a one-element list)."""
+    calls = [0]
+    for cls in (qos._Evaluator, qos._CaptureScorer):
+        def counted(self, space, groups, score=cls.__dict__["score"]):
+            calls[0] += 1
+            return score(self, space, groups)
+        monkeypatch.setattr(cls, "score", counted)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["fig3_od_0.3", "fig3_rd_0.3", "fig3_rr_0.3",
+                                  "fig11_od_0.3_sensing"])
+def test_memo_scores_fewer_points_than_evaluations(case, golden, monkeypatch):
+    """Trial points seen before are looked up, not scored again, and the
+    result is the golden one."""
+    calls = _count_scores(monkeypatch)
+    result = _spec_search(*SPEC_SEARCHES[case])
+    assert digest(result) == golden[case]
+    assert 0 < calls[0] < result.evaluations
+
+
+def test_no_memo_survives_a_search(monkeypatch):
+    """Two identical searches score the same number of points.  The
+    load, 0.27, is one no other test searches, so the first search
+    starts from a state no earlier search has left."""
+    calls = _count_scores(monkeypatch)
+    scored = []
+    for _ in range(2):
+        before = calls[0]
+        _spec_search(("fig3_od_n2", OD, 0.27), 1_000, 2)
+        scored.append(calls[0] - before)
+    assert scored[0] == scored[1] > 0
+
+
 if __name__ == "__main__":
     record = {case: CASES[case]() for case in sorted(CASES)}
     GOLDEN_PATH.write_text(json.dumps(record, indent=1) + "\n")

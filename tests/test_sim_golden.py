@@ -1,9 +1,9 @@
 """Golden values for the simulator: the exact estimate of a few fixed
-(configuration, seed) runs, through both kernels, the trace and the
-runaway guard.
+(configuration, seed) runs, untraced and traced, and the runaway guard.
 
 Every float is pinned by `float.hex`, so any change to what a run draws,
-counts or sums shows here even where both kernels would change alike.
+counts or sums shows here, even one that the lockstep oracle of
+`tests/support.py` would make alike.
 The values in `sim_golden.json` were recorded from the simulator before
 its batch statistics moved to the per-queue layout, and the table1 rd and
 rr, fig11 rd and traced rr cases before rd and rr captured through
@@ -168,8 +168,9 @@ def test_estimate_matches_golden(case):
 
 
 def guard_messages() -> dict:
-    """The runaway guard's message for each user queue, on the vectorized
-    kernel and on the traced loop, at a guard of 1,500 packets."""
+    """The runaway guard's message for each user queue, on an untraced
+    and on a traced run of the simulator kernel, at a guard of 1,500
+    packets."""
     out = OutageTable(1.0, 1.0, np.ones(2), np.ones(2),
                       np.full(2, 0.5), np.full(2, 0.5))
     messages = {}
