@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of the
+integer arguments (counts, budgets, seeds) that every entry point makes."""
+
+import numpy as np
 
 
 class CogRelayError(Exception):
@@ -7,6 +10,15 @@ class CogRelayError(Exception):
 
 class ConfigError(CogRelayError, ValueError):
     """Invalid parameter values (simplex/box/probability violations)."""
+
+
+def check_integer(name: str, value, least: int) -> None:
+    """Raise ConfigError unless `value` is an integer (a bool is not one)
+    no smaller than `least`."""
+    if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+            or value < least):
+        raise ConfigError(f"{name} must be an integer >= {least}, "
+                          f"got {value!r}")
 
 
 class TimingOverflowError(CogRelayError, ValueError):

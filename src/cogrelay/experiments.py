@@ -58,7 +58,7 @@ import numpy as np
 from . import __version__
 from .channel import SlotTiming, LinkParams, StrategyKind
 from .errors import (ConfigError, NoFeasibleRelayCount, SpecParseError,
-                     UnstableQueueError)
+                     UnstableQueueError, check_integer)
 from .network import (NetworkConfig, OutageTable, PhysicalChannels,
                       SensingErrorParams, TrafficParams)
 from .orders import OrderDistribution
@@ -96,10 +96,9 @@ class OptimizerSettings:
     n_max: int = 5
 
     def __post_init__(self):
-        if self.budget < 1:
-            raise ConfigError("optimizer budget must be >= 1")
-        if self.restarts < 0 or self.n_max < 0:
-            raise ConfigError("optimizer restarts and n_max must be >= 0")
+        check_integer("optimizer budget", self.budget, 1)
+        check_integer("optimizer restarts", self.restarts, 0)
+        check_integer("optimizer n_max", self.n_max, 0)
 
 
 @dataclass

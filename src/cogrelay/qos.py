@@ -30,10 +30,16 @@ floats, with no parameter objects built.  A trial point that differs
 from the current point in one group only, and that the search has seen
 since that group's neighbourhood memo was last cleared, is looked up
 instead of scored; the lookup counts as an evaluation all the same, so
-the budget, the path and every result are those of scoring it.  On the
-benchmark's `optimize-perfect` workload (fig3, two relays; a 2-core Xeon,
-Python 3.11) an evaluation costs about 23 us, against 36 us when every
-trial point was built as parameters (`BENCH_qos.json`, `lean_search`).
+the budget, the path and every result are those of scoring it.  Under
+perfect sensing a trial point is also scored against the local search's
+incumbent: once the incumbent is feasible, a point whose secondary rate
+is no higher cannot beat it, whatever its schedule, so it gets the lower
+bound (0, 0, -mu_s) without the water-filling.  On the benchmark's
+`optimize-perfect` workload (fig3, two relays; a 2-core Xeon, Python
+3.11) that is 73% of the scored points, and an evaluation costs about
+16 us, against 23 us with every point scored in full and 36 us when every
+trial point was built as parameters (`BENCH_qos.json`, `incumbent_bound`
+and `lean_search`).
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import StrategyKind
-from .errors import ConfigError, NoFeasibleRelayCount
+from .errors import ConfigError, NoFeasibleRelayCount, check_integer
 from .network import (NetworkConfig, OutageTable, SensingErrorParams,
                       TrafficParams)
 from .orders import (DENSE_LIMIT, OrderDistribution, first_rank_perm,
@@ -279,8 +285,10 @@ class _Evaluator:
             res["delay_s"] = -math.inf
         return res, report.mu_s
 
-    def score(self, space: _Space, groups: tuple) -> tuple:
-        """The merit of a search point (`_Space.groups`)."""
+    def score(self, space: _Space, groups: tuple,
+              bound: tuple | None = None) -> tuple:
+        """The merit of a search point (`_Space.groups`), always in full:
+        `bound`, the incumbent merit of `_local_search`, is not used."""
         res, mu_s = self.residuals(space.to_params(groups))
         return _violation(res), -mu_s
 
@@ -369,13 +377,20 @@ class _CaptureScorer(_Evaluator):
         # per user: the (f, choice, capture weights) it last scored
         self._last = [(None, None, None), (None, None, None)]
 
-    def score(self, space: _Space, groups: tuple) -> tuple:
+    def score(self, space: _Space, groups: tuple,
+              bound: tuple | None = None) -> tuple:
         """The merit of a search point, from its captures: the rate chain
         of `_user_rates` without building parameters.  A move changes one
         group, and a trial point shares the others with the point it came
         from, so a user whose f and choice are the very objects it last
         scored reuses its capture weights (at five relays under od, half
-        the work of a score)."""
+        the work of a score).
+
+        `bound` is the incumbent merit of the local search.  Where it is
+        feasible, (0, 0, m), and the point's -mu_s is at least m, the point
+        cannot beat it, and the score is (0, 0, -mu_s) without the
+        water-filling of `_solve`: at or below the point's merit, and not
+        below the bound."""
         caps = []
         for user, relay, (f, choice) in zip((0, 1), (self.pu_relay,
                                                      self.su_relay),
@@ -385,7 +400,11 @@ class _CaptureScorer(_Evaluator):
                 last = self._last[user] = (
                     f, choice, space.capture(_acceptance(relay, f), choice))
             caps.append(last[2])
-        return self._solve(_user_chain(*self.direct, *caps, self.traffic))[0]
+        user = _user_chain(*self.direct, *caps, self.traffic)
+        if (bound is not None and bound[:2] == (0.0, 0.0)
+                and -user.mu_s >= bound[2]):
+            return 0.0, 0.0, -user.mu_s
+        return self._solve(user)[0]
 
     def _solve(self, user) -> tuple:
         """The merit, and the per-relay z and y at the least masses (None
@@ -480,6 +499,16 @@ def _local_search(space, scorer, start, budget_left):
     alone, so a trial point seen before is looked up, not scored again; a
     lookup still counts as an evaluation.  An accepted move changes one
     group and clears the others' memos, and each scale starts fresh.
+
+    A trial point is scored with this search's incumbent merit as the
+    bound of `scorer.score`, which may then return a lower bound that is
+    not below the incumbent in place of the merit.  The bound is never the
+    best merit over restarts: a point worse than that but better than this
+    search's incumbent must still be accepted.  A bounded point is never
+    accepted, and since the incumbent only falls, a bounded merit kept in
+    a memo is never accepted later either; the start and every accepted
+    point are scored in full, and the path, the evaluations and the
+    returned merit are those of scoring every point in full.
     """
     point = space.groups(start)
     best = scorer.score(space, point)
@@ -495,7 +524,7 @@ def _local_search(space, scorer, start, budget_left):
                 trial = point[:g] + (vec,) + point[g + 1:]
                 cand = memo[g].get(vec)
                 if cand is None:
-                    cand = memo[g][vec] = scorer.score(space, trial)
+                    cand = memo[g][vec] = scorer.score(space, trial, best)
                 used += 1
                 if cand < best:
                     best = cand
@@ -561,8 +590,9 @@ def maximize_secondary_throughput(
     `secondary_rate_ceiling` rules out, with the network's sensing
     errors, returns infeasible at once.
     """
-    if budget < 1:
-        raise ConfigError("budget must be >= 1")
+    check_integer("budget", budget, 1)
+    check_integer("restarts", restarts, 0)
+    check_integer("seed", seed, 0)
     n = network.n_relays
     for start in extra_starts:
         if start.strategy is not strategy or start.n_relays != n:
@@ -798,6 +828,10 @@ def minimize_relay_count(network: NetworkConfig, strategy: StrategyKind,
     that returns no point, seed nothing, and the count after them starts
     from its designed starts alone.
     """
+    check_integer("n_max", n_max, 0)
+    check_integer("budget", budget, 1)
+    check_integer("restarts", restarts, 0)
+    check_integer("seed", seed, 0)
     carried: tuple[StrategyParams, ...] = ()
     for n in range(n_max + 1):
         try:

@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import StrategyKind
-from .errors import ConfigError, UnstableQueueError
+from .errors import ConfigError, UnstableQueueError, check_integer
 from .network import (NetworkConfig, OutageTable, SensingErrorParams,
                       TrafficParams)
 from .rates import StrategyParams
@@ -573,12 +573,6 @@ def _half_widths(per_batch: np.ndarray) -> np.ndarray:
                     ).reshape(per_batch.shape[1:])
 
 
-def _check_integer(name: str, value, least: int) -> None:
-    if not isinstance(value, (int, np.integer)) or value < least:
-        raise ConfigError(f"{name} must be an integer >= {least}, "
-                          f"got {value!r}")
-
-
 def run(cfg: OutageTable | NetworkConfig, params: StrategyParams,
         traffic: TrafficParams, *, sensing: SensingErrorParams | None = None,
         mode: str = "true_queues", slots: int, seed: int,
@@ -596,10 +590,10 @@ def run(cfg: OutageTable | NetworkConfig, params: StrategyParams,
     kernel, `_lindley_kernel`; a trace records the first
     `min(trace_limit, slots)` slots and leaves the estimate as it is.
     """
-    _check_integer("slots", slots, 1)
-    _check_integer("seed", seed, 0)
-    _check_integer("batches", batches, 1)
-    _check_integer("trace_limit", trace_limit, 0)
+    check_integer("slots", slots, 1)
+    check_integer("seed", seed, 0)
+    check_integer("batches", batches, 1)
+    check_integer("trace_limit", trace_limit, 0)
     if mode not in ("true_queues", "saturated_relays"):
         raise ConfigError(f"unknown mode {mode!r}")
     if isinstance(cfg, NetworkConfig):
@@ -746,10 +740,10 @@ def run_replicated(cfg, params, traffic, *, replications: int,
     The half-widths come from the spread across replications when there
     are at least two, otherwise from the single run's batch means.
     """
-    _check_integer("slots", slots, 1)
-    _check_integer("seed", seed, 0)
-    _check_integer("batches", batches, 1)
-    _check_integer("replications", replications, 1)
+    check_integer("slots", slots, 1)
+    check_integer("seed", seed, 0)
+    check_integer("batches", batches, 1)
+    check_integer("replications", replications, 1)
     runs = [run(cfg, params, traffic, sensing=sensing, mode=mode,
                 slots=slots, seed=derive_replication_seed(seed, i),
                 batches=batches)

@@ -8,9 +8,11 @@ certificate under sensing errors against the perfect-sensing one and
 against random points scored through `evaluate`; the QoS search's
 unchecked trial points against the same points built through the
 checking constructors; the search's float moves and merits against the
-numpy moves and the merits through checked parameters (`support`); and
-the closed-form relay schedule of the perfect-sensing search against
-random schedules scored through `evaluate`; and the invariants of acceptance criteria 04 and 05 on
+numpy moves and the merits through checked parameters (`support`); the
+search with the incumbent bound against the search that scores every
+trial point in full; the closed-form relay schedule of the
+perfect-sensing search against random schedules scored through
+`evaluate`; and the invariants of acceptance criteria 04 and 05 on
 generated configurations: od with a first-rank profile serves every
 queue at least as fast as random assignment with that profile, and no
 strategy gives the secondary more than `1 - lambda_p`, with and without
@@ -18,6 +20,7 @@ sensing errors.
 """
 
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -427,6 +430,88 @@ def test_float_moves_and_merit_match_numpy_oracle(strategy, n, data):
     for trial, trial_point in trials[::max(1, len(trials) // 60)]:
         assert list(map(_hexes, scorer.score(space, trial))) == list(
             map(_hexes, oracle_merit(scorer, space, trial_point)))
+
+
+class _Unbounded:
+    """The capture scorer with the incumbent bound dropped: every trial
+    point scored in full."""
+
+    def __init__(self, scorer):
+        self.scorer = scorer
+
+    def score(self, space, groups, bound=None):
+        return self.scorer.score(space, groups)
+
+
+class _CheckedBound:
+    """The capture scorer, bound and all, with every score checked
+    against the full merit of the same point.  A bounded score (one that
+    skipped `_solve`) comes with a feasible bound and is (0, 0, -mu_s): at
+    or below the full merit and not below the bound.  Any other score is
+    the full merit."""
+
+    def __init__(self, scorer):
+        self.scorer = scorer
+        self.solves = 0
+        solve = scorer._solve
+
+        def counted(user):
+            self.solves += 1
+            return solve(user)
+        scorer._solve = counted
+
+    def score(self, space, groups, bound=None):
+        solves = self.solves
+        merit = self.scorer.score(space, groups, bound)
+        skipped = self.solves == solves
+        full = self.scorer.score(space, groups)
+        if skipped:
+            assert bound is not None and bound[:2] == (0.0, 0.0)
+            assert merit[:2] == (0.0, 0.0) and _hexes(merit[2]) == _hexes(
+                full[2])
+            assert merit <= full and not merit < bound
+        else:
+            assert list(map(_hexes, merit)) == list(map(_hexes, full))
+        return merit
+
+
+@st.composite
+def bounded_searches(draw, strategy: StrategyKind, n: int):
+    """A perfect-sensing search problem, with ceilings that may be
+    infinite, a start on its capture space and an evaluation budget."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ceiling = lambda low, high: draw(st.one_of(
+        st.just(math.inf), st.floats(low, high)))
+    target = qos.QosSpec(ceiling(1.05, 20.0), ceiling(1.05, 30.0),
+                         TrafficParams(rng.uniform(0, 0.5),
+                                       rng.uniform(0, 0.3)))
+    outages = random_outages(rng, n, 0.01, draw(st.sampled_from([0.3, 0.8])))
+    space = qos._Space(strategy, n, schedule=False)
+    starts = qos._designed_starts(space, outages)
+    start = draw(st.one_of(st.sampled_from(starts),
+                           st.just(space.random_point(rng))))
+    return space, outages, target, start, draw(st.integers(1, 700))
+
+
+@pytest.mark.parametrize("n", range(6))
+@pytest.mark.parametrize("strategy", list(StrategyKind))
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_incumbent_bound_leaves_local_search_unchanged(strategy, n, data):
+    """`_local_search` with the incumbent bound returns the point, the
+    merit and the evaluations of the search that scores every trial point
+    in full, and every bounded score lies between the bound and the full
+    merit (`_CheckedBound`)."""
+    space, outages, target, start, budget = data.draw(
+        bounded_searches(strategy, n))
+    checked = _CheckedBound(qos._CaptureScorer(outages, target))
+    runs = [qos._local_search(space, scorer, start, budget) for scorer in (
+        checked, _Unbounded(qos._CaptureScorer(outages, target)))]
+    (point, merit, used), (point_0, merit_0, used_0) = runs
+    assert [list(map(_hexes, g)) for g in point] == [
+        list(map(_hexes, g)) for g in point_0]
+    assert list(map(_hexes, merit)) == list(map(_hexes, merit_0))
+    assert used == used_0
 
 
 def within_ceilings(ev: rates.Evaluation, target: qos.QosSpec) -> bool:

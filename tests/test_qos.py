@@ -163,6 +163,20 @@ class TestMaximizeSecondaryThroughput:
             maximize_secondary_throughput(
                 net, StrategyKind.ORDERED, QosSpec(2, 2, net.traffic), budget=0)
 
+    @pytest.mark.parametrize("kw", [
+        dict(budget=math.nan), dict(budget=2.5), dict(budget=True),
+        dict(budget=20.0), dict(restarts=-1), dict(restarts=2.5),
+        dict(restarts=False), dict(seed=-1), dict(seed=1.5),
+        dict(seed=math.inf)])
+    def test_rejects_bad_integer_arguments(self, kw):
+        # budget=nan died with a TypeError, seed=-1 with numpy's error
+        # from inside the search, and budget=2.5 ran silently
+        net = fig3_network(0.2)
+        with pytest.raises(ConfigError, match=next(iter(kw))):
+            maximize_secondary_throughput(
+                net, StrategyKind.ORDERED, QosSpec(2, 2, net.traffic),
+                **{"budget": 100, **kw})
+
 
 class TestOptResultCeiling:
     """`OptResult.ceiling` is the certificate `secondary_rate_ceiling`
@@ -377,6 +391,18 @@ class TestSaturatedFeasibility:
 
 
 class TestMinimizeRelayCount:
+    @pytest.mark.parametrize("kw", [
+        dict(n_max=2.5), dict(n_max=-1), dict(n_max=True), dict(budget=0),
+        dict(budget=math.nan), dict(restarts=-1), dict(seed=1.5)])
+    def test_rejects_bad_integer_arguments(self, kw):
+        # n_max=2.5 raised a TypeError from range, and n_max=-1
+        # NoFeasibleRelayCount
+        net = fig3_network(0.2)
+        with pytest.raises(ConfigError, match=next(iter(kw))):
+            minimize_relay_count(net, StrategyKind.RANDOM,
+                                 QosSpec(2, 2, net.traffic),
+                                 **{"n_max": 1, "budget": 100, **kw})
+
     def test_strong_direct_links_need_no_relay(self):
         net = NetworkConfig(OutageTable(0.05, 0.05, [0.1], [0.1], [0.1], [0.1]),
                             TrafficParams(0.2, 0.1))

@@ -248,15 +248,23 @@ def test_ceiling_bounds_every_result(golden):
     assert set(labels) == {"stability", "delay"}
 
 
-def _count_scores(monkeypatch) -> list:
-    """Count the trial points the scorers score (a one-element list)."""
+def _count_calls(monkeypatch, classes, method) -> list:
+    """Count the calls of `method` on `classes` (a one-element list); the
+    arguments are passed on as they are."""
     calls = [0]
-    for cls in (qos._Evaluator, qos._CaptureScorer):
-        def counted(self, space, groups, score=cls.__dict__["score"]):
+    for cls in classes:
+        def counted(*args, wrapped=cls.__dict__[method], **kwargs):
             calls[0] += 1
-            return score(self, space, groups)
-        monkeypatch.setattr(cls, "score", counted)
+            return wrapped(*args, **kwargs)
+        monkeypatch.setattr(cls, method, counted)
     return calls
+
+
+def _count_scores(monkeypatch) -> list:
+    """Count the trial points the scorers score (a one-element list),
+    with the incumbent bound the search passes forwarded."""
+    return _count_calls(monkeypatch, (qos._Evaluator, qos._CaptureScorer),
+                        "score")
 
 
 @pytest.mark.parametrize("case", ["fig3_od_0.3", "fig3_rd_0.3", "fig3_rr_0.3",
@@ -268,6 +276,17 @@ def test_memo_scores_fewer_points_than_evaluations(case, golden, monkeypatch):
     result = _spec_search(*SPEC_SEARCHES[case])
     assert digest(result) == golden[case]
     assert 0 < calls[0] < result.evaluations
+
+
+@pytest.mark.parametrize("case", ["fig3_od_0.3", "fig3_rd_0.3", "fig3_rr_0.3"])
+def test_incumbent_bound_skips_solves(case, golden, monkeypatch):
+    """Trial points that cannot beat a feasible incumbent are scored
+    without the water-filling, and the result is the golden one."""
+    scores = _count_scores(monkeypatch)
+    solves = _count_calls(monkeypatch, (qos._CaptureScorer,), "_solve")
+    result = _spec_search(*SPEC_SEARCHES[case])
+    assert digest(result) == golden[case]
+    assert 0 < solves[0] < scores[0]
 
 
 def test_no_memo_survives_a_search(monkeypatch):

@@ -289,6 +289,8 @@ class TestGuardsAndTrace:
         (run_replicated, dict(replications=2, slots=100, seed=-1)),
         (run_replicated, dict(replications=2, slots=100, seed=1.5)),
         (run_replicated, dict(replications=1.5, slots=100, seed=0)),
+        (run, dict(slots=True, seed=0)),       # a bool is not a count
+        (run, dict(slots=100, seed=False)),
     ])
     def test_slots_and_seed_validation(self, simulate, kw):
         with pytest.raises(ConfigError):
