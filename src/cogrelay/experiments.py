@@ -83,10 +83,9 @@ class SimSettings:
     seed: int = 1
 
     def __post_init__(self):
-        if self.slots < 1 or self.replications < 1:
-            raise ConfigError("slots and replications must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
+        check_integer("simulation slots", self.slots, 1)
+        check_integer("simulation replications", self.replications, 1)
+        check_integer("simulation seed", self.seed, 0)
 
 
 @dataclass

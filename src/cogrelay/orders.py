@@ -36,18 +36,6 @@ class OrderDistribution:
         if problems:
             raise ConfigError("; ".join(problems))
 
-    @classmethod
-    def _unchecked(cls, n_relays: int, entries: dict,
-                   ranked_support: tuple) -> "OrderDistribution":
-        """A distribution built without `validate`, for callers whose
-        entries are valid by construction.  `ranked_support` must be what
-        the property would compute from `entries`."""
-        dist = object.__new__(cls)
-        # a frozen instance's fields and cache live in its __dict__
-        dist.__dict__.update(n_relays=n_relays, entries=entries,
-                             ranked_support=ranked_support)
-        return dist
-
     def validate(self) -> list[str]:
         """Return a list of violations (empty when the distribution is valid)."""
         problems = []

@@ -16,30 +16,31 @@ relay service rates, so the search moves the capture variables alone
 (f_p, f_s and the rank distributions or the assignment) and gives each
 capture point its least schedule in closed form, by water-filling
 (`_least_mass`, `_CaptureScorer`).  Under sensing errors the user rates
-depend on omega too, and the search moves every variable and scores
-each point through `evaluate`.  Before either search,
-`secondary_rate_ceiling` bounds the secondary rate, with the network's
-sensing errors taken into the bound; where it proves that no point meets
-the delay ceilings, the search returns infeasible at once, and the
-relay-count ladder skips the count.
+depend on omega too, and the search moves every variable (`_Evaluator`).
+Before either search, `secondary_rate_ceiling` bounds the secondary
+rate, with the network's sensing errors taken into the bound; where it
+proves that no point meets the delay ceilings, the search returns
+infeasible at once, and the relay-count ladder skips the count.
 
-An evaluation is a trial point the search visits.  The search holds its
-point as tuples of plain floats and builds each move in numpy's order of
-operations; the capture scorer reads the captures straight from those
-floats, with no parameter objects built.  A trial point that differs
-from the current point in one group only, and that the search has seen
-since that group's neighbourhood memo was last cleared, is looked up
-instead of scored; the lookup counts as an evaluation all the same, so
-the budget, the path and every result are those of scoring it.  Under
-perfect sensing a trial point is also scored against the local search's
-incumbent: once the incumbent is feasible, a point whose secondary rate
-is no higher cannot beat it, whatever its schedule, so it gets the lower
-bound (0, 0, -mu_s) without the water-filling.  On the benchmark's
-`optimize-perfect` workload (fig3, two relays; a 2-core Xeon, Python
-3.11) that is 73% of the scored points, and an evaluation costs about
-16 us, against 23 us with every point scored in full and 36 us when every
-trial point was built as parameters (`BENCH_qos.json`, `incumbent_bound`
-and `lean_search`).
+A trial point has one form.  The search holds its point as tuples of
+plain floats and builds each move in numpy's order of operations, and
+both scorers read a point's captures straight from those floats, through
+the capture and rate steps that `rates.evaluate` runs too; parameters
+are built, and checked, only for the point a search reports.  An
+evaluation is a trial point the search visits.  A trial point that
+differs from the current point in one group only, and that the search
+has seen since that group's neighbourhood memo was last cleared, is
+looked up instead of scored; the lookup counts as an evaluation all the
+same, so the budget, the path and every result are those of scoring it.
+Under perfect sensing a trial point is also scored against the local
+search's incumbent: once the incumbent is feasible, a point whose
+secondary rate is no higher cannot beat it, whatever its schedule, so it
+gets the lower bound (0, 0, -mu_s) without the water-filling.  On a
+2-core Xeon with Python 3.11 an evaluation costs about 16 us on the
+benchmark's `optimize-perfect` workload (fig3, two relays) and about
+42 us in the fig11 od search under sensing errors at lambda_p 0.3
+(three relays; `BENCH_qos.json`, `incumbent_bound` and
+`one_trial_path`).
 """
 
 from __future__ import annotations
@@ -57,8 +58,9 @@ from .network import (NetworkConfig, OutageTable, SensingErrorParams,
 from .orders import (DENSE_LIMIT, OrderDistribution, first_rank_perm,
                      rank_order)
 from .rates import (EPS_STAB, SIMPLEX_TOL, SensingTerms, StrategyParams,
-                    _acceptance, _array_sum, _assigned_capture,
-                    _ordered_capture, _user_chain, _user_rates, evaluate,
+                    _acceptance, _array_sum, _assigned_capture, _delays,
+                    _floats, _ordered_capture, _outcome, _Rates, _relay_chain,
+                    _sensed, _serve, _user_chain, _user_rates, evaluate,
                     primary_rate_bound, sensing_terms)
 
 DENSE_ORDER_LIMIT = 5  # optimize the full N!-simplex only up to here
@@ -100,24 +102,19 @@ class OptResult:
     ceiling: float | None        # `secondary_rate_ceiling`; None: no point
 
 
-def _dense_orders(n: int) -> bool:
-    return n <= DENSE_ORDER_LIMIT
-
-
 class _Space:
     """Search-space layout for one strategy: named box and simplex groups.
 
     The search moves a point as a tuple of groups, each a tuple of plain
     floats, in the order of `names` (the box groups, then the simplex
-    groups); `groups` converts a start, a dict of arrays.  Every point
-    the search builds lies in its box or on its simplex, so `to_params`
-    skips the parameter checks, and `capture` reads a user's capture
-    weights from a point's rank weights or assignment without building
-    parameters; the rank order of each permutation it can put in a
-    distribution is worked out here, once.  Without `schedule` the space
-    holds only the capture groups (f_p, f_s and the rank distributions or
-    the assignment), and `to_params` puts placeholders in omega and
-    alpha.
+    groups); `groups` converts a start, a dict of arrays.  The scorers
+    read a point through `sides`, `capture` and `omega_alpha`, with no
+    parameters built; the rank order of each permutation `capture` can
+    weight is worked out here, once.  `to_params` builds the checked
+    parameters of the point a search reports.  Without `schedule` the
+    space holds only the capture groups (f_p, f_s and the rank
+    distributions or the assignment), and omega and alpha are
+    placeholders: uniform and 0.5.
     """
 
     def __init__(self, strategy: StrategyKind, n: int, schedule: bool = True):
@@ -126,12 +123,10 @@ class _Space:
         self.schedule = schedule
         self.box = ["alpha", "f_p", "f_s"] if schedule else ["f_p", "f_s"]
         self.simplex = {"omega": n} if schedule else {}
-        self._placeholder = (np.full(n, 1.0 / n) if n else np.zeros(0),
-                             np.full(n, 0.5))
         if strategy is StrategyKind.RANDOM:
             self.simplex["beta"] = n
         if strategy is StrategyKind.ORDERED:
-            if _dense_orders(n):
+            if n <= DENSE_ORDER_LIMIT:
                 self.perms = list(itertools.permutations(range(1, n + 1)))
                 self.simplex["rho_p"] = len(self.perms)
                 self.simplex["rho_s"] = len(self.perms)
@@ -164,6 +159,14 @@ class _Space:
             return (f_p, groups[-1]), (f_s, groups[-1])
         return (f_p, groups[-2]), (f_s, groups[-1])
 
+    def omega_alpha(self, groups: tuple) -> tuple:
+        """A point's relay schedule (omega, alpha): its groups (omega leads
+        the simplex groups and alpha the box groups), or, without the
+        schedule in the space, the placeholders."""
+        if not self.schedule:
+            return self._uniform, [0.5] * self.n
+        return groups[len(self.box)], groups[0]
+
     def capture(self, accept: list, choice: tuple | None) -> list:
         """One user's capture weights (`rates.capture_weights`) at its
         acceptance probabilities and choice (see `sides`), read straight
@@ -187,27 +190,22 @@ class _Space:
                 in zip(self._ranked, choice, probs) if w > 0]
 
     def to_params(self, groups: tuple) -> StrategyParams:
-        """A point as unchecked parameters (see the class docstring)."""
+        """The parameters a point stands for (see the class docstring)."""
         (f_p, choice_p), (f_s, choice_s) = self.sides(groups)
         kw = {}
         if self.strategy is StrategyKind.RANDOM:
             kw["beta"] = np.array(choice_p)
         if self.strategy is StrategyKind.ORDERED:
             for name, choice in (("order_p", choice_p), ("order_s", choice_s)):
-                support = self._support(choice)
-                kw[name] = OrderDistribution._unchecked(
-                    self.n, {perm: prob for perm, prob, _ in support},
-                    tuple((prob, order) for _, prob, order in support))
-        point = dict(zip(self.names, groups))
-        omega, alpha = ((np.array(point["omega"]), np.array(point["alpha"]))
-                        if self.schedule else self._placeholder)
-        return StrategyParams._unchecked(self.strategy, omega, alpha,
-                                         np.array(f_p), np.array(f_s), **kw)
+                kw[name] = OrderDistribution(self.n, {
+                    perm: prob for perm, prob, _ in self._support(choice)})
+        return StrategyParams(self.strategy, *self.omega_alpha(groups), f_p,
+                              f_s, **kw)
 
     def from_params(self, params: StrategyParams) -> dict:
-        point = {"f_p": params.f_p.copy(), "f_s": params.f_s.copy()}
-        if self.schedule:
-            point.update(alpha=params.alpha.copy(), omega=params.omega.copy())
+        # `groups` reads only the space's own groups
+        point = {name: getattr(params, name).copy()
+                 for name in ("f_p", "f_s", "alpha", "omega")}
         if self.strategy is StrategyKind.RANDOM:
             point["beta"] = params.beta.copy()
         if self.strategy is StrategyKind.ORDERED:
@@ -248,49 +246,86 @@ def _violation(residuals: dict) -> float:
 
 
 class _Evaluator:
-    """Scores points of the whole space through `evaluate`.
+    """Scores points of the whole space under sensing errors: the chain
+    of `evaluate`, over plain floats, from a point's captures and its
+    schedule groups.
 
     Merit is lexicographic: total constraint violation first (0 means
-    feasible), then the negated secondary rate.
+    feasible), then the negated secondary rate.  What both scorers read
+    is kept here: the outages as plain floats and, per user, the capture
+    weights it last scored (`_user`).
     """
 
-    def __init__(self, outages: OutageTable, sensing: SensingTerms | None,
-                 qos: QosSpec):
+    def __init__(self, outages: OutageTable, qos: QosSpec,
+                 sensing: SensingTerms | None = None):
         self.outages = outages
         self.sensing = sensing
         self.qos = qos
         self.traffic = qos.traffic
         self.relay_keys = [(f"stability_pk{k + 1}", f"stability_sk{k + 1}")
                            for k in range(outages.n_relays)]
+        self.relay_outages = outages.pu_relay.tolist(), outages.su_relay.tolist()
+        self.direct = float(outages.pu_pd), float(outages.su_sd)
+        self.serve_p, self.serve_s = _serve(outages)
+        # per user: the (f, choice, capture weights) it last scored
+        self._last = [(None, None, None), (None, None, None)]
 
-    def residuals(self, params: StrategyParams) -> tuple[dict, float]:
-        """Constraint residuals (negative: violated) and mu_s."""
-        ev = evaluate(self.outages, params, self.traffic, self.sensing)
-        report = ev.report
+    def _user(self, space: _Space, groups: tuple):
+        """The user rates of a search point (`rates._user_chain`), read
+        from its captures without building parameters.  A move changes one
+        group, and a trial point shares the others with the point it came
+        from, so a user whose f and choice are the very objects it last
+        scored reuses its capture weights (at five relays under od, half
+        the work of a perfect-sensing score)."""
+        caps = []
+        for user, relay, (f, choice) in zip((0, 1), self.relay_outages,
+                                            space.sides(groups)):
+            last = self._last[user]
+            if last[0] is not f or last[1] is not choice:
+                last = self._last[user] = (
+                    f, choice, space.capture(_acceptance(relay, f), choice))
+            caps.append(last[2])
+        return _user_chain(*self.direct, *caps, self.traffic)
+
+    def _residuals(self, rates: _Rates, d_p: float, d_s: float) -> dict:
+        """Constraint residuals (negative: violated) of an operating point
+        with end-to-end delays `d_p`, `d_s` (inf where a queue is
+        unstable)."""
         res = {
-            "stability_p": report.mu_p - self.traffic.lambda_p - EPS_STAB,
-            "stability_s": report.mu_s - self.traffic.lambda_s - EPS_STAB,
+            "stability_p": rates.mu_p - self.traffic.lambda_p - EPS_STAB,
+            "stability_s": rates.mu_s - self.traffic.lambda_s - EPS_STAB,
         }
         for (key_p, key_s), lam_p, mu_p, lam_s, mu_s in zip(
-                self.relay_keys, report.lambda_pk.tolist(),
-                report.mu_pk.tolist(), report.lambda_sk.tolist(),
-                report.mu_sk.tolist()):
+                self.relay_keys, rates.lambda_pk, rates.mu_pk,
+                rates.lambda_sk, rates.mu_sk):
             res[key_p] = math.inf if lam_p == 0.0 else mu_p - lam_p - EPS_STAB
             res[key_s] = math.inf if lam_s == 0.0 else mu_s - lam_s - EPS_STAB
         if all(v >= 0 for v in res.values()):
-            res["delay_p"] = self.qos.d_p_max - ev.d_p
-            res["delay_s"] = self.qos.d_s_max - ev.d_s
+            res["delay_p"] = self.qos.d_p_max - d_p
+            res["delay_s"] = self.qos.d_s_max - d_s
         else:
             res["delay_p"] = -math.inf
             res["delay_s"] = -math.inf
-        return res, report.mu_s
+        return res
+
+    def residuals(self, params: StrategyParams) -> tuple[dict, float]:
+        """Constraint residuals and mu_s of `params`, through `evaluate`."""
+        ev = evaluate(self.outages, params, self.traffic, self.sensing)
+        return (self._residuals(_floats(ev.report), ev.d_p, ev.d_s),
+                ev.report.mu_s)
 
     def score(self, space: _Space, groups: tuple,
               bound: tuple | None = None) -> tuple:
-        """The merit of a search point (`_Space.groups`), always in full:
-        `bound`, the incumbent merit of `_local_search`, is not used."""
-        res, mu_s = self.residuals(space.to_params(groups))
-        return _violation(res), -mu_s
+        """The merit of a search point (`_Space.groups`): `evaluate`'s
+        chain from the point's captures (`_user`) and its schedule groups,
+        over plain floats, always in full: `bound`, the incumbent merit of
+        `_local_search`, is not used."""
+        omega, alpha = space.omega_alpha(groups)
+        rates = _sensed(_relay_chain(self._user(space, groups), omega, alpha,
+                                     self.serve_p, self.serve_s),
+                        self.traffic, omega, self.sensing)
+        d_p, d_s, _ = _outcome(rates, lambda: _delays(rates, self.traffic))
+        return _violation(self._residuals(rates, d_p, d_s)), -rates.mu_s
 
     def result_params(self, params: StrategyParams) -> StrategyParams:
         """The operating point the search reports for a best point."""
@@ -367,40 +402,16 @@ class _CaptureScorer(_Evaluator):
     then the negated secondary rate.
     """
 
-    def __init__(self, outages: OutageTable, qos: QosSpec):
-        super().__init__(outages, None, qos)
-        self.serve_p = (1.0 - outages.relay_pd).tolist()
-        self.serve_s = (1.0 - outages.relay_sd).tolist()
-        self.pu_relay = outages.pu_relay.tolist()
-        self.su_relay = outages.su_relay.tolist()
-        self.direct = float(outages.pu_pd), float(outages.su_sd)
-        # per user: the (f, choice, capture weights) it last scored
-        self._last = [(None, None, None), (None, None, None)]
-
     def score(self, space: _Space, groups: tuple,
               bound: tuple | None = None) -> tuple:
-        """The merit of a search point, from its captures: the rate chain
-        of `_user_rates` without building parameters.  A move changes one
-        group, and a trial point shares the others with the point it came
-        from, so a user whose f and choice are the very objects it last
-        scored reuses its capture weights (at five relays under od, half
-        the work of a score).
+        """The merit of a search point, from its captures (`_user`).
 
         `bound` is the incumbent merit of the local search.  Where it is
         feasible, (0, 0, m), and the point's -mu_s is at least m, the point
         cannot beat it, and the score is (0, 0, -mu_s) without the
         water-filling of `_solve`: at or below the point's merit, and not
         below the bound."""
-        caps = []
-        for user, relay, (f, choice) in zip((0, 1), (self.pu_relay,
-                                                     self.su_relay),
-                                            space.sides(groups)):
-            last = self._last[user]
-            if last[0] is not f or last[1] is not choice:
-                last = self._last[user] = (
-                    f, choice, space.capture(_acceptance(relay, f), choice))
-            caps.append(last[2])
-        user = _user_chain(*self.direct, *caps, self.traffic)
+        user = self._user(space, groups)
         if (bound is not None and bound[:2] == (0.0, 0.0)
                 and -user.mu_s >= bound[2]):
             return 0.0, 0.0, -user.mu_s
@@ -457,10 +468,7 @@ class _CaptureScorer(_Evaluator):
             alpha = [a / v if v > 0.0 else 0.5 for a, v in zip(z, w)]
         else:
             omega, alpha = [1.0 / len(w) for _ in w], [0.5 for _ in w]
-        return StrategyParams._unchecked(
-            params.strategy, np.array(omega, dtype=float),
-            np.array(alpha, dtype=float), params.f_p, params.f_s,
-            params.order_p, params.order_s, params.beta)
+        return replace(params, omega=omega, alpha=alpha)
 
 
 def _coordinate_moves(space: _Space, point: tuple, scale: float):
@@ -540,9 +548,8 @@ def _designed_starts(space: _Space, outages: OutageTable) -> list[dict]:
     starts = []
 
     def base(alpha, f_p, f_s):
-        point = {"f_p": np.full(n, f_p), "f_s": np.full(n, f_s)}
-        if space.schedule:
-            point["alpha"] = np.full(n, alpha)
+        point = {"f_p": np.full(n, f_p), "f_s": np.full(n, f_s),
+                 "alpha": np.full(n, alpha)}   # read with the schedule only
         for name, size in space.simplex.items():
             point[name] = np.full(size, 1.0 / size) if size else np.zeros(0)
         return point
@@ -558,10 +565,9 @@ def _designed_starts(space: _Space, outages: OutageTable) -> list[dict]:
             point = base(0.5, 1.0, 1.0)
             vertex = np.zeros(n)
             vertex[int(np.argmin(vec))] = 1.0
-            if "beta" in point:
-                point["beta"] = vertex
-            if "beta_p" in point:
-                point["beta_p" if which == "p" else "beta_s"] = vertex
+            for key in ("beta", "beta_" + which):
+                if key in point:
+                    point[key] = vertex
             if "rho_p" in point:
                 dist = OrderDistribution.from_first_rank_profile(vertex)
                 key = "rho_p" if which == "p" else "rho_s"
@@ -586,9 +592,10 @@ def maximize_secondary_throughput(
     strategy and relay count.  Under perfect sensing the search moves the
     capture variables only and gives each point its least relay schedule
     in closed form (`_CaptureScorer`); under sensing errors it moves every
-    variable and scores each point through `evaluate`.  A problem that
-    `secondary_rate_ceiling` rules out, with the network's sensing
-    errors, returns infeasible at once.
+    variable (`_Evaluator`).  Either scorer reads a trial point from its
+    floats; only the best point is built as parameters and scored again
+    through `evaluate`.  A problem that `secondary_rate_ceiling` rules
+    out, with the network's sensing errors, returns infeasible at once.
     """
     check_integer("budget", budget, 1)
     check_integer("restarts", restarts, 0)
@@ -628,12 +635,9 @@ def maximize_secondary_throughput(
             first_violation="stability" if unstable else "delay",
             ceiling=ceiling)
 
-    if network.sensing is None:
-        scorer = _CaptureScorer(outages, qos)
-        space = _Space(strategy, n, schedule=False)
-    else:
-        scorer = _Evaluator(outages, sensing_terms(network.sensing), qos)
-        space = _Space(strategy, n)
+    space = _Space(strategy, n, schedule=network.sensing is not None)
+    scorer = (_CaptureScorer(outages, qos) if network.sensing is None else
+              _Evaluator(outages, qos, sensing_terms(network.sensing)))
     starts = _designed_starts(space, outages)
     starts.extend(space.from_params(p) for p in extra_starts)
 
@@ -672,7 +676,7 @@ def maximize_secondary_throughput(
                             if k.startswith("stability"))
         first = "stability" if stability_bad else "delay"
     return OptResult(
-        best_params=_checked(params),
+        best_params=params,
         best_mu_s=float(mu_s) if feasible else 0.0,
         feasible=bool(feasible),
         constraint_residuals={k: float(v) for k, v in residuals.items()},
@@ -681,14 +685,6 @@ def maximize_secondary_throughput(
         budget_exhausted=evaluations >= budget,
         first_violation=first,
         ceiling=ceiling)
-
-
-def _checked(params: StrategyParams) -> StrategyParams:
-    """`params` rebuilt through the checking constructors."""
-    orders = {name: replace(getattr(params, name))
-              for name in ("order_p", "order_s")
-              if getattr(params, name) is not None}
-    return replace(params, **orders)
 
 
 def _pooled_arrivals(lam: float, direct_outage: float,

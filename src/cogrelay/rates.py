@@ -45,6 +45,9 @@ class StrategyParams:
     order_p, order_s: decoding-rank distributions (ordered strategy only).
     beta[k]: probability relay k is the assigned decoder (random
         assignment only; round robin uses the uniform assignment).
+
+    Every instance is checked on construction.  The QoS search builds one
+    only for the point it reports; its trial points stay plain floats.
     """
 
     strategy: StrategyKind
@@ -89,22 +92,6 @@ class StrategyParams:
             if self.beta is not None:
                 raise ConfigError("round robin fixes the assignment to 1/N; "
                                   "do not pass beta")
-
-    @classmethod
-    def _unchecked(cls, strategy: StrategyKind, omega: np.ndarray,
-                   alpha: np.ndarray, f_p: np.ndarray, f_s: np.ndarray,
-                   order_p: OrderDistribution | None = None,
-                   order_s: OrderDistribution | None = None,
-                   beta: np.ndarray | None = None) -> "StrategyParams":
-        """Parameters built without the checks, for callers whose float
-        arrays are valid by construction (the QoS search's trial points);
-        pass anything kept or returned through the constructor."""
-        params = object.__new__(cls)
-        # a frozen instance's fields live in its __dict__
-        params.__dict__.update(strategy=strategy, omega=omega, alpha=alpha,
-                               f_p=f_p, f_s=f_s, order_p=order_p,
-                               order_s=order_s, beta=beta)
-        return params
 
     @property
     def n_relays(self) -> int:
@@ -213,7 +200,8 @@ def relay_service_rates(outages: OutageTable, params: StrategyParams,
     are silent, the queue wins the per-relay coin flip and the link to the
     destination is not in outage."""
     _check_relay_count(outages, params)
-    mu_pk, mu_sk = _relay_service(outages, params, pi_p0, pi_s0)
+    mu_pk, mu_sk = _relay_service(params.omega.tolist(), params.alpha.tolist(),
+                                  *_serve(outages), pi_p0, pi_s0)
     return np.array(mu_pk), np.array(mu_sk)
 
 
@@ -223,16 +211,20 @@ def _check_relay_count(outages: OutageTable, params: StrategyParams) -> None:
                           f"outage table over {outages.n_relays}")
 
 
-def _relay_service(outages: OutageTable, params: StrategyParams,
+def _serve(outages: OutageTable) -> tuple[list, list]:
+    """Per relay, 1 - outage of its links to the two destinations."""
+    return ([1.0 - v for v in outages.relay_pd.tolist()],
+            [1.0 - v for v in outages.relay_sd.tolist()])
+
+
+def _relay_service(omega, alpha, serve_p: list, serve_s: list,
                    pi_p0: float, pi_s0: float) -> tuple[list, list]:
-    """`relay_service_rates` as lists of plain floats."""
+    """`relay_service_rates` over plain floats, the links from `_serve`."""
     mu_pk, mu_sk = [], []
-    for omega, alpha, pd, sd in zip(
-            params.omega.tolist(), params.alpha.tolist(),
-            outages.relay_pd.tolist(), outages.relay_sd.tolist()):
-        idle = omega * pi_p0 * pi_s0
-        mu_pk.append(idle * alpha * (1.0 - pd))
-        mu_sk.append(idle * (1.0 - alpha) * (1.0 - sd))
+    for w, a, sp, ss in zip(omega, alpha, serve_p, serve_s):
+        idle = w * pi_p0 * pi_s0
+        mu_pk.append(idle * a * sp)
+        mu_sk.append(idle * (1.0 - a) * ss)
     return mu_pk, mu_sk
 
 
@@ -299,27 +291,28 @@ def _flagged_pi0(lam: float, mu: float) -> tuple[bool, float]:
     return False, 0.0
 
 
-class _UserRates(NamedTuple):
-    """The half of the rate chain that the relay schedule does not enter,
-    as plain floats."""
+class _Rates(NamedTuple):
+    """A `RateReport`'s rates as plain floats, per relay as lists, without
+    the per-relay flags.  The user rates and relay arrivals do not depend
+    on the schedule; `mu_pk`, `mu_sk` are None until it is known."""
 
-    cap_p: list
-    cap_s: list
     mu_p: float
-    stable_p: bool
-    pi_p0: float
     mu_s: float
-    stable_s: bool
+    pi_p0: float
     pi_s0: float
+    stable_p: bool
+    stable_s: bool
     lambda_pk: list
     lambda_sk: list
+    mu_pk: list | None = None
+    mu_sk: list | None = None
 
 
 def _user_rates(outages: OutageTable, params: StrategyParams,
-                traffic: TrafficParams) -> _UserRates:
-    """Capture weights, user rates, empty probabilities and relay arrival
-    rates.  They depend on the acceptance probabilities and the rank
-    orders or assignment only: `omega` and `alpha` are not read."""
+                traffic: TrafficParams) -> _Rates:
+    """User rates, empty probabilities and relay arrival rates.  They
+    depend on the acceptance probabilities and the rank orders or
+    assignment only: `omega` and `alpha` are not read."""
     cap_p = capture_weights(outages.pu_relay.tolist(), params.f_p.tolist(),
                             params, "p")
     cap_s = capture_weights(outages.su_relay.tolist(), params.f_s.tolist(),
@@ -329,7 +322,7 @@ def _user_rates(outages: OutageTable, params: StrategyParams,
 
 
 def _user_chain(pu_pd: float, su_sd: float, cap_p: list, cap_s: list,
-               traffic: TrafficParams) -> _UserRates:
+               traffic: TrafficParams) -> _Rates:
     """`_user_rates` from the capture weights on: the direct-link outages
     `pu_pd`, `su_sd` and the capture weights of each user give the user
     rates, empty probabilities and relay arrival rates."""
@@ -340,9 +333,37 @@ def _user_chain(pu_pd: float, su_sd: float, cap_p: list, cap_s: list,
 
     to_relay_p = (1.0 - pi_p0) * pu_pd
     to_relay_s = (1.0 - pi_s0) * pi_p0 * su_sd
-    return _UserRates(cap_p, cap_s, mu_p, stable_p, pi_p0, mu_s, stable_s,
-                      pi_s0, [to_relay_p * c for c in cap_p],
-                      [to_relay_s * c for c in cap_s])
+    return _Rates(mu_p, mu_s, pi_p0, pi_s0, stable_p, stable_s,
+                  [to_relay_p * c for c in cap_p],
+                  [to_relay_s * c for c in cap_s])
+
+
+def _relay_chain(user: _Rates, omega, alpha, serve_p: list,
+                 serve_s: list) -> _Rates:
+    """`user` with its last two fields, the relay service, filled in."""
+    mu_pk, mu_sk = _relay_service(omega, alpha, serve_p, serve_s,
+                                  user.pi_p0, user.pi_s0)
+    return _Rates(*user[:-2], mu_pk, mu_sk)
+
+
+def _floats(report: RateReport) -> _Rates:
+    return _Rates(report.mu_p, report.mu_s, report.pi_p0, report.pi_s0,
+                  report.stable_p, report.stable_s,
+                  report.lambda_pk.tolist(), report.lambda_sk.tolist(),
+                  report.mu_pk.tolist(), report.mu_sk.tolist())
+
+
+def _report(strategy: StrategyKind, traffic: TrafficParams,
+            rates: _Rates) -> RateReport:
+    return RateReport(
+        strategy=strategy, traffic=traffic, mu_p=rates.mu_p,
+        mu_s=rates.mu_s, pi_p0=rates.pi_p0, pi_s0=rates.pi_s0,
+        lambda_pk=np.array(rates.lambda_pk),
+        lambda_sk=np.array(rates.lambda_sk),
+        mu_pk=np.array(rates.mu_pk), mu_sk=np.array(rates.mu_sk),
+        stable_p=rates.stable_p, stable_s=rates.stable_s,
+        stable_pk=_stable_flags(rates.lambda_pk, rates.mu_pk),
+        stable_sk=_stable_flags(rates.lambda_sk, rates.mu_sk))
 
 
 def rate_report(outages: OutageTable, params: StrategyParams,
@@ -352,18 +373,9 @@ def rate_report(outages: OutageTable, params: StrategyParams,
     every downstream formula then consumes.  The chain runs over plain
     floats in numpy's order of operations."""
     _check_relay_count(outages, params)
-    user = _user_rates(outages, params, traffic)
-    lambda_pk, lambda_sk = user.lambda_pk, user.lambda_sk
-    mu_pk, mu_sk = _relay_service(outages, params, user.pi_p0, user.pi_s0)
-
-    return RateReport(
-        strategy=params.strategy, traffic=traffic,
-        mu_p=user.mu_p, mu_s=user.mu_s, pi_p0=user.pi_p0, pi_s0=user.pi_s0,
-        lambda_pk=np.array(lambda_pk), lambda_sk=np.array(lambda_sk),
-        mu_pk=np.array(mu_pk), mu_sk=np.array(mu_sk),
-        stable_p=user.stable_p, stable_s=user.stable_s,
-        stable_pk=_stable_flags(lambda_pk, mu_pk),
-        stable_sk=_stable_flags(lambda_sk, mu_sk))
+    return _report(params.strategy, traffic, _relay_chain(
+        _user_rates(outages, params, traffic), params.omega.tolist(),
+        params.alpha.tolist(), *_serve(outages)))
 
 
 def end_to_end_delays(report: RateReport,
@@ -372,6 +384,11 @@ def end_to_end_delays(report: RateReport,
     extra relay-queue residence over the fraction of packets that take
     each relay path.  Raises UnstableQueueError naming the first queue
     that cannot sustain its load."""
+    return _delays(_floats(report), traffic)
+
+
+def _delays(rates: _Rates, traffic: TrafficParams) -> tuple[float, float]:
+    """`end_to_end_delays` over plain floats."""
 
     def user_total(lam, mu, lam_k, mu_k, user):
         # a queue with no arrivals is stable, but with no service either
@@ -382,7 +399,7 @@ def end_to_end_delays(report: RateReport,
         if lam == 0.0:
             return d
         relayed = 0.0
-        for k, (lam_r, mu_r) in enumerate(zip(lam_k.tolist(), mu_k.tolist())):
+        for k, (lam_r, mu_r) in enumerate(zip(lam_k, mu_k)):
             if lam_r == 0.0:
                 continue
             if not is_stable(lam_r, mu_r):
@@ -390,10 +407,10 @@ def end_to_end_delays(report: RateReport,
             relayed += lam_r * queue_delay(lam_r, mu_r)
         return d + relayed / lam
 
-    d_p = user_total(traffic.lambda_p, report.mu_p,
-                     report.lambda_pk, report.mu_pk, "primary")
-    d_s = user_total(traffic.lambda_s, report.mu_s,
-                     report.lambda_sk, report.mu_sk, "secondary")
+    d_p = user_total(traffic.lambda_p, rates.mu_p,
+                     rates.lambda_pk, rates.mu_pk, "primary")
+    d_s = user_total(traffic.lambda_s, rates.mu_s,
+                     rates.lambda_sk, rates.mu_sk, "secondary")
     return d_p, d_s
 
 
@@ -416,21 +433,20 @@ def sensing_terms(se: SensingErrorParams | SensingTerms) -> SensingTerms:
         [(1.0 - fa) * (1.0 - fa) for fa in se.p_false_alarm.tolist()])
 
 
-def sensing_survival_factors(params: StrategyParams,
-                             se: SensingErrorParams | SensingTerms
-                             ) -> tuple[float, float]:
+def _survival(omega, terms: SensingTerms) -> tuple[float, float]:
     """Probability that the transmission-scheduled relay does not disrupt
-    the primary / the secondary user, averaged over the schedule.
+    the primary / the secondary user, averaged over the schedule `omega`
+    (an array or a sequence of floats).
 
     Disrupting the primary takes a misdetection in both sensing intervals;
     the secondary is safe if the relay either detects it or false-alarms
     on the (idle) first interval.
     """
-    if params.n_relays == 0:
+    if len(omega) == 0:
         return 1.0, 1.0
-    terms = sensing_terms(se)
-    return (float(np.dot(params.omega, terms.survive_p)),
-            float(np.dot(params.omega, terms.survive_s)))
+    omega = np.asarray(omega, dtype=float)
+    return (float(np.dot(omega, terms.survive_p)),
+            float(np.dot(omega, terms.survive_s)))
 
 
 def apply_sensing_errors(report: RateReport, params: StrategyParams,
@@ -448,48 +464,41 @@ def apply_sensing_errors(report: RateReport, params: StrategyParams,
     sensing interval).  The chain runs over plain floats in numpy's
     order of operations.
     """
-    terms = sensing_terms(se)
-    surv_p, surv_s = sensing_survival_factors(params, terms)
-    lam_p = report.traffic.lambda_p
-    lam_s = report.traffic.lambda_s
+    return _report(report.strategy, report.traffic, _sensed(
+        _floats(report), report.traffic, params.omega, sensing_terms(se)))
 
-    mu_p = report.mu_p * surv_p
-    stable_p, pi_p0 = _flagged_pi0(lam_p, mu_p)
+
+def _sensed(rates: _Rates, traffic: TrafficParams, omega,
+            terms: SensingTerms) -> _Rates:
+    """`apply_sensing_errors` over plain floats, at the schedule `omega`."""
+    surv_p, surv_s = _survival(omega, terms)
+    mu_p = rates.mu_p * surv_p
+    stable_p, pi_p0 = _flagged_pi0(traffic.lambda_p, mu_p)
 
     # Conditional secondary bracket, recovered from the perfect-sensing
-    # report; whenever a guard trips the factor multiplying it is 0.
-    bracket_s = report.mu_s / report.pi_p0 if report.pi_p0 > 0 else 0.0
+    # rates; whenever a guard trips the factor multiplying it is 0.
+    bracket_s = rates.mu_s / rates.pi_p0 if rates.pi_p0 > 0 else 0.0
     mu_s = pi_p0 * bracket_s * surv_s
-    stable_s, pi_s0 = _flagged_pi0(lam_s, mu_s)
+    stable_s, pi_s0 = _flagged_pi0(traffic.lambda_s, mu_s)
 
     # per-relay capture weights, recovered from the relay arrivals
-    n = params.n_relays
-    cap_p = ([lam / (1.0 - report.pi_p0) for lam in report.lambda_pk.tolist()]
-             if report.pi_p0 < 1.0 else [0.0] * n)
-    cap_s_denom = (1.0 - report.pi_s0) * report.pi_p0
-    cap_s = ([lam / cap_s_denom for lam in report.lambda_sk.tolist()]
+    n = len(rates.lambda_pk)
+    cap_p = ([lam / (1.0 - rates.pi_p0) for lam in rates.lambda_pk]
+             if rates.pi_p0 < 1.0 else [0.0] * n)
+    cap_s_denom = (1.0 - rates.pi_s0) * rates.pi_p0
+    cap_s = ([lam / cap_s_denom for lam in rates.lambda_sk]
              if cap_s_denom > 0 else [0.0] * n)
     to_relay_p = (1.0 - pi_p0) * surv_p
     to_relay_s = (1.0 - pi_s0) * pi_p0 * surv_s
-    lambda_pk = [to_relay_p * c for c in cap_p]
-    lambda_sk = [to_relay_s * c for c in cap_s]
 
-    idle_perfect = report.pi_p0 * report.pi_s0
+    idle_perfect = rates.pi_p0 * rates.pi_s0
     scale_relay = pi_p0 * pi_s0 / idle_perfect if idle_perfect > 0 else 0.0
     no_fa = terms.no_false_alarm
-    mu_pk = [mu * scale_relay * f
-             for mu, f in zip(report.mu_pk.tolist(), no_fa)]
-    mu_sk = [mu * scale_relay * f
-             for mu, f in zip(report.mu_sk.tolist(), no_fa)]
-
-    return RateReport(
-        strategy=report.strategy, traffic=report.traffic,
-        mu_p=mu_p, mu_s=mu_s, pi_p0=pi_p0, pi_s0=pi_s0,
-        lambda_pk=np.array(lambda_pk), lambda_sk=np.array(lambda_sk),
-        mu_pk=np.array(mu_pk), mu_sk=np.array(mu_sk),
-        stable_p=stable_p, stable_s=stable_s,
-        stable_pk=_stable_flags(lambda_pk, mu_pk),
-        stable_sk=_stable_flags(lambda_sk, mu_sk))
+    return _Rates(
+        mu_p, mu_s, pi_p0, pi_s0, stable_p, stable_s,
+        [to_relay_p * c for c in cap_p], [to_relay_s * c for c in cap_s],
+        [mu * scale_relay * f for mu, f in zip(rates.mu_pk, no_fa)],
+        [mu * scale_relay * f for mu, f in zip(rates.mu_sk, no_fa)])
 
 
 @dataclass(frozen=True)
@@ -508,17 +517,30 @@ class Evaluation:
     status: str
 
 
-def _unstable_queue(report: RateReport) -> str | None:
-    if not report.stable_p:
+def _unstable_queue(rates: _Rates) -> str | None:
+    if not rates.stable_p:
         return "primary"
-    if not report.stable_s:
+    if not rates.stable_s:
         return "secondary"
-    for user, flags in (("primary", report.stable_pk),
-                        ("secondary", report.stable_sk)):
-        flags = flags.tolist()
-        if not all(flags):
-            return f"{user}-relay-{flags.index(False) + 1}"
+    for user, lams, mus in (("primary", rates.lambda_pk, rates.mu_pk),
+                            ("secondary", rates.lambda_sk, rates.mu_sk)):
+        for k, (lam, mu) in enumerate(zip(lams, mus)):
+            if not is_stable(lam, mu):
+                return f"{user}-relay-{k + 1}"
     return None
+
+
+def _outcome(rates: _Rates, delays) -> tuple[float, float, str]:
+    """(d_p, d_s, status) of `Evaluation` at `rates`.  The end-to-end
+    delays come from `delays()`, called only when every queue is stable,
+    so that `evaluate` can go through the public `end_to_end_delays`."""
+    queue = _unstable_queue(rates)
+    if queue is None:
+        try:
+            return (*delays(), "ok")
+        except UnstableQueueError as err:
+            queue = err.queue
+    return math.inf, math.inf, f"unstable:{queue}"
 
 
 def evaluate(outages: OutageTable, params: StrategyParams,
@@ -531,11 +553,5 @@ def evaluate(outages: OutageTable, params: StrategyParams,
     report = rate_report(outages, params, traffic)
     if sensing is not None:
         report = apply_sensing_errors(report, params, sensing)
-    queue = _unstable_queue(report)
-    if queue is None:
-        try:
-            d_p, d_s = end_to_end_delays(report, traffic)
-            return Evaluation(report, d_p, d_s, "ok")
-        except UnstableQueueError as err:
-            queue = err.queue
-    return Evaluation(report, math.inf, math.inf, f"unstable:{queue}")
+    return Evaluation(report, *_outcome(
+        _floats(report), lambda: end_to_end_delays(report, traffic)))

@@ -22,7 +22,7 @@ from cogrelay.channel import StrategyKind
 from cogrelay.network import (OutageTable, SensingErrorParams,
                               TrafficParams)
 from cogrelay.orders import OrderDistribution
-from cogrelay.qos import QosSpec, _CaptureScorer, _checked, _violation
+from cogrelay.qos import QosSpec, _CaptureScorer, _violation
 from cogrelay.rates import StrategyParams, _user_rates
 from cogrelay.sim import SimEstimate
 
@@ -372,7 +372,7 @@ def closed_form(outages: OutageTable, params: StrategyParams,
     gives those captures."""
     scorer = _CaptureScorer(outages, qos)
     feasible = capture_merit(scorer, params)[:2] == (0.0, 0.0)
-    return feasible, _checked(scorer.result_params(params))
+    return feasible, scorer.result_params(params)
 
 
 def oracle_normalized(v: np.ndarray) -> np.ndarray:
@@ -417,9 +417,8 @@ def capture_merit(scorer: _CaptureScorer, params: StrategyParams) -> tuple:
 
 def checked_params(space, point: dict) -> StrategyParams:
     """A search point (a dict of arrays) through the checking
-    constructors, built the way the search built every trial point before
-    it skipped the checks; without the schedule in the space, omega is
-    uniform and alpha 0.5."""
+    constructors, built from the arrays and not through `_Space`; without
+    the schedule in the space, omega is uniform and alpha 0.5."""
     kw = {}
     if space.strategy is StrategyKind.RANDOM:
         kw["beta"] = point["beta"]
@@ -466,13 +465,26 @@ def random_simplex(rng: np.random.Generator, n: int) -> np.ndarray:
     return w / w.sum()
 
 
+def nth_permutation(n: int, index: int) -> tuple[int, ...]:
+    """The `index`-th permutation of 1..n in lexicographic order, the
+    order of `itertools.permutations`, decoded in the factorial number
+    system without listing the n! permutations."""
+    left = list(range(1, n + 1))
+    perm = []
+    for k in range(n - 1, -1, -1):
+        digit, index = divmod(index, math.factorial(k))
+        perm.append(left.pop(digit))
+    return tuple(perm)
+
+
 def random_order_distribution(rng: np.random.Generator, n: int,
                               support: int = 4) -> OrderDistribution:
-    perms = list(itertools.permutations(range(1, n + 1)))
-    take = min(support, len(perms))
-    idx = rng.choice(len(perms), size=take, replace=False)
+    count = math.factorial(n)
+    take = min(support, count)
+    idx = rng.choice(count, size=take, replace=False)
     w = random_simplex(rng, take)
-    return OrderDistribution(n, {perms[i]: w[j] for j, i in enumerate(idx)})
+    return OrderDistribution(n, {nth_permutation(n, int(i)): w[j]
+                                 for j, i in enumerate(idx)})
 
 
 def random_params(rng: np.random.Generator, n: int,

@@ -12,9 +12,10 @@ from cogrelay.channel import StrategyKind
 from cogrelay.cli import main
 from cogrelay.errors import ConfigError, SpecParseError
 from cogrelay.experiments import (CSV_COLUMNS, MAX_SWEEP_POINTS, Comparison,
-                                  ComparisonTable, compare_analytic_sim,
-                                  load_spec, run_min_relays, run_optimize,
-                                  run_sweep, write_rows)
+                                  ComparisonTable, SimSettings,
+                                  compare_analytic_sim, load_spec,
+                                  run_min_relays, run_optimize, run_sweep,
+                                  write_rows)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -170,6 +171,14 @@ class TestLoadSpec:
     def test_bad_optimizer_section_rejected(self, tmp_path, line):
         with pytest.raises(ConfigError):
             load_spec(write_spec(tmp_path, GOOD_SPEC + f"\n[optimizer]\n{line}\n"))
+
+    @pytest.mark.parametrize("field, value", [
+        ("slots", float("nan")), ("slots", 2.5), ("slots", True),
+        ("seed", 1.5), ("replications", float("inf"))])
+    def test_sim_settings_reject_non_integers(self, field, value):
+        # each is rejected where it enters, not later inside the simulator
+        with pytest.raises(ConfigError, match=f"simulation {field} must be"):
+            SimSettings(**{field: value})
 
     def test_binary_file_is_parse_error(self, tmp_path):
         path = tmp_path / "binary.cfg"

@@ -6,7 +6,14 @@ import pytest
 
 from cogrelay.errors import ConfigError
 from cogrelay.orders import OrderDistribution, is_doubly_stochastic
-from support import random_order_distribution, random_simplex
+from support import (nth_permutation, random_order_distribution,
+                     random_simplex)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_nth_permutation_is_lexicographic(n):
+    assert [nth_permutation(n, i) for i in range(math.factorial(n))] == list(
+        itertools.permutations(range(1, n + 1)))
 
 
 def test_rank_marginals_two_relays():

@@ -249,8 +249,8 @@ def test_ceiling_bounds_every_result(golden):
 
 
 def _count_calls(monkeypatch, classes, method) -> list:
-    """Count the calls of `method` on `classes` (a one-element list); the
-    arguments are passed on as they are."""
+    """Count the calls of `method` on `classes` (classes or modules), in
+    a one-element list; the arguments are passed on as they are."""
     calls = [0]
     for cls in classes:
         def counted(*args, wrapped=cls.__dict__[method], **kwargs):
@@ -287,6 +287,21 @@ def test_incumbent_bound_skips_solves(case, golden, monkeypatch):
     result = _spec_search(*SPEC_SEARCHES[case])
     assert digest(result) == golden[case]
     assert 0 < solves[0] < scores[0]
+
+
+@pytest.mark.parametrize("case", ["fig11_od_0.3_sensing",
+                                  "min_relays_three_relays_od_sensing"])
+def test_sensing_search_builds_only_its_result(case, golden, monkeypatch):
+    """Under sensing errors, with relays, a search scores its trial points
+    from their floats: it builds parameters (`_Space.to_params`) and
+    calls `evaluate` once each, for the point it reports, however many
+    points it scores; and the result is the golden one."""
+    evaluations = _count_calls(monkeypatch, (qos,), "evaluate")
+    built = _count_calls(monkeypatch, (qos._Space,), "to_params")
+    scores = _count_scores(monkeypatch)
+    assert CASES[case]() == golden[case]
+    searches = len(golden[case].get("searches", [case]))
+    assert evaluations[0] == built[0] == searches < scores[0]
 
 
 def test_no_memo_survives_a_search(monkeypatch):
