@@ -116,13 +116,16 @@ class OrderDistribution:
                      for perm, prob in self.entries.items())
 
     def rank_orders(self) -> tuple[np.ndarray, np.ndarray]:
-        """`ranked_support` as arrays (probs, orders), orders[i, r] being
-        the relay holding rank r+1 in the i-th support permutation.  Used
-        by the slot simulator."""
-        support = self.ranked_support
-        probs = np.array([prob for prob, _ in support], dtype=float)
-        orders = np.array([order for _, order in support], dtype=np.int64)
-        return probs, orders.reshape(len(support), self.n_relays)
+        """`ranked_support` as arrays (`support_arrays`)."""
+        return support_arrays(self.ranked_support)
+
+
+def support_arrays(support) -> tuple[np.ndarray, np.ndarray]:
+    """Nonempty (prob, rank order) pairs of equal-length orders as arrays
+    (probs, orders), orders[i, r] the relay holding rank r+1 in order i."""
+    probs = np.array([prob for prob, _ in support], dtype=float)
+    orders = np.array([order for _, order in support], dtype=np.int64)
+    return probs, orders.reshape(len(support), -1)
 
 
 def rank_order(perm: tuple[int, ...]) -> tuple[int, ...]:

@@ -6,41 +6,37 @@ smallest relay count that admits a feasible point.
 
 The solver is a deterministic multi-start projected local search:
 coordinate moves with box projection for the per-relay probabilities and
-simplex projection for the schedule, assignment and rank-distribution
-weights.  Restarts draw their starting points from independent seeded
+simplex projection for the schedule and the decoder weights.  Every
+strategy draws a user's decoder order from weights over rank orders (see
+`_Space`): od's over permutations, rd's and rr's over the one-relay
+orders.  Restarts draw their starting points from independent seeded
 streams, and results merge by best merit with lexicographic
 tie-breaking, so output depends only on (configuration, budget, seed).
 
 Under perfect sensing the relay schedule (omega, alpha) enters only the
 relay service rates, so the search moves the capture variables alone
-(f_p, f_s and the rank distributions or the assignment) and gives each
-capture point its least schedule in closed form, by water-filling
-(`_least_mass`, `_CaptureScorer`).  Under sensing errors the user rates
-depend on omega too, and the search moves every variable (`_Evaluator`).
-Before either search, `secondary_rate_ceiling` bounds the secondary
-rate, with the network's sensing errors taken into the bound; where it
-proves that no point meets the delay ceilings, the search returns
-infeasible at once, and the relay-count ladder skips the count.
+(f_p, f_s and the decoder weights) and gives each capture point its
+least schedule in closed form, by water-filling (`_least_mass`,
+`_CaptureScorer`).  Under sensing errors the user rates depend on omega
+too, and the search moves every variable (`_Evaluator`).  Before either
+search, `secondary_rate_ceiling` bounds the secondary rate, with the
+network's sensing errors taken into the bound; where it proves that no
+point meets the delay ceilings, the search returns infeasible at once,
+and the relay-count ladder skips the count.
 
-A trial point has one form.  The search holds its point as tuples of
-plain floats and builds each move in numpy's order of operations, and
-both scorers read a point's captures straight from those floats, through
-the capture and rate steps that `rates.evaluate` runs too; parameters
-are built, and checked, only for the point a search reports.  An
-evaluation is a trial point the search visits.  A trial point that
-differs from the current point in one group only, and that the search
-has seen since that group's neighbourhood memo was last cleared, is
-looked up instead of scored; the lookup counts as an evaluation all the
-same, so the budget, the path and every result are those of scoring it.
-Under perfect sensing a trial point is also scored against the local
-search's incumbent: once the incumbent is feasible, a point whose
-secondary rate is no higher cannot beat it, whatever its schedule, so it
-gets the lower bound (0, 0, -mu_s) without the water-filling.  On a
-2-core Xeon with Python 3.11 an evaluation costs about 16 us on the
-benchmark's `optimize-perfect` workload (fig3, two relays) and about
-42 us in the fig11 od search under sensing errors at lambda_p 0.3
-(three relays; `BENCH_qos.json`, `incumbent_bound` and
-`one_trial_path`).
+A trial point has one form: tuples of plain floats, each move built in
+numpy's order of operations.  Both scorers read a point's captures
+straight from those floats, through the capture and rate steps that
+`rates.evaluate` runs too; parameters are built, and checked, only for
+the point a search reports.  An evaluation is a trial point the search
+visits, scored or found in a neighbourhood memo; under perfect sensing a
+point that cannot beat a feasible incumbent gets a lower bound instead
+of the water-filling (`_local_search`).  Every result is that of
+scoring each point in full.  On a 2-core Xeon with Python 3.11 an
+evaluation costs about 16 us on the benchmark's `optimize-perfect`
+workload (fig3, two relays) and about 42 us in the fig11 od search under
+sensing errors at lambda_p 0.3 (three relays; `BENCH_qos.json`,
+`incumbent_bound` and `one_trial_path`).
 """
 
 from __future__ import annotations
@@ -55,15 +51,14 @@ from .channel import StrategyKind
 from .errors import ConfigError, NoFeasibleRelayCount, check_integer
 from .network import (NetworkConfig, OutageTable, SensingErrorParams,
                       TrafficParams)
-from .orders import (DENSE_LIMIT, OrderDistribution, first_rank_perm,
-                     rank_order)
+from .orders import OrderDistribution, first_rank_perm, rank_order
 from .rates import (EPS_STAB, SIMPLEX_TOL, SensingTerms, StrategyParams,
-                    _acceptance, _array_sum, _assigned_capture, _delays,
-                    _floats, _ordered_capture, _outcome, _Rates, _relay_chain,
-                    _sensed, _serve, _user_chain, _user_rates, evaluate,
-                    primary_rate_bound, sensing_terms)
+                    _acceptance, _array_sum, _ordered_capture, _outcome,
+                    _relay_chain, _sensed, _serve, _user_chain, _user_rates,
+                    evaluate, primary_rate_bound, sensing_terms)
 
-DENSE_ORDER_LIMIT = 5  # optimize the full N!-simplex only up to here
+# od searches all N! rank orders up to here, the N first-rank ones above
+DENSE_ORDER_LIMIT = 5
 _BIG = 1e6             # stands in for an infinite violation in the merit
 CEILING_MESH = 32      # cells per capture total in `secondary_rate_ceiling`
 # relative allowance `secondary_rate_ceiling` adds for rounding: the rate
@@ -109,12 +104,16 @@ class _Space:
     floats, in the order of `names` (the box groups, then the simplex
     groups); `groups` converts a start, a dict of arrays.  The scorers
     read a point through `sides`, `capture` and `omega_alpha`, with no
-    parameters built; the rank order of each permutation `capture` can
-    weight is worked out here, once.  `to_params` builds the checked
-    parameters of the point a search reports.  Without `schedule` the
-    space holds only the capture groups (f_p, f_s and the rank
-    distributions or the assignment), and omega and alpha are
-    placeholders: uniform and 0.5.
+    parameters built, and `to_params` builds the checked parameters of
+    the point a search reports.  Without `schedule` the space holds only
+    the capture groups (f_p, f_s and the decoder weights), and omega and
+    alpha are placeholders: uniform and 0.5.
+
+    A user's decoder weights range over rank orders, as in
+    `StrategyParams.ranked_support`: under od the groups rho_p and rho_s
+    over `perms` (all N! permutations up to DENSE_ORDER_LIMIT relays, the
+    N first-rank completions above), divided by their sum; under rd the
+    shared group beta over the one-relay orders (k,); under rr 1/N.
     """
 
     def __init__(self, strategy: StrategyKind, n: int, schedule: bool = True):
@@ -123,24 +122,19 @@ class _Space:
         self.schedule = schedule
         self.box = ["alpha", "f_p", "f_s"] if schedule else ["f_p", "f_s"]
         self.simplex = {"omega": n} if schedule else {}
+        self._uniform = (1.0 / n,) * n if n else ()   # rr's assignment
+        self._orders = [(k,) for k in range(n)]   # rank order of each weight
         if strategy is StrategyKind.RANDOM:
             self.simplex["beta"] = n
         if strategy is StrategyKind.ORDERED:
-            if n <= DENSE_ORDER_LIMIT:
-                self.perms = list(itertools.permutations(range(1, n + 1)))
-                self.simplex["rho_p"] = len(self.perms)
-                self.simplex["rho_s"] = len(self.perms)
-            else:
-                self.perms = None
-                self.simplex["beta_p"] = n
-                self.simplex["beta_s"] = n
-            # (permutation, rank order) of each rho_p or beta_p coordinate
-            self._ranked = [(perm, rank_order(perm)) for perm in (
-                self.perms if self.perms is not None
-                else [first_rank_perm(n, k) for k in range(n)])]
+            self.perms = (list(itertools.permutations(range(1, n + 1)))
+                          if n <= DENSE_ORDER_LIMIT else
+                          [first_rank_perm(n, k) for k in range(n)])
+            self.simplex["rho_p"] = self.simplex["rho_s"] = len(self.perms)
+            self._orders = [rank_order(perm) for perm in self.perms]
+            self._slot = {perm: i for i, perm in enumerate(self.perms)}
         self.names = self.box + list(self.simplex)
         self._f = (self.names.index("f_p"), self.names.index("f_s"))
-        self._uniform = [1.0 / n] * n if n else []  # round robin's assignment
 
     def groups(self, point: dict) -> tuple:
         """A dict of arrays as the search moves it (see the class
@@ -149,12 +143,11 @@ class _Space:
                      for name in self.names)
 
     def sides(self, groups: tuple) -> tuple:
-        """Each user's (f, choice) at a point: choice is its rank weights
-        or first-rank profile under od, the assignment under rd, and None
-        under rr."""
+        """Each user's (f, decoder weights) at a point: its rank weights
+        under od, the assignment under rd and rr."""
         f_p, f_s = (groups[i] for i in self._f)
         if self.strategy is StrategyKind.ROUND_ROBIN:
-            return (f_p, None), (f_s, None)
+            return (f_p, self._uniform), (f_s, self._uniform)
         if self.strategy is StrategyKind.RANDOM:
             return (f_p, groups[-1]), (f_s, groups[-1])
         return (f_p, groups[-2]), (f_s, groups[-1])
@@ -164,30 +157,20 @@ class _Space:
         the simplex groups and alpha the box groups), or, without the
         schedule in the space, the placeholders."""
         if not self.schedule:
-            return self._uniform, [0.5] * self.n
+            return self._uniform, (0.5,) * self.n
         return groups[len(self.box)], groups[0]
 
-    def capture(self, accept: list, choice: tuple | None) -> list:
+    def capture(self, accept: list, choice: tuple) -> list:
         """One user's capture weights (`rates.capture_weights`) at its
-        acceptance probabilities and choice (see `sides`), read straight
-        from the choice."""
-        if self.strategy is StrategyKind.ROUND_ROBIN:
-            return _assigned_capture(accept, self._uniform)
-        if self.strategy is StrategyKind.RANDOM:
-            return _assigned_capture(accept, choice)
-        return _ordered_capture(accept, [(prob, order) for _, prob, order
-                                         in self._support(choice)])
+        acceptance probabilities and decoder weights (see `sides`)."""
+        return _ordered_capture(accept, zip(self._probs(choice), self._orders))
 
-    def _support(self, choice: tuple) -> list:
-        """(permutation, probability, rank order) of each permutation that
-        an od choice puts weight on: the rank weights divided by their
-        sum, or the first-rank profile's deterministic completion."""
-        probs = choice
-        if self.perms is not None:
-            total = _array_sum(choice)
-            probs = [w / total for w in choice]
-        return [(perm, prob, order) for (perm, order), w, prob
-                in zip(self._ranked, choice, probs) if w > 0]
+    def _probs(self, choice: tuple):
+        """Decoder weights as probabilities: od's divided by their sum."""
+        if self.strategy is not StrategyKind.ORDERED:
+            return choice
+        total = _array_sum(choice)
+        return [w / total for w in choice]
 
     def to_params(self, groups: tuple) -> StrategyParams:
         """The parameters a point stands for (see the class docstring)."""
@@ -198,9 +181,21 @@ class _Space:
         if self.strategy is StrategyKind.ORDERED:
             for name, choice in (("order_p", choice_p), ("order_s", choice_s)):
                 kw[name] = OrderDistribution(self.n, {
-                    perm: prob for perm, prob, _ in self._support(choice)})
+                    perm: prob for perm, w, prob
+                    in zip(self.perms, choice, self._probs(choice)) if w > 0})
         return StrategyParams(self.strategy, *self.omega_alpha(groups), f_p,
                               f_s, **kw)
+
+    def collapse(self, dist: OrderDistribution) -> np.ndarray:
+        """An od distribution as weights over `perms`: an unlisted
+        permutation counts as the listed one with its first-ranked relay
+        (on the first-rank list, `first_rank_profile()` bit for bit)."""
+        weights = np.zeros(len(self.perms))
+        for perm, prob in dist.entries.items():
+            if perm not in self._slot:
+                perm = first_rank_perm(self.n, perm.index(1))
+            weights[self._slot[perm]] += prob
+        return weights
 
     def from_params(self, params: StrategyParams) -> dict:
         # `groups` reads only the space's own groups
@@ -209,14 +204,8 @@ class _Space:
         if self.strategy is StrategyKind.RANDOM:
             point["beta"] = params.beta.copy()
         if self.strategy is StrategyKind.ORDERED:
-            if self.perms is not None:
-                point["rho_p"] = np.array(
-                    [params.order_p.entries.get(p, 0.0) for p in self.perms])
-                point["rho_s"] = np.array(
-                    [params.order_s.entries.get(p, 0.0) for p in self.perms])
-            else:
-                point["beta_p"] = params.order_p.first_rank_profile()
-                point["beta_s"] = params.order_s.first_rank_profile()
+            point["rho_p"] = self.collapse(params.order_p)
+            point["rho_s"] = self.collapse(params.order_s)
         return point
 
     def random_point(self, rng: np.random.Generator) -> dict:
@@ -287,10 +276,10 @@ class _Evaluator:
             caps.append(last[2])
         return _user_chain(*self.direct, *caps, self.traffic)
 
-    def _residuals(self, rates: _Rates, d_p: float, d_s: float) -> dict:
+    def _residuals(self, rates, d_p: float, d_s: float) -> dict:
         """Constraint residuals (negative: violated) of an operating point
-        with end-to-end delays `d_p`, `d_s` (inf where a queue is
-        unstable)."""
+        with rates `rates`, a `_Rates` or a `RateReport`, and end-to-end
+        delays `d_p`, `d_s` (inf where a queue is unstable)."""
         res = {
             "stability_p": rates.mu_p - self.traffic.lambda_p - EPS_STAB,
             "stability_s": rates.mu_s - self.traffic.lambda_s - EPS_STAB,
@@ -311,8 +300,7 @@ class _Evaluator:
     def residuals(self, params: StrategyParams) -> tuple[dict, float]:
         """Constraint residuals and mu_s of `params`, through `evaluate`."""
         ev = evaluate(self.outages, params, self.traffic, self.sensing)
-        return (self._residuals(_floats(ev.report), ev.d_p, ev.d_s),
-                ev.report.mu_s)
+        return self._residuals(ev.report, ev.d_p, ev.d_s), ev.report.mu_s
 
     def score(self, space: _Space, groups: tuple,
               bound: tuple | None = None) -> tuple:
@@ -324,7 +312,7 @@ class _Evaluator:
         rates = _sensed(_relay_chain(self._user(space, groups), omega, alpha,
                                      self.serve_p, self.serve_s),
                         self.traffic, omega, self.sensing)
-        d_p, d_s, _ = _outcome(rates, lambda: _delays(rates, self.traffic))
+        d_p, d_s, _ = _outcome(rates, self.traffic)
         return _violation(self._residuals(rates, d_p, d_s)), -rates.mu_s
 
     def result_params(self, params: StrategyParams) -> StrategyParams:
@@ -565,14 +553,11 @@ def _designed_starts(space: _Space, outages: OutageTable) -> list[dict]:
             point = base(0.5, 1.0, 1.0)
             vertex = np.zeros(n)
             vertex[int(np.argmin(vec))] = 1.0
-            for key in ("beta", "beta_" + which):
-                if key in point:
-                    point[key] = vertex
+            if "beta" in point:
+                point["beta"] = vertex
             if "rho_p" in point:
-                dist = OrderDistribution.from_first_rank_profile(vertex)
-                key = "rho_p" if which == "p" else "rho_s"
-                point[key] = np.array(
-                    [dist.entries.get(p, 0.0) for p in space.perms])
+                point["rho_" + which] = space.collapse(
+                    OrderDistribution.from_first_rank_profile(vertex))
             starts.append(point)
     return starts
 
@@ -595,7 +580,8 @@ def maximize_secondary_throughput(
     variable (`_Evaluator`).  Either scorer reads a trial point from its
     floats; only the best point is built as parameters and scored again
     through `evaluate`.  A problem that `secondary_rate_ceiling` rules
-    out, with the network's sensing errors, returns infeasible at once.
+    out, with the network's sensing errors, returns infeasible at once,
+    and a search over no relay scores its one point once.
     """
     check_integer("budget", budget, 1)
     check_integer("restarts", restarts, 0)
@@ -607,9 +593,6 @@ def maximize_secondary_throughput(
                 f"extra start is a {start.strategy.value} point over "
                 f"{start.n_relays} relays; the search is {strategy.value} "
                 f"over {n}")
-    if strategy is StrategyKind.ORDERED and n > DENSE_LIMIT:
-        raise ConfigError(f"ordered-strategy search supports at most "
-                          f"{DENSE_LIMIT} relays")
     outages = network.outages(strategy)
     ceiling = secondary_rate_ceiling(outages, qos, network.sensing)
 
@@ -639,7 +622,10 @@ def maximize_secondary_throughput(
     scorer = (_CaptureScorer(outages, qos) if network.sensing is None else
               _Evaluator(outages, qos, sensing_terms(network.sensing)))
     starts = _designed_starts(space, outages)
-    starts.extend(space.from_params(p) for p in extra_starts)
+    if n == 0:  # nothing moves: every start is the one point, scored once
+        starts, restarts = starts[:1], 0
+    else:
+        starts.extend(space.from_params(p) for p in extra_starts)
 
     best_point = None
     best = ()

@@ -107,6 +107,17 @@ class StrategyParams:
             return np.full(n, 1.0 / n) if n else np.zeros(0)
         raise ConfigError("ordered strategy has no single-decoder assignment")
 
+    def ranked_support(self, user: str) -> tuple:
+        """The (prob, rank order) pairs user "p" or "s" draws its decoder
+        order from: its `OrderDistribution`'s under od, the one-relay
+        orders (k,) weighted by `assignment()` under rd and rr.  None over
+        no relay, where od's distributions may be missing."""
+        if self.strategy is not StrategyKind.ORDERED:
+            return tuple(zip(self.assignment().tolist(),
+                             ((k,) for k in range(self.n_relays))))
+        dist = self.order_p if user == "p" else self.order_s
+        return dist.ranked_support if self.n_relays else ()
+
 
 @dataclass(frozen=True)
 class RateReport:
@@ -145,18 +156,12 @@ def capture_weights(outage_relay: list[float], f: list[float],
     undelivered packet, given the source transmitted and the direct link
     failed.
 
-    Ordered acceptance: relay k captures the packet only if every
-    better-ranked relay failed to decode or declined.  Assignment
-    strategies: only the single assigned relay may capture.  Works over
-    plain floats, operation for operation as numpy would.
+    Relay k captures the packet only if every relay ranked before it in
+    the decoder order (`StrategyParams.ranked_support`) failed to decode
+    or declined.  Works over plain floats, as numpy would.
     """
-    accept = _acceptance(outage_relay, f)
-    if params.strategy is not StrategyKind.ORDERED:
-        return _assigned_capture(accept, params.assignment().tolist())
-    if not accept:
-        return []
-    dist = params.order_p if which == "p" else params.order_s
-    return _ordered_capture(accept, dist.ranked_support)
+    return _ordered_capture(_acceptance(outage_relay, f),
+                            params.ranked_support(which))
 
 
 def _acceptance(outage_relay: list[float], f: list[float]) -> list[float]:
@@ -164,17 +169,15 @@ def _acceptance(outage_relay: list[float], f: list[float]) -> list[float]:
     return [(1.0 - o) * a for o, a in zip(outage_relay, f)]
 
 
-def _assigned_capture(accept: list[float],
-                     assignment: list[float]) -> list[float]:
-    """Capture weights when only the assigned relay may capture."""
-    return [a * b for a, b in zip(accept, assignment)]
-
-
 def _ordered_capture(accept: list[float], support) -> list[float]:
-    """Capture weights under ordered acceptance, over the (prob, order)
-    pairs of a rank-order distribution (`ranked_support`)."""
+    """Capture weights over the (prob, order) pairs of a rank-order
+    distribution (`ranked_support`).  A one-relay order (k,) gives relay
+    k exactly `prob * accept[k]`; an order of probability 0 would add 0
+    to every weight, and is skipped."""
     weights = [0.0] * len(accept)
     for prob, order in support:
+        if prob == 0.0:
+            continue
         miss = 1.0
         for k in order:                     # relays in rank order
             a = accept[k]
@@ -372,10 +375,17 @@ def rate_report(outages: OutageTable, params: StrategyParams,
     an unstable queue is never empty (empty probability 0), which is what
     every downstream formula then consumes.  The chain runs over plain
     floats in numpy's order of operations."""
+    return _report(params.strategy, traffic,
+                   _chain(outages, params, traffic))
+
+
+def _chain(outages: OutageTable, params: StrategyParams,
+           traffic: TrafficParams) -> _Rates:
+    """`rate_report` over plain floats."""
     _check_relay_count(outages, params)
-    return _report(params.strategy, traffic, _relay_chain(
-        _user_rates(outages, params, traffic), params.omega.tolist(),
-        params.alpha.tolist(), *_serve(outages)))
+    return _relay_chain(_user_rates(outages, params, traffic),
+                        params.omega.tolist(), params.alpha.tolist(),
+                        *_serve(outages))
 
 
 def end_to_end_delays(report: RateReport,
@@ -530,14 +540,13 @@ def _unstable_queue(rates: _Rates) -> str | None:
     return None
 
 
-def _outcome(rates: _Rates, delays) -> tuple[float, float, str]:
-    """(d_p, d_s, status) of `Evaluation` at `rates`.  The end-to-end
-    delays come from `delays()`, called only when every queue is stable,
-    so that `evaluate` can go through the public `end_to_end_delays`."""
+def _outcome(rates: _Rates, traffic: TrafficParams) -> tuple:
+    """(d_p, d_s, status) of `Evaluation` at `rates`; the end-to-end
+    delays are worked out only when every queue is stable."""
     queue = _unstable_queue(rates)
     if queue is None:
         try:
-            return (*delays(), "ok")
+            return (*_delays(rates, traffic), "ok")
         except UnstableQueueError as err:
             queue = err.queue
     return math.inf, math.inf, f"unstable:{queue}"
@@ -548,10 +557,11 @@ def evaluate(outages: OutageTable, params: StrategyParams,
              sensing: SensingErrorParams | SensingTerms | None = None
              ) -> Evaluation:
     """Rates, sensing-error correction (when `sensing` is given), status
-    and end-to-end delays at one operating point.  The delays are worked
-    out only when every queue is stable."""
-    report = rate_report(outages, params, traffic)
+    and end-to-end delays at one operating point: the float chain of
+    `rate_report`, `apply_sensing_errors` and `end_to_end_delays`, run
+    once."""
+    rates = _chain(outages, params, traffic)
     if sensing is not None:
-        report = apply_sensing_errors(report, params, sensing)
-    return Evaluation(report, *_outcome(
-        _floats(report), lambda: end_to_end_delays(report, traffic)))
+        rates = _sensed(rates, traffic, params.omega, sensing_terms(sensing))
+    return Evaluation(_report(params.strategy, traffic, rates),
+                      *_outcome(rates, traffic))

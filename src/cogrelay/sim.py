@@ -39,6 +39,7 @@ from .channel import StrategyKind
 from .errors import ConfigError, UnstableQueueError, check_integer
 from .network import (NetworkConfig, OutageTable, SensingErrorParams,
                       TrafficParams)
+from .orders import support_arrays
 from .rates import StrategyParams
 
 QUEUE_GUARD = 10_000_000  # abort threshold: the configuration is unstable
@@ -74,11 +75,11 @@ _CAPTURE_CAP = 1 << 16
 # Everything the kernel needs to know about the system, built once per
 # run.  The per-relay vectors have length max(n, 1); the `_cum` ones are
 # cumulative distributions, the `_orders` ones rank orders, the
-# `capture_` ones their capture tables (None past `_CAPTURE_CAP`).  rd
-# and rr decode as one-relay rank orders, one per relay, drawn from the
-# assignment; `ordered` only says which draw picks the order.  When both
-# users draw from one rank-order distribution, their three share the
-# same arrays.
+# `capture_` ones their capture tables (None past `_CAPTURE_CAP`), all
+# from `StrategyParams.ranked_support`: rd and rr decode as one-relay
+# rank orders, one per relay, drawn from the assignment; `ordered` only
+# says which draw picks the order.  When both users draw from one
+# rank-order distribution, their three share the same arrays.
 _Model = namedtuple("_Model", (
     "n ordered saturated errors lam_p lam_s pbar_ppd pbar_ssd pbar_pk "
     "pbar_sk pbar_kpd pbar_ksd omega_cum alpha f_p f_s "
@@ -612,21 +613,17 @@ def run(cfg: OutageTable | NetworkConfig, params: StrategyParams,
                           f"at most 63 relays; got {n}")
 
     ordered = params.strategy is StrategyKind.ORDERED
-    # per user: the rank orders' cumulative distribution, the orders and
-    # their capture table; users on one distribution share all three.
-    # rd's and rr's orders rank one relay each, the assigned decoder
-    if ordered and n > 0:
-        pp, po = params.order_p.rank_orders()
-        sp, so = params.order_s.rank_orders()
+    if n > 0:
+        (pp, po), (sp, so) = (support_arrays(params.ranked_support(user))
+                              for user in "ps")
         perm_p = np.cumsum(pp), po, _capture_table(po, n)
         perm_s = (perm_p if np.array_equal(sp, pp) and np.array_equal(so, po)
                   else (np.cumsum(sp), so, _capture_table(so, n)))
     else:
         # over no relay, one order over one empty column: every slot's
         # winner is still one lookup, not a gather
-        po = np.arange(max(n, 1))[:, None]
-        cum = np.cumsum(params.assignment()) if n else np.zeros(1)
-        perm_p = perm_s = cum, po, _capture_table(po, max(n, 1))
+        po = np.zeros((1, 1), dtype=np.int64)
+        perm_p = perm_s = np.zeros(1), po, _capture_table(po, 1)
 
     omega_cum = np.cumsum(params.omega) if n else np.zeros(1)
     if sensing is not None:

@@ -417,22 +417,18 @@ def capture_merit(scorer: _CaptureScorer, params: StrategyParams) -> tuple:
 
 def checked_params(space, point: dict) -> StrategyParams:
     """A search point (a dict of arrays) through the checking
-    constructors, built from the arrays and not through `_Space`; without
-    the schedule in the space, omega is uniform and alpha 0.5."""
+    constructors, built from the arrays and not through `_Space`: od's
+    rank weights over `space.perms` divided by their sum; without the
+    schedule in the space, omega is uniform and alpha 0.5."""
     kw = {}
     if space.strategy is StrategyKind.RANDOM:
         kw["beta"] = point["beta"]
     if space.strategy is StrategyKind.ORDERED:
-        for name, key in (("order_p", "_p"), ("order_s", "_s")):
-            if space.perms is not None:
-                weights = point["rho" + key]
-                total = weights.sum()
-                kw[name] = OrderDistribution(space.n, {
-                    p: w / total for p, w in zip(space.perms, weights)
-                    if w > 0})
-            else:
-                kw[name] = OrderDistribution.from_first_rank_profile(
-                    point["beta" + key])
+        for name, key in (("order_p", "rho_p"), ("order_s", "rho_s")):
+            weights = point[key]
+            total = weights.sum()
+            kw[name] = OrderDistribution(space.n, {
+                p: w / total for p, w in zip(space.perms, weights) if w > 0})
     n = space.n
     omega, alpha = ((point["omega"], point["alpha"]) if space.schedule else
                     (np.full(n, 1.0 / n) if n else np.zeros(0),

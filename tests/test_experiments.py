@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -244,14 +243,15 @@ class TestCompare:
         spec.sweep_values = [0.1]
         spec.strategies = [StrategyKind.RANDOM]
         spec.sim.slots = 100_000
-        true_report = rates.rate_report
+        true_chain = rates._chain
 
         def corrupted(outages, params, traffic):
-            report = true_report(outages, params, traffic)
-            return replace(report, mu_s=report.mu_s + 0.05)
+            floats = true_chain(outages, params, traffic)
+            return floats._replace(mu_s=floats.mu_s + 0.05)
 
-        # the single analytic path looks the name up in `rates`
-        monkeypatch.setattr(rates, "rate_report", corrupted)
+        # the single analytic path, `evaluate`, looks its rate chain (the
+        # float step of `rate_report`) up in `rates`
+        monkeypatch.setattr(rates, "_chain", corrupted)
         results = compare_analytic_sim(spec)
         assert any(not c.passed for c in results if c.quantity == "mu_s")
 

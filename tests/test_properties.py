@@ -7,7 +7,9 @@ dominance of perfect sensing over sensing errors; the relay-count
 certificate under sensing errors against the perfect-sensing one and
 against random points scored through `evaluate`; the parameters the QoS
 search builds for a point (`_Space.to_params`) against the same points
-built by the oracle in `support`; the search's float moves and merits
+built by the oracle in `support`, and od distributions put on the
+search's list of orders (`_Space.collapse`) against the entries and the
+first-rank profile; the search's float moves and merits
 against the numpy moves and the merits through checked parameters
 (`support`); the search with the incumbent bound against the search that
 scores every trial point in full; the closed-form relay schedule of the
@@ -326,7 +328,7 @@ def test_perfect_sensing_dominates_sensing_errors(n, strategy, seed):
 
 @st.composite
 def search_points(draw):
-    n = draw(st.integers(0, 6))      # 6 relays: first-rank profiles
+    n = draw(st.integers(0, 6))      # 6 relays: first-rank orders
     space = qos._Space(draw(st.sampled_from(list(StrategyKind))), n)
     point = {name: np.array(draw(probs(n))) for name in space.box}
     for name, size in space.simplex.items():
@@ -381,6 +383,32 @@ def test_unchecked_point_equals_checked(case):
             a[name], np.ndarray) else _hexes(a[name]) == _hexes(b[name])
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(0, 7), grown=st.booleans())
+def test_collapse_is_lookup_or_first_rank_profile(data, n, grown):
+    """`_Space.collapse` puts an od distribution on the search's list of
+    orders: on the full list (up to DENSE_ORDER_LIMIT relays) it is the
+    entries looked up, above it `first_rank_profile()`, bit for bit.
+    `grown` takes a five-relay point grown to six by `_extend`, the warm
+    start a relay-count ladder carries across the limit."""
+    if grown:
+        n = 6
+        five = StrategyParams(
+            StrategyKind.ORDERED, data.draw(simplex(5)), *(
+                data.draw(probs(5)) for _ in range(3)),
+            order_p=data.draw(order_distributions(5)),
+            order_s=data.draw(order_distributions(5)))
+        dist = qos._extend(five, StrategyKind.ORDERED).order_s
+    else:
+        dist = data.draw(order_distributions(n))
+    space = qos._Space(StrategyKind.ORDERED, n)
+    if n <= qos.DENSE_ORDER_LIMIT:
+        want = np.array([dist.entries.get(p, 0.0) for p in space.perms])
+    else:
+        want = dist.first_rank_profile()
+    assert space.collapse(dist).tobytes() == want.tobytes()
+
+
 @st.composite
 def search_problems(draw, strategy: StrategyKind, n: int):
     """A search space with a point on it, and the scorer of a problem to
@@ -402,7 +430,7 @@ def search_problems(draw, strategy: StrategyKind, n: int):
     return space, point, qos._CaptureScorer(outages, target)
 
 
-@pytest.mark.parametrize("n", range(7))   # 6 relays: first-rank profiles
+@pytest.mark.parametrize("n", range(7))   # 6 relays: first-rank orders
 @pytest.mark.parametrize("strategy", list(StrategyKind))
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())

@@ -12,7 +12,7 @@ from cogrelay.errors import ConfigError, NoFeasibleRelayCount
 from cogrelay.experiments import load_spec
 from cogrelay.network import (NetworkConfig, OutageTable, SensingErrorParams,
                               TrafficParams)
-from cogrelay.orders import OrderDistribution
+from cogrelay.orders import OrderDistribution, first_rank_perm
 from cogrelay.qos import (QosSpec, maximize_secondary_throughput,
                           minimize_relay_count, secondary_rate_ceiling)
 from cogrelay.rates import (EPS_STAB, StrategyParams, end_to_end_delays,
@@ -176,6 +176,85 @@ class TestMaximizeSecondaryThroughput:
             maximize_secondary_throughput(
                 net, StrategyKind.ORDERED, QosSpec(2, 2, net.traffic),
                 **{"budget": 100, **kw})
+
+    @pytest.mark.parametrize("lam_s, feasible", [(0.1, True),
+                                                 (0.75 - 5e-7, False)])
+    @pytest.mark.parametrize("sensing", [False, True])
+    @pytest.mark.parametrize("strategy", list(StrategyKind))
+    def test_zero_relays_score_their_one_point_once(
+            self, strategy, sensing, lam_s, feasible, monkeypatch):
+        # with no relay there is no coordinate to move, and every start is
+        # the one point, which the search scores once.  At lambda_s
+        # 0.75 - 5e-7 the secondary (mu_s = 0.75) misses the stability
+        # margin, which the certificate does not rule out
+        errors = SensingErrorParams([0.1], [0.1], [0.05]) if sensing else None
+        net = NetworkConfig(OutageTable(0.05, 0.05, [0.1], [0.1], [0.1],
+                                        [0.1]),
+                            TrafficParams(0.2, lam_s), errors).take(0)
+        scores = [0]
+        for cls in (qos_module._Evaluator, qos_module._CaptureScorer):
+            def counted(*args, wrapped=cls.__dict__["score"], **kwargs):
+                scores[0] += 1
+                return wrapped(*args, **kwargs)
+            monkeypatch.setattr(cls, "score", counted)
+        res = maximize_secondary_throughput(
+            net, strategy, QosSpec(25, math.inf, net.traffic), budget=500,
+            restarts=3, seed=5)
+        assert res.evaluations == res.restarts_used == scores[0] == 1
+        assert not res.budget_exhausted
+        assert res.feasible is feasible
+        assert res.first_violation == (None if feasible else "stability")
+        assert (res.constraint_residuals["stability_s"] < 0) is not feasible
+        # every start, designed or drawn, stands for the parameters the
+        # search reports (a drawn od weight may read 1 - 2**-53, which
+        # divides to 1)
+        space = qos_module._Space(strategy, 0, schedule=sensing)
+        outages = net.outages(strategy)
+        starts = qos_module._designed_starts(space, outages) + [
+            space.random_point(np.random.default_rng([5, i]))
+            for i in range(3)]
+
+        def stands_for(params):
+            return repr([getattr(params, name) for name in (
+                "omega", "alpha", "f_p", "f_s", "beta", "order_p",
+                "order_s")])
+
+        assert {stands_for(space.to_params(space.groups(start)))
+                for start in starts} == {stands_for(res.best_params)}
+        ev = evaluate(outages, res.best_params, net.traffic, net.sensing)
+        assert res.best_mu_s == (ev.report.mu_s if feasible else 0.0)
+
+    @pytest.mark.parametrize("n", [9, 10])
+    @pytest.mark.parametrize("sensing", [False, True])
+    def test_ordered_search_past_eight_relays(self, n, sensing):
+        # od searches the n first-rank orders above the dense-order
+        # limit, with no relay cap
+        net = many_relay_network(n, 0.35 if sensing else 0.37, sensing)
+        target = QosSpec(10, 1000, net.traffic)
+        res = maximize_secondary_throughput(
+            net, StrategyKind.ORDERED, target, budget=2000, restarts=1,
+            seed=3)
+        assert res.feasible
+        assert res.best_mu_s <= res.ceiling
+        for dist in (res.best_params.order_p, res.best_params.order_s):
+            assert dist.n_relays == n
+            assert set(dist.entries) <= {first_rank_perm(n, k)
+                                         for k in range(n)}
+        ev = evaluate(net.outages(StrategyKind.ORDERED), res.best_params,
+                      net.traffic, net.sensing)
+        assert ev.status == "ok" and ev.report.mu_s == res.best_mu_s
+
+
+def many_relay_network(n, lam_s, sensing):
+    """n identical weak relays to a secondary with no direct link (and a
+    primary with no load): the relays must capture more than lambda_s
+    of the secondary's packets and forward them in its idle slots, which
+    takes 9 relays at lambda_s 0.37 and 10 at 0.38; with sensing errors
+    0.001 the search meets lambda_s 0.35 from 9 relays on."""
+    errors = SensingErrorParams(*[[0.001] * n] * 3) if sensing else None
+    return NetworkConfig(OutageTable(0.0, 1.0, [0.5] * n, [0.9] * n,
+                                     [0.0] * n, [0.0] * n),
+                         TrafficParams(0.0, lam_s), errors)
 
 
 class TestOptResultCeiling:
@@ -512,6 +591,17 @@ class TestMinimizeRelayCount:
         assert [n for n, _, _ in searches] == [1, 2, 3]
         assert searches[0][2] is not None and searches[1][2] is None
         assert searches[2][1] == ()
+
+    @pytest.mark.parametrize("lam_s, sensing, count", [
+        (0.37, False, 9), (0.38, False, 10), (0.35, True, 9)])
+    def test_ordered_ladder_past_eight_relays(self, lam_s, sensing, count):
+        # the certificate rules out every count below the answer, save
+        # eight relays with sensing errors, where the search finds no
+        # feasible point; od searches past eight relays
+        net = many_relay_network(10, lam_s, sensing)
+        assert minimize_relay_count(
+            net, StrategyKind.ORDERED, QosSpec(10, 1000, net.traffic), 10,
+            budget=2000, restarts=1, seed=3) == count
 
     def test_qos_spec_validation(self):
         with pytest.raises(ConfigError):

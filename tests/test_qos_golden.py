@@ -9,10 +9,13 @@ used, budget exhaustion, the first violation and the certificate
 point is built or scored shows here.  The values in `qos_golden.json`
 were recorded once the perfect-sensing search solved the relay schedule
 in closed form and the search returned at once where the certificate
-rules every point out, and again once the certificate took the sensing
-errors: that changed only the sensing-error ceilings and the searches
-the certificate now rules out.  A change that means to alter search
-results must say so and record them again with
+rules every point out; again once the certificate took the sensing
+errors, which changed only the sensing-error ceilings and the searches
+the certificate now rules out; and again once od's first-rank weights
+above the dense-order limit were divided by their sum, as the weights
+below it are, which changed only `six_relays_od_first_rank`.  A change
+that means to alter search results must say so and record them again
+with
 
     PYTHONPATH=src python tests/test_qos_golden.py
 """
@@ -39,7 +42,8 @@ OD, RD, RR = (StrategyKind.ORDERED, StrategyKind.RANDOM,
               StrategyKind.ROUND_ROBIN)
 
 # six relays: above the dense-order limit, so ordered acceptance is
-# searched over first-rank profiles (beta_p, beta_s)
+# searched over the six first-rank orders, rank weights divided by their
+# sum as at every relay count
 SIX_RELAYS = OutageTable(0.3, 0.4,
                          [0.12, 0.3, 0.05, 0.4, 0.2, 0.25],
                          [0.2, 0.1, 0.35, 0.05, 0.3, 0.15],

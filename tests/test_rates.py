@@ -300,14 +300,16 @@ class TestEndToEndDelays:
 class TestEvaluate:
     def test_status_and_delays_follow_the_chain(self, monkeypatch):
         # precedence: the user stability flags first, then the queue that
-        # end_to_end_delays names; delays only when every queue is stable
+        # end_to_end_delays names; delays (`rates._delays`, the float step
+        # of end_to_end_delays) only when every queue is stable
         calls = []
+        delays_of = rates._delays
 
-        def counted(report, traffic):
-            calls.append(report)
-            return end_to_end_delays(report, traffic)
+        def counted(floats, traffic):
+            calls.append(floats)
+            return delays_of(floats, traffic)
 
-        monkeypatch.setattr(rates, "end_to_end_delays", counted)
+        monkeypatch.setattr(rates, "_delays", counted)
         rng = np.random.default_rng(16)
         seen = set()
         for _ in range(600):
