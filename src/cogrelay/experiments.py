@@ -61,7 +61,7 @@ from .errors import (ConfigError, NoFeasibleRelayCount, SpecParseError,
                      UnstableQueueError, check_integer)
 from .network import (NetworkConfig, OutageTable, PhysicalChannels,
                       SensingErrorParams, TrafficParams)
-from .orders import OrderDistribution
+from .orders import DENSE_LIMIT, OrderDistribution
 from .qos import QosSpec, maximize_secondary_throughput, minimize_relay_count
 from .rates import Evaluation, StrategyParams, evaluate
 from .sim import run, run_replicated
@@ -252,8 +252,15 @@ def _build_network(section: _Section) -> tuple[NetworkConfig, int]:
     return NetworkConfig(channels, traffic, sensing), channels.n_relays
 
 
-def _build_params(strategy_section: dict, kind: StrategyKind,
-                  n: int) -> StrategyParams:
+def _build_params(strategy_section: dict, kind: StrategyKind, n: int,
+                  checking: bool = False) -> StrategyParams:
+    """The `[strategy]` section's parameters for `kind` over n relays.
+
+    `checking` builds them only to check every entry, as `load_spec` does.
+    The uniform od order over n! permutations is refused past DENSE_LIMIT
+    relays, so there it stands as the uniform first-rank profile, which
+    holds at any n; only a verb that reads the order (analyze, simulate,
+    compare) builds the uniform one, and reports that it cannot."""
     section = _Section("strategy", strategy_section)
     omega = section.vector("omega", np.full(n, 1.0 / n) if n else np.zeros(0))
     alpha = section.vector("alpha", np.full(n, 0.5))
@@ -269,7 +276,9 @@ def _build_params(strategy_section: dict, kind: StrategyKind,
             if entries is not None:
                 kw[name] = OrderDistribution(n, entries)
             elif section.get("order", "uniform").lower() == "uniform":
-                kw[name] = OrderDistribution.uniform(n)
+                kw[name] = (OrderDistribution.from_first_rank_profile(
+                    np.full(n, 1.0 / n)) if checking and n > DENSE_LIMIT
+                    else OrderDistribution.uniform(n))
             else:
                 raise SpecParseError(f"unknown order {section.get('order')!r}")
     return StrategyParams(kind, omega, alpha, f_p, f_s, **kw)
@@ -343,7 +352,7 @@ def load_spec(path: str | Path) -> ExperimentSpec:
         optimizer=optimizer, out_path=exp.get("out"))
 
     for kind in strategies:  # validate the per-strategy parameters eagerly
-        spec.params_for(kind)
+        _build_params(spec.strategy_section, kind, n, checking=True)
     return spec
 
 

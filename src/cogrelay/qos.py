@@ -2,7 +2,8 @@
 
 Two formulations: maximize the secondary service rate subject to
 end-to-end delay ceilings and stability of every queue, and find the
-smallest relay count that admits a feasible point.
+smallest relay count that admits a feasible point, by one independent
+search of the first formulation at each relay count.
 
 The solver is a deterministic multi-start projected local search:
 coordinate moves with box projection for the per-relay probabilities and
@@ -100,14 +101,14 @@ class OptResult:
 class _Space:
     """Search-space layout for one strategy: named box and simplex groups.
 
-    The search moves a point as a tuple of groups, each a tuple of plain
-    floats, in the order of `names` (the box groups, then the simplex
-    groups); `groups` converts a start, a dict of arrays.  The scorers
-    read a point through `sides`, `capture` and `omega_alpha`, with no
-    parameters built, and `to_params` builds the checked parameters of
-    the point a search reports.  Without `schedule` the space holds only
-    the capture groups (f_p, f_s and the decoder weights), and omega and
-    alpha are placeholders: uniform and 0.5.
+    A point is a tuple of groups, each a tuple of plain floats, in the
+    order of `names` (the box groups, then the simplex groups), from its
+    start (`_designed_starts`, `random_point`) to the point a search
+    reports.  The scorers read a point through `sides`, `capture` and
+    `omega_alpha`, with no parameters built, and `to_params` builds the
+    checked parameters of the point a search reports.  Without `schedule`
+    the space holds only the capture groups (f_p, f_s and the decoder
+    weights), and omega and alpha are placeholders: uniform and 0.5.
 
     A user's decoder weights range over rank orders, as in
     `StrategyParams.ranked_support`: under od the groups rho_p and rho_s
@@ -132,15 +133,8 @@ class _Space:
                           [first_rank_perm(n, k) for k in range(n)])
             self.simplex["rho_p"] = self.simplex["rho_s"] = len(self.perms)
             self._orders = [rank_order(perm) for perm in self.perms]
-            self._slot = {perm: i for i, perm in enumerate(self.perms)}
         self.names = self.box + list(self.simplex)
         self._f = (self.names.index("f_p"), self.names.index("f_s"))
-
-    def groups(self, point: dict) -> tuple:
-        """A dict of arrays as the search moves it (see the class
-        docstring)."""
-        return tuple(tuple(np.asarray(point[name], dtype=float).tolist())
-                     for name in self.names)
 
     def sides(self, groups: tuple) -> tuple:
         """Each user's (f, decoder weights) at a point: its rank weights
@@ -186,33 +180,12 @@ class _Space:
         return StrategyParams(self.strategy, *self.omega_alpha(groups), f_p,
                               f_s, **kw)
 
-    def collapse(self, dist: OrderDistribution) -> np.ndarray:
-        """An od distribution as weights over `perms`: an unlisted
-        permutation counts as the listed one with its first-ranked relay
-        (on the first-rank list, `first_rank_profile()` bit for bit)."""
-        weights = np.zeros(len(self.perms))
-        for perm, prob in dist.entries.items():
-            if perm not in self._slot:
-                perm = first_rank_perm(self.n, perm.index(1))
-            weights[self._slot[perm]] += prob
-        return weights
-
-    def from_params(self, params: StrategyParams) -> dict:
-        # `groups` reads only the space's own groups
-        point = {name: getattr(params, name).copy()
-                 for name in ("f_p", "f_s", "alpha", "omega")}
-        if self.strategy is StrategyKind.RANDOM:
-            point["beta"] = params.beta.copy()
-        if self.strategy is StrategyKind.ORDERED:
-            point["rho_p"] = self.collapse(params.order_p)
-            point["rho_s"] = self.collapse(params.order_s)
-        return point
-
-    def random_point(self, rng: np.random.Generator) -> dict:
-        point = {name: rng.uniform(0, 1, self.n) for name in self.box}
-        for name, size in self.simplex.items():
-            point[name] = rng.dirichlet(np.ones(size)) if size else np.zeros(0)
-        return point
+    def random_point(self, rng: np.random.Generator) -> tuple:
+        """A restart's start: each box group uniform on [0, 1], then each
+        simplex group flat-Dirichlet, drawn in the order of `names`."""
+        box = [tuple(rng.uniform(0, 1, self.n).tolist()) for _ in self.box]
+        return tuple(box + [tuple(rng.dirichlet(np.ones(size)).tolist())
+                            if size else () for size in self.simplex.values()])
 
     def flat(self, groups: tuple) -> tuple:
         """A point's coordinates, the box groups first and then the
@@ -304,7 +277,7 @@ class _Evaluator:
 
     def score(self, space: _Space, groups: tuple,
               bound: tuple | None = None) -> tuple:
-        """The merit of a search point (`_Space.groups`): `evaluate`'s
+        """The merit of a search point (see `_Space`): `evaluate`'s
         chain from the point's captures (`_user`) and its schedule groups,
         over plain floats, always in full: `bound`, the incumbent merit of
         `_local_search`, is not used."""
@@ -487,7 +460,7 @@ _SCALES = (0.5, 0.25, 0.1, 0.04, 0.015, 0.005, 0.002)
 
 def _local_search(space, scorer, start, budget_left):
     """Coordinate descent from `start` over `_SCALES`; returns the best
-    point (`_Space.groups`), its merit and the evaluations used.
+    point (see `_Space`), its merit and the evaluations used.
 
     Each move of a pass is built from the point where the pass started
     and replaces one group of the current point.  Every group keeps the
@@ -506,7 +479,7 @@ def _local_search(space, scorer, start, budget_left):
     point are scored in full, and the path, the evaluations and the
     returned merit are those of scoring every point in full.
     """
-    point = space.groups(start)
+    point = start
     best = scorer.score(space, point)
     used = 1
     for scale in _SCALES:
@@ -531,68 +504,63 @@ def _local_search(space, scorer, start, budget_left):
     return point, best, used
 
 
-def _designed_starts(space: _Space, outages: OutageTable) -> list[dict]:
+def _designed_starts(space: _Space, outages: OutageTable) -> list[tuple]:
     n = space.n
-    starts = []
 
-    def base(alpha, f_p, f_s):
-        point = {"f_p": np.full(n, f_p), "f_s": np.full(n, f_s),
-                 "alpha": np.full(n, alpha)}   # read with the schedule only
+    def base(alpha, f_p, f_s, **vertex):
+        groups = {"alpha": (alpha,) * n,   # read with the schedule only
+                  "f_p": (f_p,) * n, "f_s": (f_s,) * n}
         for name, size in space.simplex.items():
-            point[name] = np.full(size, 1.0 / size) if size else np.zeros(0)
-        return point
+            groups[name] = vertex.get(name, (1.0 / size,) * size if size
+                                      else ())
+        return tuple(groups[name] for name in space.names)
 
-    starts.append(base(0.5, 1.0, 1.0))
-    starts.append(base(0.5, 0.0, 0.0))          # no relaying fallback
+    def one_hot(size, i):
+        return tuple(1.0 if j == i else 0.0 for j in range(size))
+
+    starts = [base(0.5, 1.0, 1.0),
+              base(0.5, 0.0, 0.0)]              # no relaying fallback
     if space.schedule:                          # (1, 1) with another alpha
         starts.append(base(0.3, 1.0, 1.0))
     starts.append(base(0.7, 1.0, 0.0))
     if n:
         # concentrate the decoding role on the strongest relay per user
         for which, vec in (("p", outages.pu_relay), ("s", outages.su_relay)):
-            point = base(0.5, 1.0, 1.0)
-            vertex = np.zeros(n)
-            vertex[int(np.argmin(vec))] = 1.0
-            if "beta" in point:
-                point["beta"] = vertex
-            if "rho_p" in point:
-                point["rho_" + which] = space.collapse(
-                    OrderDistribution.from_first_rank_profile(vertex))
-            starts.append(point)
+            k = int(np.argmin(vec))
+            vertex = {}
+            if "beta" in space.simplex:
+                vertex["beta"] = one_hot(n, k)
+            if "rho_p" in space.simplex:
+                vertex["rho_" + which] = one_hot(
+                    len(space.perms), space.perms.index(first_rank_perm(n, k)))
+            starts.append(base(0.5, 1.0, 1.0, **vertex))
     return starts
 
 
 def maximize_secondary_throughput(
         network: NetworkConfig, strategy: StrategyKind, qos: QosSpec, *,
-        budget: int = 20_000, restarts: int = 8, seed: int = 0,
-        extra_starts: tuple[StrategyParams, ...] = ()) -> OptResult:
+        budget: int = 20_000, restarts: int = 8, seed: int = 0) -> OptResult:
     """Best feasible secondary service rate found within `budget`
     evaluations, or the least-infeasible point when none is found.  An
     evaluation is a trial point the search visits, whether it is scored
     or found in the neighbourhood memo of `_local_search`; no memo
     outlives the call.
 
-    `extra_starts` seeds additional local searches (e.g. a solution found
-    for another relay count, grown by `_extend`); each must be for this
-    strategy and relay count.  Under perfect sensing the search moves the
-    capture variables only and gives each point its least relay schedule
-    in closed form (`_CaptureScorer`); under sensing errors it moves every
-    variable (`_Evaluator`).  Either scorer reads a trial point from its
-    floats; only the best point is built as parameters and scored again
-    through `evaluate`.  A problem that `secondary_rate_ceiling` rules
-    out, with the network's sensing errors, returns infeasible at once,
-    and a search over no relay scores its one point once.
+    The local searches start from the designed starts, then from
+    `restarts` points drawn from streams seeded by (seed, restart).  Under
+    perfect sensing the search moves the capture variables only and gives
+    each point its least relay schedule in closed form (`_CaptureScorer`);
+    under sensing errors it moves every variable (`_Evaluator`).  Either
+    scorer reads a trial point from its floats; only the best point is
+    built as parameters and scored again through `evaluate`.  A problem
+    that `secondary_rate_ceiling` rules out, with the network's sensing
+    errors, returns infeasible at once, and a search over no relay scores
+    its one point once.
     """
     check_integer("budget", budget, 1)
     check_integer("restarts", restarts, 0)
     check_integer("seed", seed, 0)
     n = network.n_relays
-    for start in extra_starts:
-        if start.strategy is not strategy or start.n_relays != n:
-            raise ConfigError(
-                f"extra start is a {start.strategy.value} point over "
-                f"{start.n_relays} relays; the search is {strategy.value} "
-                f"over {n}")
     outages = network.outages(strategy)
     ceiling = secondary_rate_ceiling(outages, qos, network.sensing)
 
@@ -624,8 +592,6 @@ def maximize_secondary_throughput(
     starts = _designed_starts(space, outages)
     if n == 0:  # nothing moves: every start is the one point, scored once
         starts, restarts = starts[:1], 0
-    else:
-        starts.extend(space.from_params(p) for p in extra_starts)
 
     best_point = None
     best = ()
@@ -800,58 +766,26 @@ def secondary_rate_ceiling(outages: OutageTable, qos: QosSpec,
 def minimize_relay_count(network: NetworkConfig, strategy: StrategyKind,
                          qos: QosSpec, n_max: int, *, budget: int = 20_000,
                          restarts: int = 8, seed: int = 0) -> int:
-    """Smallest relay count in 0..n_max with a feasible operating point,
-    searching `network` restricted to its first n relays.  Counts beyond
-    the network's relays are skipped, and so are the counts at which
+    """Smallest relay count n in 0..min(n_max, network.n_relays) at which
+    `network` restricted to its first n relays has a feasible operating
+    point.  Each count is searched on its own: the result at n is that of
+    `maximize_secondary_throughput(network.take(n), strategy, qos,
+    budget=budget, restarts=restarts, seed=seed)`.  The counts at which
     `secondary_rate_ceiling` certifies that no point is feasible, with the
-    restricted network's sensing errors.  The solution found at each
-    searched count seeds the search at the next count, so feasibility can
-    only get easier as relays are added; a skipped count, and a search
-    that returns no point, seed nothing, and the count after them starts
-    from its designed starts alone.
+    restricted network's sensing errors, are skipped without a search.
     """
     check_integer("n_max", n_max, 0)
     check_integer("budget", budget, 1)
     check_integer("restarts", restarts, 0)
     check_integer("seed", seed, 0)
-    carried: tuple[StrategyParams, ...] = ()
-    for n in range(n_max + 1):
-        try:
-            restricted = network.take(n)
-        except ConfigError:
-            continue
+    for n in range(min(n_max, network.n_relays) + 1):
+        restricted = network.take(n)
         if secondary_rate_ceiling(restricted.outages(strategy), qos,
                                   restricted.sensing) is None:
-            carried = ()
             continue
-        result = maximize_secondary_throughput(
-            restricted, strategy, qos, budget=budget, restarts=restarts,
-            seed=seed, extra_starts=carried)
-        if result.feasible:
+        if maximize_secondary_throughput(
+                restricted, strategy, qos, budget=budget, restarts=restarts,
+                seed=seed).feasible:
             return n
-        carried = ((_extend(result.best_params, strategy),)
-                   if result.best_params is not None and n < n_max else ())
     raise NoFeasibleRelayCount(
         f"no relay count up to {n_max} satisfies the QoS targets")
-
-
-def _extend(params: StrategyParams, strategy: StrategyKind) -> StrategyParams:
-    """Grow a parameter set by one relay that is never used, preserving
-    the incumbent's rates as a warm start for the larger search."""
-    n = params.n_relays + 1
-    # growing from zero relays: the newcomer takes the (unused) schedule
-    # and, under random assignment, the whole assignment
-    newcomer = 0.0 if params.n_relays else 1.0
-    omega = np.append(params.omega, newcomer)
-    alpha = np.append(params.alpha, 0.5)
-    f_p = np.append(params.f_p, 0.0)
-    f_s = np.append(params.f_s, 0.0)
-    kw = {}
-    if strategy is StrategyKind.RANDOM:
-        kw["beta"] = np.append(params.beta, newcomer)
-    if strategy is StrategyKind.ORDERED:
-        for name in ("order_p", "order_s"):
-            dist = getattr(params, name)
-            entries = {perm + (n,): w for perm, w in dist.entries.items()}
-            kw[name] = OrderDistribution(n, entries)
-    return StrategyParams(strategy, omega, alpha, f_p, f_s, **kw)

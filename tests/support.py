@@ -408,6 +408,13 @@ def oracle_coordinate_moves(space, point: dict, scale: float):
                 yield name, oracle_normalized(away)
 
 
+def as_groups(space, point: dict) -> tuple:
+    """A search point given as a dict of arrays, as the search holds it:
+    a tuple of float groups in the order of `space.names`."""
+    return tuple(tuple(np.asarray(point[name], dtype=float).tolist())
+                 for name in space.names)
+
+
 def capture_merit(scorer: _CaptureScorer, params: StrategyParams) -> tuple:
     """The perfect-sensing search's merit of the captures of `params`,
     through `rates._user_rates`."""

@@ -286,19 +286,9 @@ def test_criterion_08_feedback_crossover():
                            timing=replace(spec.network.channels.timing,
                                           feedback_seconds=tau_f))
         net = NetworkConfig(channels, traffic)
-        rd = maximize_secondary_throughput(net, StrategyKind.RANDOM, qos,
-                                           budget=15_000, restarts=6, seed=8)
-        extra = ()
-        if rd.feasible and rd.best_params is not None:
-            order = OrderDistribution.from_first_rank_profile(
-                rd.best_params.beta)
-            extra = (StrategyParams(
-                StrategyKind.ORDERED, rd.best_params.omega,
-                rd.best_params.alpha, rd.best_params.f_p, rd.best_params.f_s,
-                order_p=order, order_s=order),)
-        od = maximize_secondary_throughput(net, StrategyKind.ORDERED, qos,
-                                           budget=15_000, restarts=6, seed=8,
-                                           extra_starts=extra)
+        rd, od = (maximize_secondary_throughput(net, kind, qos, budget=15_000,
+                                                restarts=6, seed=8)
+                  for kind in (StrategyKind.RANDOM, StrategyKind.ORDERED))
         return od.best_mu_s, rd.best_mu_s
 
     od_cost, rd_cost = optimized(2.4e-4)   # tau_f = 0.24 T

@@ -407,6 +407,71 @@ class TestCli:
         assert code == 0
         assert ",0," in out.read_text().splitlines()[1]
 
+    # nine identical weak relays to a secondary with no direct link, as
+    # `many_relay_network(9, 0.37, False)` of test_qos.py: nine relays
+    # meet lambda_s 0.37; no `perm_p`/`perm_s`, so od's order is uniform
+    NINE_RELAYS_SPEC = """
+[experiment]
+strategies = od
+sweep_start = 0.0
+
+[network]
+pu_pd = 0.0
+su_sd = 1.0
+pu_relay = {0.5}
+su_relay = {0.9}
+relay_pd = {0}
+relay_sd = {0}
+
+[strategy]
+{extra}
+
+[traffic]
+lambda_s = 0.37
+
+[qos]
+d_p_max = 10
+d_s_max = 1000
+
+[optimizer]
+budget = 2000
+restarts = 1
+
+[sim]
+seed = 3
+""".replace("{0.5}", ", ".join(["0.5"] * 9)).replace(
+        "{0.9}", ", ".join(["0.9"] * 9)).replace("{0}", ", ".join(["0"] * 9))
+
+    def test_nine_relay_od_spec_optimizes(self, tmp_path, capsys):
+        # the uniform order over 9! permutations cannot be built, but the
+        # search verbs never read it; analyze reads it and says so
+        spec_path = write_spec(tmp_path,
+                               self.NINE_RELAYS_SPEC.replace("{extra}", ""))
+        out = tmp_path / "out.csv"
+
+        def row(verb):
+            assert main([verb, "--spec", str(spec_path), "--out",
+                         str(out)]) == 0
+            line = out.read_text().splitlines()[1]
+            return dict(zip(CSV_COLUMNS, line.split(",")))
+
+        mins = row("min-relays")
+        assert (mins["min_relays"], mins["status"]) == ("9", "ok")
+        best = row("optimize")
+        assert best["status"] == "ok" and float(best["mu_s"]) > 0.37
+        assert row("analyze")["status"].startswith("error:dense enumeration")
+        assert "Traceback" not in "".join(capsys.readouterr())
+
+    @pytest.mark.parametrize("line", [
+        "order = sorted", "f_p = 1, 1", "omega = 0.5, 0.6",
+        "perm_p = 1,2 : 1.0"])
+    def test_nine_relay_od_spec_rejects_bad_strategy_entry(self, tmp_path,
+                                                           line):
+        spec_path = write_spec(tmp_path,
+                               self.NINE_RELAYS_SPEC.replace("{extra}", line))
+        with pytest.raises((ConfigError, SpecParseError)):
+            load_spec(spec_path)
+
     def test_module_entry_point(self, tmp_path):
         # `python -m cogrelay` runs from a checkout without the script
         spec = str(CONFIG_DIR / "fig11_minrelays_n3.cfg")

@@ -7,14 +7,13 @@ dominance of perfect sensing over sensing errors; the relay-count
 certificate under sensing errors against the perfect-sensing one and
 against random points scored through `evaluate`; the parameters the QoS
 search builds for a point (`_Space.to_params`) against the same points
-built by the oracle in `support`, and od distributions put on the
-search's list of orders (`_Space.collapse`) against the entries and the
-first-rank profile; the search's float moves and merits
+built by the oracle in `support`; the search's float moves and merits
 against the numpy moves and the merits through checked parameters
 (`support`); the search with the incumbent bound against the search that
 scores every trial point in full; the closed-form relay schedule of the
 perfect-sensing search against random schedules scored through
-`evaluate`; and the invariants of acceptance criteria 04 and 05 on
+`evaluate`; the relay-count ladder against independent searches at each
+count; and the invariants of acceptance criteria 04 and 05 on
 generated configurations: od with a first-rank profile serves every
 queue at least as fast as random assignment with that profile, and no
 strategy gives the secondary more than `1 - lambda_p`, with and without
@@ -32,14 +31,16 @@ from hypothesis import strategies as st
 
 from cogrelay import qos, rates
 from cogrelay.channel import StrategyKind
-from cogrelay.network import (OutageTable, SensingErrorParams,
+from cogrelay.errors import NoFeasibleRelayCount
+from cogrelay.network import (NetworkConfig, OutageTable, SensingErrorParams,
                               TrafficParams)
 from cogrelay.orders import OrderDistribution
 from cogrelay.rates import (StrategyParams, apply_sensing_errors, evaluate,
                             rate_report, secondary_rate_cap)
-from support import (checked_params, closed_form, oracle_coordinate_moves,
-                     oracle_merit, oracle_user_rates, random_outages,
-                     random_params, random_sensing_errors, random_simplex)
+from support import (as_groups, checked_params, closed_form,
+                     oracle_coordinate_moves, oracle_merit, oracle_user_rates,
+                     random_outages, random_params, random_sensing_errors,
+                     random_simplex)
 
 # exact 0 and 1 next to the open interval: outages and acceptance
 # probabilities at the ends are where the prefix products are exact
@@ -369,7 +370,7 @@ def assert_same_params(a: StrategyParams, b: StrategyParams) -> None:
 @given(case=search_points())
 def test_unchecked_point_equals_checked(case):
     space, point = case
-    fast = space.to_params(space.groups(point))
+    fast = space.to_params(as_groups(space, point))
     slow = checked_params(space, point)
     assert_same_params(fast, slow)
     # and both score the same, bit for bit
@@ -381,32 +382,6 @@ def test_unchecked_point_equals_checked(case):
     for name in a:
         assert np.array_equal(a[name], b[name]) if isinstance(
             a[name], np.ndarray) else _hexes(a[name]) == _hexes(b[name])
-
-
-@settings(max_examples=80, deadline=None)
-@given(data=st.data(), n=st.integers(0, 7), grown=st.booleans())
-def test_collapse_is_lookup_or_first_rank_profile(data, n, grown):
-    """`_Space.collapse` puts an od distribution on the search's list of
-    orders: on the full list (up to DENSE_ORDER_LIMIT relays) it is the
-    entries looked up, above it `first_rank_profile()`, bit for bit.
-    `grown` takes a five-relay point grown to six by `_extend`, the warm
-    start a relay-count ladder carries across the limit."""
-    if grown:
-        n = 6
-        five = StrategyParams(
-            StrategyKind.ORDERED, data.draw(simplex(5)), *(
-                data.draw(probs(5)) for _ in range(3)),
-            order_p=data.draw(order_distributions(5)),
-            order_s=data.draw(order_distributions(5)))
-        dist = qos._extend(five, StrategyKind.ORDERED).order_s
-    else:
-        dist = data.draw(order_distributions(n))
-    space = qos._Space(StrategyKind.ORDERED, n)
-    if n <= qos.DENSE_ORDER_LIMIT:
-        want = np.array([dist.entries.get(p, 0.0) for p in space.perms])
-    else:
-        want = dist.first_rank_profile()
-    assert space.collapse(dist).tobytes() == want.tobytes()
 
 
 @st.composite
@@ -441,7 +416,7 @@ def test_float_moves_and_merit_match_numpy_oracle(strategy, n, data):
     groups) is the merit through the parameters the point stands for:
     under sensing errors, through `evaluate`."""
     space, point, scorer = data.draw(search_problems(strategy, n))
-    groups = space.groups(point)
+    groups = as_groups(space, point)
     for scale in qos._SCALES:
         fast = list(qos._coordinate_moves(space, groups, scale))
         slow = list(oracle_coordinate_moves(space, point, scale))
@@ -685,3 +660,49 @@ def test_sensing_aware_ceiling_property_is_exercised():
         lowered += low
     assert found >= 100
     assert lowered >= 20
+
+
+def ladder_against_searches(seed: int, strategy: StrategyKind,
+                            sensing: bool):
+    """The count `minimize_relay_count` returns on a generated problem
+    (None for `NoFeasibleRelayCount`), and the least n <= min(n_max, N)
+    whose standalone search over the first n relays, with the ladder's
+    budget, restarts and seed, is feasible (None where there is none).
+    The direct links are weak enough that relays often matter."""
+    rng = np.random.default_rng(seed)
+    n, n_max = int(rng.integers(0, 5)), int(rng.integers(0, 6))
+    outages = OutageTable(rng.uniform(0.2, 0.8), rng.uniform(0.2, 0.9),
+                          *(rng.uniform(0.01, 0.5, n) for _ in range(4)))
+    network = NetworkConfig(
+        outages, TrafficParams(rng.uniform(0.05, 0.4), rng.uniform(0.05, 0.3)),
+        random_sensing_errors(rng, n, 0.3) if sensing else None)
+    target = qos.QosSpec(rng.uniform(2, 30), rng.uniform(3, 60),
+                         network.traffic)
+    kw = dict(budget=int(rng.integers(50, 400)),
+              restarts=int(rng.integers(0, 3)), seed=int(rng.integers(0, 99)))
+    try:
+        got = qos.minimize_relay_count(network, strategy, target, n_max, **kw)
+    except NoFeasibleRelayCount:
+        got = None
+    want = next((k for k in range(min(n_max, n) + 1)
+                 if qos.maximize_secondary_throughput(
+                     network.take(k), strategy, target, **kw).feasible), None)
+    return got, want
+
+
+@pytest.mark.parametrize("sensing", [False, True])
+@pytest.mark.parametrize("strategy", list(StrategyKind))
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_ladder_is_least_feasible_standalone_search(strategy, sensing, seed):
+    got, want = ladder_against_searches(seed, strategy, sensing)
+    assert got == want
+
+
+def test_ladder_property_is_exercised():
+    # the family behind the property above has ladders that need no
+    # relay, ladders that need some, and ladders no count satisfies
+    counts = {ladder_against_searches(seed, list(StrategyKind)[seed % 3],
+                                      seed % 2 == 1)[1]
+              for seed in range(60)}
+    assert {0, 1, None} <= counts

@@ -126,21 +126,6 @@ class TestMaximizeSecondaryThroughput:
         assert res.feasible
         assert res.best_params.order_p.n_relays == n
 
-    @pytest.mark.parametrize("start", [
-        StrategyParams(StrategyKind.RANDOM, [0.5, 0.5], [0.5, 0.5], [1, 1],
-                       [1, 1], beta=[0.5, 0.5]),
-        StrategyParams(StrategyKind.ORDERED, [1.0], [0.5], [1.0], [1.0],
-                       order_p=OrderDistribution.uniform(1),
-                       order_s=OrderDistribution.uniform(1)),
-    ])
-    def test_rejects_extra_start_of_another_shape(self, start):
-        # an rd start on an od search died with an AttributeError
-        net = fig3_network(0.3)
-        with pytest.raises(ConfigError, match="extra start"):
-            maximize_secondary_throughput(
-                net, StrategyKind.ORDERED, QosSpec(1.6, 3.0, net.traffic),
-                budget=100, extra_starts=(start,))
-
     @pytest.mark.parametrize("lam_p", [0.3, 0.5, 0.99995])
     def test_result_holds_plain_types(self, lam_p):
         # 0.5 is infeasible after a search, 0.99995 before one
@@ -219,8 +204,8 @@ class TestMaximizeSecondaryThroughput:
                 "omega", "alpha", "f_p", "f_s", "beta", "order_p",
                 "order_s")])
 
-        assert {stands_for(space.to_params(space.groups(start)))
-                for start in starts} == {stands_for(res.best_params)}
+        assert {stands_for(space.to_params(start)) for start in starts} == {
+            stands_for(res.best_params)}
         ev = evaluate(outages, res.best_params, net.traffic, net.sensing)
         assert res.best_mu_s == (ev.report.mu_s if feasible else 0.0)
 
@@ -536,8 +521,8 @@ class TestMinimizeRelayCount:
         assert n == 1
 
     def test_skipped_count_seeds_nothing(self, monkeypatch):
-        # zero relays give an infeasible point to carry; with one relay
-        # ruled out, the two-relay search starts from its designed starts
+        # zero relays are searched and fail; with one relay ruled out,
+        # the ladder searches two relays next
         out = OutageTable(0.4, 0.3, [0.01, 0.01], [0.01, 0.01],
                           [0.01, 0.01], [0.01, 0.01])
         net = NetworkConfig(out, TrafficParams(0.5, 0.2))
@@ -545,10 +530,8 @@ class TestMinimizeRelayCount:
         search = maximize_secondary_throughput
 
         def recorded(network, *args, **kwargs):
-            result = search(network, *args, **kwargs)
-            searches.append((network.n_relays, kwargs["extra_starts"],
-                             result.best_params))
-            return result
+            searches.append(network.n_relays)
+            return search(network, *args, **kwargs)
 
         monkeypatch.setattr(qos_module, "maximize_secondary_throughput",
                             recorded)
@@ -559,15 +542,12 @@ class TestMinimizeRelayCount:
             minimize_relay_count(net, StrategyKind.RANDOM,
                                  QosSpec(1.01, 1.01, net.traffic), 2,
                                  budget=300, restarts=1, seed=0)
-        assert [n for n, _, _ in searches] == [0, 2]
-        assert searches[0][2] is not None   # there was a point to carry
-        assert searches[1][1] == ()
+        assert searches == [0, 2]
 
     def test_search_without_a_point_seeds_nothing(self, monkeypatch):
         # at two relays round robin's primary rate bound (0.335) is below
-        # lambda_p, so that search returns no point; the three-relay
-        # search starts from its designed starts, not from the one-relay
-        # point carried past it
+        # lambda_p, so that search returns no point; the ladder searches
+        # three relays next
         out = OutageTable(0.95, 0.3, [0.45, 0.95, 0.55], [0.1] * 3,
                           [0.05] * 3, [0.05] * 3)
         net = NetworkConfig(out, TrafficParams(0.35, 0.01))
@@ -578,8 +558,7 @@ class TestMinimizeRelayCount:
 
         def recorded(network, *args, **kwargs):
             result = search(network, *args, **kwargs)
-            searches.append((network.n_relays, kwargs["extra_starts"],
-                             result.best_params))
+            searches.append((network.n_relays, result.best_params))
             return result
 
         monkeypatch.setattr(qos_module, "maximize_secondary_throughput",
@@ -588,9 +567,8 @@ class TestMinimizeRelayCount:
             minimize_relay_count(net, StrategyKind.ROUND_ROBIN,
                                  QosSpec(20, 100, net.traffic), 3,
                                  budget=200, restarts=0)
-        assert [n for n, _, _ in searches] == [1, 2, 3]
-        assert searches[0][2] is not None and searches[1][2] is None
-        assert searches[2][1] == ()
+        assert [n for n, _ in searches] == [1, 2, 3]
+        assert searches[1][1] is None
 
     @pytest.mark.parametrize("lam_s, sensing, count", [
         (0.37, False, 9), (0.38, False, 10), (0.35, True, 9)])
