@@ -414,15 +414,34 @@ def write_rows(rows, path: str | Path | None) -> str:
     return text
 
 
-def _analytic_row(spec: ExperimentSpec, kind: StrategyKind,
-                  value: float) -> Row:
+def _params_by_strategy(spec: ExperimentSpec) -> dict:
+    """Each strategy's parameters, built once for the whole sweep (no
+    sweep variable enters them), or the `ConfigError` building them
+    raised, which each row of that strategy then reports."""
+    built = {}
+    for kind in spec.strategies:
+        try:
+            built[kind] = spec.params_for(kind)
+        except ConfigError as err:
+            built[kind] = err
+    return built
+
+
+def _checked(params: StrategyParams | ConfigError) -> StrategyParams:
+    """`params`, or the error that building them raised, raised again."""
+    if isinstance(params, ConfigError):
+        raise params
+    return params
+
+
+def _analytic_row(spec: ExperimentSpec, kind: StrategyKind, value: float,
+                  params: StrategyParams | ConfigError) -> Row:
     network = spec.network_at(value)
     row = Row(spec.scenario, kind.value, "analytic", spec.sweep_var, value,
               seed=spec.sim.seed)
     try:
-        _fill_analytic(row, evaluate(network.outages(kind),
-                                     spec.params_for(kind), network.traffic,
-                                     network.sensing))
+        _fill_analytic(row, evaluate(network.outages(kind), _checked(params),
+                                     network.traffic, network.sensing))
     except ConfigError as err:
         row.status = f"error:{err}"
     return row
@@ -435,14 +454,13 @@ def _fill_analytic(row: Row, ev: Evaluation) -> None:
     row.status = ev.status
 
 
-def _simulated_row(spec: ExperimentSpec, kind: StrategyKind,
-                   value: float) -> Row:
+def _simulated_row(spec: ExperimentSpec, kind: StrategyKind, value: float,
+                   params: StrategyParams | ConfigError) -> Row:
     network = spec.network_at(value)
     row = Row(spec.scenario, kind.value, "simulated", spec.sweep_var, value,
               seed=spec.sim.seed)
     try:
-        params = spec.params_for(kind)
-        est = run_replicated(network, params, network.traffic,
+        est = run_replicated(network, _checked(params), network.traffic,
                              replications=spec.sim.replications,
                              slots=spec.sim.slots, seed=spec.sim.seed)
         row.mu_p, row.mu_s = est.mu_p_hat, est.mu_s_hat
@@ -459,12 +477,13 @@ def run_sweep(spec: ExperimentSpec, methods=("analytic", "simulated")) -> list[R
     sweep order.  Errors are recorded in the row status and the sweep
     continues."""
     rows = []
+    built = _params_by_strategy(spec)
     for value in spec.sweep_values:
         for kind in spec.strategies:
             if "analytic" in methods:
-                rows.append(_analytic_row(spec, kind, value))
+                rows.append(_analytic_row(spec, kind, value, built[kind]))
             if "simulated" in methods:
-                rows.append(_simulated_row(spec, kind, value))
+                rows.append(_simulated_row(spec, kind, value, built[kind]))
     return rows
 
 
@@ -603,11 +622,12 @@ def compare_analytic_sim(spec: ExperimentSpec) -> ComparisonTable:
     """Discrepancy report over the whole sweep; a failed comparison makes
     the CLI exit nonzero."""
     results = []
+    built = _params_by_strategy(spec)
     for value in spec.sweep_values:
         network = spec.network_at(value)
         for kind in spec.strategies:
-            params = spec.params_for(kind)
-            for comp in compare_point(network, params, slots=spec.sim.slots,
+            for comp in compare_point(network, _checked(built[kind]),
+                                      slots=spec.sim.slots,
                                       seed=spec.sim.seed):
                 results.append(replace(comp, strategy=kind.value,
                                        sweep_value=value))

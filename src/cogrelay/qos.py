@@ -20,10 +20,12 @@ relay service rates, so the search moves the capture variables alone
 least schedule in closed form, by water-filling (`_least_mass`,
 `_CaptureScorer`).  Under sensing errors the user rates depend on omega
 too, and the search moves every variable (`_Evaluator`).  Before either
-search, `secondary_rate_ceiling` bounds the secondary rate, with the
-network's sensing errors taken into the bound; where it proves that no
-point meets the delay ceilings, the search returns infeasible at once,
-and the relay-count ladder skips the count.
+search, `secondary_rate_ceiling` bounds the secondary rate of the
+strategy, with the network's sensing errors taken into the bound; where
+it proves that no point meets the delay ceilings, the search returns
+infeasible at once, and the relay-count ladder skips the count.  Once a
+local search ends with a feasible best point at the bound, up to its
+allowance for rounding, the search stops (`_at_ceiling`).
 
 A trial point has one form: tuples of plain floats, each move built in
 numpy's order of operations.  Both scorers read a point's captures
@@ -34,10 +36,12 @@ visits, scored or found in a neighbourhood memo; under perfect sensing a
 point that cannot beat a feasible incumbent gets a lower bound instead
 of the water-filling (`_local_search`).  Every result is that of
 scoring each point in full.  On a 2-core Xeon with Python 3.11 an
-evaluation costs about 16 us on the benchmark's `optimize-perfect`
-workload (fig3, two relays) and about 42 us in the fig11 od search under
+evaluation costs about 17 us of the benchmark's `optimize-perfect`
+`wall_s` (fig3, two relays; 16 us before the search stopped at the
+certificate, while the 15 searches timed in-process take about 11 us an
+evaluation either way) and about 42 us in the fig11 od search under
 sensing errors at lambda_p 0.3 (three relays; `BENCH_qos.json`,
-`incumbent_bound` and `one_trial_path`).
+`stop_at_certificate` and `one_trial_path`).
 """
 
 from __future__ import annotations
@@ -84,8 +88,10 @@ class QosSpec:
 @dataclass(frozen=True)
 class OptResult:
     """What a search found.  `evaluations` counts the trial points it
-    visited, scored or found in a neighbourhood memo, and
-    `budget_exhausted` says that they reached the budget."""
+    visited, scored or found in a neighbourhood memo,
+    `budget_exhausted` says that they reached the budget, and
+    `stopped_at_ceiling` that the search ended because its best merit
+    met `ceiling` (`_at_ceiling`)."""
 
     best_params: StrategyParams | None
     best_mu_s: float
@@ -96,6 +102,7 @@ class OptResult:
     budget_exhausted: bool
     first_violation: str | None  # "stability" or "delay" when infeasible
     ceiling: float | None        # `secondary_rate_ceiling`; None: no point
+    stopped_at_ceiling: bool
 
 
 class _Space:
@@ -504,6 +511,15 @@ def _local_search(space, scorer, start, budget_left):
     return point, best, used
 
 
+def _at_ceiling(merit: tuple, ceiling: float) -> bool:
+    """Whether a search's best merit certifies its rate: the merit is
+    feasible (every violation 0) and its mu_s, raised twice by
+    CEILING_ROUNDING, reaches `ceiling`.  No point then has an mu_s more
+    than 2 CEILING_ROUNDING, relative, above it."""
+    return (all(v == 0.0 for v in merit[:-1])
+            and -merit[-1] * (1.0 + CEILING_ROUNDING) ** 2 >= ceiling)
+
+
 def _designed_starts(space: _Space, outages: OutageTable) -> list[tuple]:
     n = space.n
 
@@ -547,22 +563,25 @@ def maximize_secondary_throughput(
     outlives the call.
 
     The local searches start from the designed starts, then from
-    `restarts` points drawn from streams seeded by (seed, restart).  Under
+    `restarts` points drawn from streams seeded by (seed, restart); the
+    search stops after the first local search whose best merit meets the
+    strategy's `secondary_rate_ceiling` (`_at_ceiling`).  Under
     perfect sensing the search moves the capture variables only and gives
     each point its least relay schedule in closed form (`_CaptureScorer`);
     under sensing errors it moves every variable (`_Evaluator`).  Either
     scorer reads a trial point from its floats; only the best point is
     built as parameters and scored again through `evaluate`.  A problem
-    that `secondary_rate_ceiling` rules out, with the network's sensing
-    errors, returns infeasible at once, and a search over no relay scores
-    its one point once.
+    that `secondary_rate_ceiling` rules out, with the strategy and the
+    network's sensing errors, returns infeasible at once, and a search
+    over no relay scores its one point once.
     """
     check_integer("budget", budget, 1)
     check_integer("restarts", restarts, 0)
     check_integer("seed", seed, 0)
     n = network.n_relays
     outages = network.outages(strategy)
-    ceiling = secondary_rate_ceiling(outages, qos, network.sensing)
+    ceiling = secondary_rate_ceiling(outages, qos, network.sensing,
+                                     strategy=strategy)
 
     # a primary queue that cannot be stabilized even at the rate bound
     # makes the whole problem infeasible outright, and so does a ceiling
@@ -577,14 +596,14 @@ def maximize_secondary_throughput(
     if unstable or ceiling is None:
         unstable = unstable or secondary_rate_ceiling(
             outages, QosSpec(math.inf, math.inf, traffic),
-            network.sensing) is None
+            network.sensing, strategy=strategy) is None
         return OptResult(
             best_params=None, best_mu_s=0.0, feasible=False,
             constraint_residuals={"stability_p": float(
                 mu_p_cap - traffic.lambda_p - EPS_STAB)},
             restarts_used=0, evaluations=0, budget_exhausted=False,
             first_violation="stability" if unstable else "delay",
-            ceiling=ceiling)
+            ceiling=ceiling, stopped_at_ceiling=False)
 
     space = _Space(strategy, n, schedule=network.sensing is not None)
     scorer = (_CaptureScorer(outages, qos) if network.sensing is None else
@@ -599,7 +618,8 @@ def maximize_secondary_throughput(
     restarts_used = 0
     evaluations = 0
     index = 0
-    while evaluations < budget:
+    stopped = False
+    while evaluations < budget and not stopped:
         if index < len(starts):
             start = starts[index]
         elif index < len(starts) + restarts:
@@ -618,6 +638,7 @@ def maximize_secondary_throughput(
             best = merit
             best_point = point
             best_flat = flat
+        stopped = _at_ceiling(best, ceiling)
 
     params = scorer.result_params(space.to_params(best_point))
     residuals, mu_s = scorer.residuals(params)
@@ -636,7 +657,8 @@ def maximize_secondary_throughput(
         evaluations=evaluations,
         budget_exhausted=evaluations >= budget,
         first_violation=first,
-        ceiling=ceiling)
+        ceiling=ceiling,
+        stopped_at_ceiling=stopped)
 
 
 def _pooled_arrivals(lam: float, direct_outage: float,
@@ -649,23 +671,42 @@ def _pooled_arrivals(lam: float, direct_outage: float,
     return np.where(bracket > 0, pooled, 0.0)
 
 
+def _capture_cap(outage: np.ndarray, strategy: StrategyKind | None) -> float:
+    """The largest capture total one user's relays reach under `strategy`
+    (None: any), with relay outages `outage` (step 1 of
+    `secondary_rate_ceiling`)."""
+    if strategy is StrategyKind.RANDOM:
+        return float(np.max(1.0 - outage, initial=0.0))
+    if strategy is StrategyKind.ROUND_ROBIN:
+        return float(np.mean(1.0 - outage)) if len(outage) else 0.0
+    return float(1.0 - np.prod(outage))
+
+
 def secondary_rate_ceiling(outages: OutageTable, qos: QosSpec,
                            sensing: SensingErrorParams | SensingTerms
-                           | None = None) -> float | None:
-    """Upper bound on the secondary service rate of any operating point,
-    of any strategy, that meets the delay ceilings of `qos` over
-    `outages`, with the relays' sensing errors `sensing` (None: perfect
-    sensing); None certifies that no point meets them.
+                           | None = None, *,
+                           strategy: StrategyKind | None = None
+                           ) -> float | None:
+    """Upper bound on the secondary service rate of any operating point of
+    `strategy` (None: of any strategy) that meets the delay ceilings of
+    `qos` over `outages`, with the relays' sensing errors `sensing`
+    (None: perfect sensing); None certifies that no point meets them.
 
     The bound relaxes the model in `rates`:
 
     1. The user rates depend on the strategy only through the capture
-       totals C_p = sum_k cap_pk in [0, 1 - prod_k pu_relay[k]] and
-       C_s = sum_k cap_sk in [0, 1 - prod_k su_relay[k]], which are let
-       vary independently.  Given (C_p, C_s) the chain mu_p -> pi_p0 ->
-       mu_s -> pi_s0 is exact, and so are the pooled relay arrivals
-       Lambda_P = (1 - pi_p0) pu_pd C_p and Lambda_S = (1 - pi_s0) pi_p0
-       su_sd C_s, which depend on their own capture total only.
+       totals C_p = sum_k cap_pk and C_s = sum_k cap_sk, which are let
+       vary independently, each from 0 to its strategy's cap over the
+       user's relay outages o_k (pu_relay for C_p, su_relay for C_s).
+       Relay k accepts with a_k = (1 - o_k) f_k <= 1 - o_k, and the cap
+       is 1 - prod_k o_k under od, where the first relay of the order
+       that accepts captures (a cap under every strategy, and the one
+       for None); max_k (1 - o_k) under rd, where C = sum_k beta_k a_k;
+       and mean_k (1 - o_k) under rr, where C = mean_k a_k.  Given
+       (C_p, C_s) the chain mu_p -> pi_p0 -> mu_s -> pi_s0 is exact, and
+       so are the pooled relay arrivals Lambda_P = (1 - pi_p0) pu_pd C_p
+       and Lambda_S = (1 - pi_s0) pi_p0 su_sd C_s, which depend on their
+       own capture total only.
     2. A user's relayed delay term sum_k l_k (1 - l_k) / (m_k - l_k) is
        at least L (1 - L) / (M - L) of one queue with the pooled rates
        L = sum_k l_k, M = sum_k m_k.
@@ -689,7 +730,11 @@ def secondary_rate_ceiling(outages: OutageTable, qos: QosSpec,
     continuum, not only the mesh; None is a proof of infeasibility at
     any resolution.  The value is raised by CEILING_ROUNDING, relative,
     so that it also bounds the rates `rate_report` computes, which reach
-    the capture-limited rate by other floating-point steps.
+    the capture-limited rate by other floating-point steps.  rd's cap
+    takes beta to sum to 1, as the search's beta does up to rounding;
+    `StrategyParams` also admits a beta summing to up to 1 + SIMPLEX_TOL,
+    which lifts C_p and C_s by as much, relative, and whose excess the
+    bound does not cover.
 
     Sensing errors.  `apply_sensing_errors` scales mu_p by the schedule
     average of 1 - p_md_primary[k]^2, the secondary's conditional
@@ -711,9 +756,9 @@ def secondary_rate_ceiling(outages: OutageTable, qos: QosSpec,
     """
     lam_p, lam_s = qos.traffic.lambda_p, qos.traffic.lambda_s
     pu_pd, su_sd = float(outages.pu_pd), float(outages.su_sd)
-    edges_p = np.linspace(0.0, 1.0 - np.prod(outages.pu_relay),
+    edges_p = np.linspace(0.0, _capture_cap(outages.pu_relay, strategy),
                           CEILING_MESH + 1)
-    edges_s = np.linspace(0.0, 1.0 - np.prod(outages.su_relay),
+    edges_s = np.linspace(0.0, _capture_cap(outages.su_relay, strategy),
                           CEILING_MESH + 1)
     serve = 1.0 - np.concatenate((outages.relay_pd, outages.relay_sd))
     scale_p = scale_s = 1.0
@@ -770,9 +815,10 @@ def minimize_relay_count(network: NetworkConfig, strategy: StrategyKind,
     `network` restricted to its first n relays has a feasible operating
     point.  Each count is searched on its own: the result at n is that of
     `maximize_secondary_throughput(network.take(n), strategy, qos,
-    budget=budget, restarts=restarts, seed=seed)`.  The counts at which
-    `secondary_rate_ceiling` certifies that no point is feasible, with the
-    restricted network's sensing errors, are skipped without a search.
+    budget=budget, restarts=restarts, seed=seed)`, which stops at its
+    certificate.  The counts at which `secondary_rate_ceiling` certifies
+    that no point of the strategy is feasible, with the restricted
+    network's sensing errors, are skipped without a search.
     """
     check_integer("n_max", n_max, 0)
     check_integer("budget", budget, 1)
@@ -781,7 +827,8 @@ def minimize_relay_count(network: NetworkConfig, strategy: StrategyKind,
     for n in range(min(n_max, network.n_relays) + 1):
         restricted = network.take(n)
         if secondary_rate_ceiling(restricted.outages(strategy), qos,
-                                  restricted.sensing) is None:
+                                  restricted.sensing,
+                                  strategy=strategy) is None:
             continue
         if maximize_secondary_throughput(
                 restricted, strategy, qos, budget=budget, restarts=restarts,

@@ -11,8 +11,8 @@ from cogrelay.channel import StrategyKind
 from cogrelay.cli import main
 from cogrelay.errors import ConfigError, SpecParseError
 from cogrelay.experiments import (CSV_COLUMNS, MAX_SWEEP_POINTS, Comparison,
-                                  ComparisonTable, SimSettings,
-                                  compare_analytic_sim, load_spec,
+                                  ComparisonTable, ExperimentSpec,
+                                  SimSettings, compare_analytic_sim, load_spec,
                                   run_min_relays, run_optimize, run_sweep,
                                   write_rows)
 
@@ -207,6 +207,24 @@ class TestRunSweep:
         rows = run_sweep(spec, methods=("analytic",))
         assert all(r.status.startswith("unstable") for r in rows)
         assert all(r.d_p_total == math.inf for r in rows)
+
+    def test_params_built_once_per_strategy(self, tmp_path, monkeypatch):
+        # no sweep variable enters the strategy parameters, so the sweep
+        # and the comparison build each strategy's once
+        spec = load_spec(write_spec(tmp_path, GOOD_SPEC))
+        spec.sim.slots = 2_000
+        built = []
+        params_for = ExperimentSpec.params_for
+
+        def counted(self, kind):
+            built.append(kind)
+            return params_for(self, kind)
+
+        monkeypatch.setattr(ExperimentSpec, "params_for", counted)
+        for run in (run_sweep, compare_analytic_sim):
+            built.clear()
+            assert run(spec)
+            assert built == spec.strategies and len(spec.sweep_values) == 2
 
     def test_csv_byte_stable(self, tmp_path):
         spec1 = load_spec(write_spec(tmp_path, GOOD_SPEC))

@@ -706,3 +706,60 @@ def test_ladder_property_is_exercised():
                                       seed % 2 == 1)[1]
               for seed in range(60)}
     assert {0, 1, None} <= counts
+
+
+def certificate_against_search(seed: int, strategy: StrategyKind,
+                               sensing: bool) -> qos.OptResult:
+    """A search on a generated problem, checked against the certificate
+    `secondary_rate_ceiling` of its strategy: the result carries that
+    ceiling; a None ceiling gives an infeasible result with no evaluation;
+    a feasible result's best_mu_s is at most the ceiling; and a search
+    that stopped at the certificate is feasible, with best_mu_s within
+    2 CEILING_ROUNDING, relative, of the ceiling.  Returns the result."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(0, 4))
+    outages = OutageTable(rng.uniform(0.05, 0.8), rng.uniform(0.05, 0.9),
+                          *(rng.uniform(0.01, 0.5, n) for _ in range(4)))
+    network = NetworkConfig(
+        outages, TrafficParams(rng.uniform(0.0, 0.6), rng.uniform(0.0, 0.4)),
+        random_sensing_errors(rng, n, 0.3) if sensing else None)
+    target = qos.QosSpec(rng.uniform(1.2, 20), rng.uniform(1.5, 40),
+                         network.traffic)
+    result = qos.maximize_secondary_throughput(
+        network, strategy, target, budget=int(rng.integers(50, 600)),
+        restarts=int(rng.integers(0, 3)), seed=int(rng.integers(0, 99)))
+    ceiling = qos.secondary_rate_ceiling(network.outages(strategy), target,
+                                         network.sensing, strategy=strategy)
+    assert result.ceiling == ceiling
+    if ceiling is None:
+        assert not result.feasible and result.evaluations == 0
+    elif result.feasible:
+        assert result.best_mu_s <= ceiling
+    if result.stopped_at_ceiling:
+        assert result.feasible
+        assert result.best_mu_s * (1 + qos.CEILING_ROUNDING) ** 2 >= ceiling
+    return result
+
+
+@pytest.mark.parametrize("sensing", [False, True])
+@pytest.mark.parametrize("strategy", list(StrategyKind))
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_certificate_bounds_the_search(strategy, sensing, seed):
+    certificate_against_search(seed, strategy, sensing)
+
+
+def test_certificate_property_is_exercised():
+    # the family behind the property above has problems the certificate
+    # rules out, feasible searches that stop at it and feasible searches
+    # that run on, each with and without sensing errors
+    kinds = set()
+    for seed in range(90):
+        sensing = seed % 2 == 1
+        r = certificate_against_search(seed, list(StrategyKind)[seed % 3],
+                                       sensing)
+        kinds.add((sensing, "ruled out" if r.ceiling is None else
+                   "stopped" if r.stopped_at_ceiling else
+                   "feasible" if r.feasible else "infeasible"))
+    assert {(s, k) for s in (False, True)
+            for k in ("ruled out", "stopped", "feasible")} <= kinds

@@ -253,7 +253,7 @@ class TestOptResultCeiling:
         res = maximize_secondary_throughput(net, StrategyKind.ORDERED, qos,
                                             budget=20_000)
         assert not res.feasible and res.first_violation == "delay"
-        assert res.ceiling is None
+        assert res.ceiling is None and not res.stopped_at_ceiling
         assert res.evaluations == 0 and res.best_params is None
 
     def test_exit_names_stability_where_no_point_is_stable(self):
@@ -293,7 +293,8 @@ class TestOptResultCeiling:
         def recorded(network, strategy, qos, **kwargs):
             result = search(network, strategy, qos, **kwargs)
             assert result.ceiling == secondary_rate_ceiling(
-                network.outages(strategy), qos, network.sensing)
+                network.outages(strategy), qos, network.sensing,
+                strategy=strategy)
             results.append(result)
             return result
 
@@ -352,6 +353,45 @@ def _criterion_10():
 # the searches of acceptance criteria 07, 08 and 10, with their settings
 CRITERION_SEARCHES = {"07": _criterion_07, "08": _criterion_08,
                       "10": _criterion_10}
+
+
+class TestStopAtCeiling:
+    """A search ends after the first local search whose best merit meets
+    the strategy's certificate (`qos._at_ceiling`), and says so."""
+
+    def test_fig3_searches_lose_at_most_the_rounding(self, monkeypatch):
+        # fig3's optimize sweep, each search against the same search run
+        # through every start and restart: a stopped search keeps a rate
+        # within 2 CEILING_ROUNDING, relative, of the full search's, and
+        # a search that does not stop is the full search
+        spec = load_spec(CONFIGS / "fig3_od_n2.cfg")
+        kw = dict(budget=spec.optimizer.budget,
+                  restarts=spec.optimizer.restarts, seed=spec.sim.seed)
+        slack = (1.0 + qos_module.CEILING_ROUNDING) ** 2
+        stopped = []
+        for lam_p in spec.sweep_values:
+            net = spec.network_at(lam_p)
+            qos = QosSpec(spec.qos.d_p_max, spec.qos.d_s_max, net.traffic)
+            for kind in spec.strategies:
+                res = maximize_secondary_throughput(net, kind, qos, **kw)
+                with monkeypatch.context() as m:
+                    m.setattr(qos_module, "_at_ceiling",
+                              lambda merit, ceiling: False)
+                    full = maximize_secondary_throughput(net, kind, qos, **kw)
+                assert not full.stopped_at_ceiling
+                if not res.stopped_at_ceiling:
+                    assert (res.best_mu_s, res.evaluations, res.restarts_used,
+                            res.constraint_residuals) == (
+                        full.best_mu_s, full.evaluations, full.restarts_used,
+                        full.constraint_residuals)
+                    continue
+                stopped.append((lam_p, kind.value))
+                assert res.feasible and full.feasible
+                assert res.restarts_used == 1 < full.restarts_used
+                assert res.evaluations < full.evaluations
+                assert res.best_mu_s * slack >= res.ceiling >= full.best_mu_s
+        assert stopped == [(0.1, "od"), (0.1, "rd"), (0.1, "rr"),
+                           (0.2, "od"), (0.2, "rd"), (0.3, "rd")]
 
 
 class TestSaturatedFeasibility:
@@ -536,8 +576,8 @@ class TestMinimizeRelayCount:
         monkeypatch.setattr(qos_module, "maximize_secondary_throughput",
                             recorded)
         monkeypatch.setattr(qos_module, "secondary_rate_ceiling",
-                            lambda outages, qos, sensing=None: None
-                            if outages.n_relays == 1 else 1.0)
+                            lambda outages, qos, sensing=None, strategy=None:
+                            None if outages.n_relays == 1 else 1.0)
         with pytest.raises(NoFeasibleRelayCount):
             minimize_relay_count(net, StrategyKind.RANDOM,
                                  QosSpec(1.01, 1.01, net.traffic), 2,
@@ -547,12 +587,22 @@ class TestMinimizeRelayCount:
     def test_search_without_a_point_seeds_nothing(self, monkeypatch):
         # at two relays round robin's primary rate bound (0.335) is below
         # lambda_p, so that search returns no point; the ladder searches
-        # three relays next
+        # three relays next.  Round robin's own certificate rules out two
+        # and three relays, so the ladder and the searches are given the
+        # certificate of any strategy, which leaves both counts open
         out = OutageTable(0.95, 0.3, [0.45, 0.95, 0.55], [0.1] * 3,
                           [0.05] * 3, [0.05] * 3)
         net = NetworkConfig(out, TrafficParams(0.35, 0.01))
         assert primary_rate_bound(out.take(2),
                                   StrategyKind.ROUND_ROBIN) < 0.35
+        target = QosSpec(20, 100, net.traffic)
+        for n in (2, 3):
+            assert secondary_rate_ceiling(
+                out.take(n), target,
+                strategy=StrategyKind.ROUND_ROBIN) is None
+        monkeypatch.setattr(qos_module, "secondary_rate_ceiling",
+                            lambda outages, qos, sensing=None, strategy=None:
+                            secondary_rate_ceiling(outages, qos, sensing))
         searches = []
         search = maximize_secondary_throughput
 
@@ -564,8 +614,7 @@ class TestMinimizeRelayCount:
         monkeypatch.setattr(qos_module, "maximize_secondary_throughput",
                             recorded)
         with pytest.raises(NoFeasibleRelayCount):
-            minimize_relay_count(net, StrategyKind.ROUND_ROBIN,
-                                 QosSpec(20, 100, net.traffic), 3,
+            minimize_relay_count(net, StrategyKind.ROUND_ROBIN, target, 3,
                                  budget=200, restarts=0)
         assert [n for n, _ in searches] == [1, 2, 3]
         assert searches[1][1] is None
@@ -730,23 +779,44 @@ class TestSecondaryRateCeiling:
 
     @pytest.mark.parametrize("with_errors", [False, True])
     def test_above_random_feasible_points(self, with_errors):
+        # every point is bounded by the ceiling of any strategy and by
+        # that of its own strategy, whose capture totals are capped lower
+        # under rd and rr
         rng = np.random.default_rng(7107)
         strategies = list(StrategyKind)
-        checked = 0
+        checked = dict.fromkeys(strategies, 0)
+        below = 0
         for _ in range(60):
             outages, qos = _random_problem(rng)
             n = outages.n_relays
             sensing = random_sensing_errors(rng, n) if with_errors else None
             ceiling = secondary_rate_ceiling(outages, qos, sensing)
+            own = {kind: secondary_rate_ceiling(outages, qos, sensing,
+                                                strategy=kind)
+                   for kind in strategies}
+            assert own[StrategyKind.ORDERED] == ceiling
+            below += sum(ceiling is not None and (c is None or c < ceiling)
+                         for c in own.values())
             for i in range(40):
-                params = random_params(rng, n, strategies[i % 3])
-                ev = evaluate(outages, params, qos.traffic, sensing)
-                if (ev.status == "ok" and ev.d_p <= qos.d_p_max
-                        and ev.d_s <= qos.d_s_max):
-                    checked += 1
-                    assert ceiling is not None
-                    assert ev.report.mu_s <= ceiling
-        assert checked >= 100  # the family really exercises the bound
+                kind = strategies[i % 3]
+                points = [random_params(rng, n, kind)]
+                if n:   # and the point at f = 1 with one rd decoder, where
+                    # the caps are reached
+                    points.append(replace(
+                        points[0], f_p=np.ones(n), f_s=np.ones(n),
+                        beta=None if points[0].beta is None
+                        else np.eye(n)[i % n]))
+                for point in points:
+                    ev = evaluate(outages, point, qos.traffic, sensing)
+                    if (ev.status == "ok" and ev.d_p <= qos.d_p_max
+                            and ev.d_s <= qos.d_s_max):
+                        checked[kind] += 1
+                        assert ceiling is not None and own[kind] is not None
+                        assert ev.report.mu_s <= min(ceiling, own[kind])
+        # the family really exercises the bounds, and the strategy-aware
+        # ones really are tighter on some problems
+        assert sum(checked.values()) >= 100 and min(checked.values()) >= 60
+        assert below >= 10
 
     def test_covers_the_schedule_sum_slack(self):
         # with error-free relays, a schedule summing to 1 + 1e-9 lifts the

@@ -13,12 +13,17 @@ rules every point out; again once the certificate took the sensing
 errors, which changed only the sensing-error ceilings and the searches
 the certificate now rules out; again once od's first-rank weights
 above the dense-order limit were divided by their sum, as the weights
-below it are, which changed only `six_relays_od_first_rank`; and again
+below it are, which changed only `six_relays_od_first_rank`; again
 once the relay-count ladder stopped carrying each failed count's point
 into the next count's search, which emptied the `extra_starts` lists of
-`min_relays_three_relays_od_sensing` and left every result as it was.  A change
-that means to alter search results must say so and record them again
-with
+`min_relays_three_relays_od_sensing` and left every result as it was;
+and again once the certificate capped each capture total by the
+strategy and a search stopped at it, which moved the point, the
+evaluations, the restarts and the ceiling of `fig3_rd_0.3` and
+`table1_rd_0.3` (the latter no longer exhausts its budget), with
+`best_mu_s` unchanged, and the ceilings alone of `fig3_rr_0.3` and
+`table1_rr_0.3`.  A change that means to alter search results must say
+so and record them again with
 
     PYTHONPATH=src python tests/test_qos_golden.py
 """
@@ -241,7 +246,8 @@ def test_ceiling_bounds_every_result(golden):
         network, strategy, target, _ = _spec_problem(*problem)
         free = qos.secondary_rate_ceiling(
             network.outages(strategy),
-            qos.QosSpec(math.inf, math.inf, target.traffic), network.sensing)
+            qos.QosSpec(math.inf, math.inf, target.traffic), network.sensing,
+            strategy=strategy)
         residuals = dict(r["residuals"])
         unstable = (free is None
                     or float.fromhex(residuals["stability_p"]) <= 0.0)
