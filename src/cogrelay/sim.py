@@ -8,7 +8,8 @@ assigned relay acceptance of undelivered packets, and relay forwarding.
 It is the independent check for every closed-form rate in `rates`.
 
 All randomness is pre-drawn in a fixed order from one seeded generator,
-so a run is bit-reproducible.  One kernel, `_lindley_kernel`, computes a
+which skips the rows of draws a run does not use, so a run is
+bit-reproducible.  One kernel, `_lindley_kernel`, computes a
 chunk of slots from those draws with one Lindley recursion per queue,
 each queue upstream of the next, and one tally, `_tally`, counts it.
 With true queues and sensing errors a relay's queue decides whether a
@@ -67,6 +68,16 @@ _WIDEN = 8
 # short remainder chunk pays the scan's per-entry call more: at 10,000
 # slots the break-even is near 140 entries, at 3,392 near 64.
 _PICK_SCAN = 160
+# The entries of a per-relay threshold row (`_below`): p tiled over
+# 8,192 // n slots.  `u < p` of a (count, n) array of draws against n
+# thresholds runs numpy's inner loop n entries at a time: at n = 2 it
+# takes about 54 us over 10,000 slots and 208 us over 40,000, against
+# 7.5 and 19 us row by row; at n = 3-13 row by row takes a fifth to a
+# half of the time.  Rows of 1,024 slots take up to twice as long at
+# n = 2-4.  At n = 1 the broadcast is a compare with a scalar, 2.5 us
+# against 5.4 over 10,000 slots, a loss that the other savings of a
+# one-relay run cover several times over.
+_ROW = 8192
 # The largest capture table (`_capture_table`) built, in entries: it
 # holds every uniform order distribution up to six relays (720 x 64), and
 # rd's and rr's one-relay orders up to twelve (12 x 4096).
@@ -112,22 +123,28 @@ def _tally(stats, start, m, flows, delivered, collisions, idle):
     start, so a packet admitted to a relay counts there from the next
     slot.  `delivered[c]` marks each slot that brought a class-c packet
     to the destination; `collisions` is None where none can occur.
-    Every array may run past `m`.
+    Every array may run past `m`.  The sums are exact integers, as they
+    are in float64, so the float64 counters get the same bits: int32
+    holds a count of flags in a chunk, int64 a sum of queue lengths.
     """
     n_batches = stats.slots.size
     b0 = min(start // stats.batch_len, n_batches - 1)
     b1 = min((start + m - 1) // stats.batch_len, n_batches - 1)
-    seg = np.maximum(np.arange(b0, b1 + 1) * stats.batch_len - start, 0)
+    # where each batch's slots start in the chunk, and where the last ends
+    bounds = np.maximum(np.arange(b0, b1 + 2) * stats.batch_len - start, 0)
+    bounds[-1] = m
+    seg = bounds[:-1]
     at = slice(b0, b1 + 1)
 
-    def sums(x):
-        return np.add.reduceat(x[:m], seg, dtype=np.float64)
+    def sums(x, dtype=np.int32):
+        return np.add.reduceat(x[:m], seg, dtype=dtype)
 
-    stats.slots[at] += np.diff(np.append(seg, m))
+    stats.slots[at] += bounds[1:] - seg
     for c, queues in enumerate(flows):
         for j, (arrivals, departures, length) in enumerate(queues):
-            for f, x in enumerate((arrivals, departures, length > 0, length)):
+            for f, x in enumerate((arrivals, departures, length > 0)):
                 stats.queues[at, c, j, f] += sums(x)
+            stats.queues[at, c, j, 3] += sums(length, np.int64)
         stats.delivered[at, c] += sums(delivered[c])
     if collisions is not None:
         stats.collisions[at] += sums(collisions)
@@ -164,6 +181,19 @@ def _pick(cum, u):
     for c in cum:
         at += u >= c
     return at
+
+
+def _below(u, row):
+    """`u < p` for per-relay draws `u` (count, n), given `row`, the n
+    thresholds p tiled over whole slots (`_ROW`): the flat draws are
+    compared a row at a time, the last slots against a prefix of it."""
+    flat = u.reshape(-1)
+    out = np.empty(flat.size, dtype=bool)
+    whole = flat.size - flat.size % row.size
+    np.less(flat[:whole].reshape(-1, row.size), row,
+            out=out[:whole].reshape(-1, row.size))
+    np.less(flat[whole:], row[:flat.size - whole], out=out[whole:])
+    return out.reshape(u.shape)
 
 
 def _capture_table(orders, n):
@@ -255,7 +285,8 @@ def _lindley_kernel(model, rng, start, count, queues, stats, trace):
     and a chunk where they are sparse takes a few passes over its rest.
 
     The draws are taken one row at a time and cut at once to the few
-    bits the chain needs, so that no chunk of floats stays live, and a
+    bits the chain needs, so that no chunk of floats stays live; a row
+    the chunk does not use is skipped, one generator step a double.  A
     relay queue is kept as the slots where it may change: a pass keeps
     those before its window and redoes those in it.  A slot's draws pick
     its relay and rank order by counting cumulative entries (`_pick`).
@@ -279,39 +310,46 @@ def _lindley_kernel(model, rng, start, count, queues, stats, trace):
     direct_p = u_dest < pbar_ppd
     direct_s = u_dest < pbar_ssd
     r = _pick(omega_cum[:n - 1], rng.random(count))   # scheduled relay
+    r_ix = r.astype(np.intp)   # numpy gathers by np.intp without a cast
     # rd and rr draw the assigned decoder, their one-relay order, from
-    # the first of these draws, od its rank order from the second
-    u = (rng.random(count), rng.random(count))[ordered]
+    # the first of these two rows, od its rank order from the second; the
+    # generator skips the other, one step per double
+    rng.bit_generator.advance(count if ordered else 0)
+    u = rng.random(count)
+    rng.bit_generator.advance(0 if ordered else count)
     order_p = _pick(perm_p_cum[:-1], u)
     # both users on one distribution: the same draw, the same order
     order_s = (order_p if perm_s_cum is perm_p_cum
                else _pick(perm_s_cum[:-1], u))
-    use_p = rng.random(count) < alpha[r]
-    send_p = use_p & (u_dest < pbar_kpd[r])
-    send_s = ~use_p & (u_dest < pbar_ksd[r])
+    use_p = rng.random(count) < alpha[r_ix]
+    send_p = use_p & (u_dest < pbar_kpd[r_ix])
+    send_s = ~use_p & (u_dest < pbar_ksd[r_ix])
     del u_dest
     if errors:
         # the scheduled relay's verdict on each sensing interval
         u = rng.random(count)
-        clear1 = u >= pfa[r]       # an idle first interval is heard idle
-        miss_p = u < pmd_p[r]      # the primary is missed in the first
+        clear1 = u >= pfa[r_ix]    # an idle first interval is heard idle
+        miss_p = u < pmd_p[r_ix]   # the primary is missed in the first
         u = rng.random(count)
-        miss_p &= u < pmd_p[r]     # and in the second
-        miss_s = clear1 & (u < pmd_s[r])
-        hears_idle = clear1 & (u >= pfa[r])
+        miss_p &= u < pmd_p[r_ix]  # and in the second
+        miss_s = clear1 & (u < pmd_s[r_ix])
+        hears_idle = clear1 & (u >= pfa[r_ix])
         del clear1
     else:
-        rng.random((2, count))
-    del u
+        rng.bit_generator.advance(2 * count)   # the rows go unused
+    del u, r_ix
 
+    # each relay's decoding and acceptance thresholds, tiled for `_below`
+    rows = np.tile((pbar_pk, pbar_sk, f_p, f_s),
+                   min(count, max(1, _ROW // pbar_pk.size)))
     u = rng.random((count, max(n, 1)))
-    takes_p = u < pbar_pk
-    takes_s = u < pbar_sk
+    takes_p = _below(u, rows[0])
+    takes_s = _below(u, rows[1])
     heard = takes_p[:shown].copy(), takes_s[:shown].copy()   # traced
     u = rng.random((count, max(n, 1)))
-    takes_p &= u < f_p
-    takes_s &= u < f_s
-    del u
+    takes_p &= _below(u, rows[2])
+    takes_s &= _below(u, rows[3])
+    del u, rows
     # a relay that senses idle is not listening, so where it missed the
     # user the packet goes to the next taker in order (under rd and rr,
     # to none)
@@ -441,8 +479,9 @@ def _lindley_kernel(model, rng, start, count, queues, stats, trace):
     for c in (0, 1):
         for k, (ev, level) in enumerate(relay[c]):
             # the level before each slot: its last change before it
-            prev = np.repeat(level, np.diff(ev, prepend=-1,
-                                            append=count - 1))
+            edges = np.empty(ev.size + 2, dtype=np.intp)
+            edges[0], edges[1:-1], edges[-1] = -1, ev, count - 1
+            prev = np.repeat(level, edges[1:] - edges[:-1])
             adm = relay_adm[c, k]
             dep = relay_out[c, k] & (prev > 0)
             queues[c, 1 + k] = prev[last] + adm[last] - dep[last]
@@ -568,10 +607,19 @@ def _batch_ci(values: np.ndarray) -> float:
 
 def _half_widths(per_batch: np.ndarray) -> np.ndarray:
     """`_batch_ci` of every entry of a per-batch quantity (batch axis
-    first), one 1-D call per entry."""
-    cols = per_batch.reshape(per_batch.shape[0], -1)
-    return np.array([_batch_ci(cols[:, i]) for i in range(cols.shape[1])]
-                    ).reshape(per_batch.shape[1:])
+    first), bit for bit.  The entries with the same number of finite
+    batches take one `np.std` over a matrix of their finite values, one
+    contiguous row per entry as the 1-D call's array is, so both sum in
+    the same order."""
+    rows = per_batch.reshape(per_batch.shape[0], -1).T
+    finite = np.isfinite(rows)
+    sizes = finite.sum(axis=1)
+    out = np.full(rows.shape[0], math.inf)
+    for size in set(sizes.tolist()) - {0, 1}:
+        at = sizes == size
+        vals = rows[at][finite[at]].reshape(-1, size)
+        out[at] = 1.96 * np.std(vals, axis=1, ddof=1) / math.sqrt(size)
+    return out.reshape(per_batch.shape[1:])
 
 
 def run(cfg: OutageTable | NetworkConfig, params: StrategyParams,
@@ -677,16 +725,20 @@ def run(cfg: OutageTable | NetworkConfig, params: StrategyParams,
     arrival = arrived[:, 1:] / slots
     delay = _per(length.sum(axis=1), delivered)
 
+    # every estimate batch by batch, per class: the queues' conditional
+    # service (user, then relays), the user's idle fraction, the relays'
+    # arrival rates and the delay, so one call finds every half-width
     b_arrived, b_left, b_busy, b_length = np.moveaxis(stats.queues, -1, 0)
-    ci_served = _half_widths(_per(b_left, b_busy))
-    ci_empty = _half_widths(1.0 - b_busy[:, :, 0] / stats.slots[:, None])
-    ci_arrival = _half_widths(b_arrived[:, :, 1:] / stats.slots[:, None, None])
-    ci_delay = _half_widths(_per(b_length.sum(axis=2), stats.delivered))
-    ci = {"mu_p": ci_served[0, 0], "mu_s": ci_served[1, 0],
-          "pi_p0": ci_empty[0], "pi_s0": ci_empty[1],
-          "d_p_total": ci_delay[0], "d_s_total": ci_delay[1],
-          "lambda_pk": ci_arrival[0], "lambda_sk": ci_arrival[1],
-          "mu_pk": ci_served[0, 1:], "mu_sk": ci_served[1, 1:]}
+    b_slots = stats.slots[:, None, None]
+    ci_p, ci_s = _half_widths(np.concatenate((
+        _per(b_left, b_busy), 1.0 - b_busy[:, :, :1] / b_slots,
+        b_arrived[:, :, 1:] / b_slots,
+        _per(b_length.sum(axis=2), stats.delivered)[:, :, None]), axis=2))
+    ci = {"mu_p": ci_p[0], "mu_s": ci_s[0],
+          "pi_p0": ci_p[1 + n], "pi_s0": ci_s[1 + n],
+          "d_p_total": ci_p[-1], "d_s_total": ci_s[-1],
+          "lambda_pk": ci_p[2 + n:-1], "lambda_sk": ci_s[2 + n:-1],
+          "mu_pk": ci_p[1:1 + n], "mu_sk": ci_s[1:1 + n]}
 
     trace = tuple(_decode_trace(row) for row in trace_rows)
     return SimEstimate(
@@ -756,9 +808,7 @@ def run_replicated(cfg, params, traffic, *, replications: int,
 
     def merge_vec(name):
         vals = np.array([getattr(r, name) for r in runs], dtype=float)
-        est = np.nanmean(vals, axis=0)
-        hw = np.array([_batch_ci(vals[:, k]) for k in range(vals.shape[1])])
-        return est, hw
+        return np.nanmean(vals, axis=0), _half_widths(vals)
 
     ci = {}
     scalars = {}

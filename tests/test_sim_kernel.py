@@ -7,6 +7,7 @@ count through `sim._tally`, so a fault in the tally shows in
 import copy
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -262,6 +263,61 @@ def test_pick_matches_searchsorted(size):
     got = sim._pick(cum, u)
     assert got.dtype == np.min_scalar_type(-size - 1)
     assert np.array_equal(got, np.searchsorted(cum, u, side="right"))
+
+
+@pytest.mark.parametrize("n", range(1, 14))
+def test_below_matches_broadcast_compare(n):
+    # slot counts below a row's, equal to it, and not a multiple of it,
+    # against a row tiled over the run's slots or over the whole row
+    rng = np.random.default_rng(n)
+    p = _probs(rng, n)
+    block = sim._ROW // n
+    for count in (1, 7, block - 1, block, block + 1, 3 * block + 5, 10_000):
+        u = rng.uniform(size=(count, n))
+        # draws equal to their threshold, where `<` and `<=` differ
+        tie = rng.uniform(size=u.shape) < 0.2
+        u[tie] = np.broadcast_to(p, u.shape)[tie]
+        for slots in (min(block, count), block):
+            got = sim._below(u, np.tile(p, slots))
+            assert got.shape == u.shape
+            assert np.array_equal(got, u < p), (count, slots)
+
+
+@pytest.mark.parametrize("k", (0, 1, 2, 999, sim.CHUNK + 1))
+def test_advance_skips_what_random_draws(k):
+    # the kernel skips unused rows of doubles with `advance`, one step of
+    # the generator per double; another bit generator fails here first
+    drawn, skipped = np.random.default_rng(5), np.random.default_rng(5)
+    drawn.random(3)
+    skipped.random(3)
+    drawn.random(k)
+    skipped.bit_generator.advance(k)
+    assert drawn.bit_generator.state == skipped.bit_generator.state
+    assert np.array_equal(drawn.random(100), skipped.random(100))
+
+
+_HALF_WIDTH_VALUES = st.one_of(
+    st.floats(0.0, 1.0), st.floats(-1e6, 1e6),
+    st.sampled_from((math.nan, math.inf, -math.inf)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(batches=st.integers(1, 40), entries=st.integers(1, 6), data=st.data())
+def test_half_widths_match_batch_ci(batches, entries, data):
+    # every entry's half-width bit for bit as `_batch_ci` of its column,
+    # with NaN and inf batches, all-NaN columns and a single batch
+    size = batches * 2 * entries
+    per_batch = np.array(data.draw(st.lists(
+        _HALF_WIDTH_VALUES, min_size=size, max_size=size))).reshape(
+            batches, 2, entries)
+    blank = data.draw(st.lists(st.booleans(), min_size=entries,
+                               max_size=entries))
+    per_batch[:, 1, blank] = math.nan
+    got = sim._half_widths(per_batch)
+    assert got.shape == (2, entries)
+    for c, j in itertools.product(range(2), range(entries)):
+        want = sim._batch_ci(per_batch[:, c, j])
+        assert float(got[c, j]).hex() == want.hex(), (c, j)
 
 
 @pytest.mark.parametrize("lam_p,lam_s,queue", [(1.0, 0.0, "primary"),
