@@ -39,9 +39,9 @@ scoring each point in full.  On a 2-core Xeon with Python 3.11 an
 evaluation costs about 17 us of the benchmark's `optimize-perfect`
 `wall_s` (fig3, two relays; 16 us before the search stopped at the
 certificate, while the 15 searches timed in-process take about 11 us an
-evaluation either way) and about 42 us in the fig11 od search under
+evaluation either way) and about 39 us in the fig11 od search under
 sensing errors at lambda_p 0.3 (three relays; `BENCH_qos.json`,
-`stop_at_certificate` and `one_trial_path`).
+`stop_at_certificate` and `one_rate_chain`).
 """
 
 from __future__ import annotations
@@ -59,8 +59,9 @@ from .network import (NetworkConfig, OutageTable, SensingErrorParams,
 from .orders import OrderDistribution, first_rank_perm, rank_order
 from .rates import (EPS_STAB, SIMPLEX_TOL, SensingTerms, StrategyParams,
                     _acceptance, _array_sum, _ordered_capture, _outcome,
-                    _relay_chain, _sensed, _serve, _user_chain, _user_rates,
-                    evaluate, primary_rate_bound, sensing_terms)
+                    _relay_chain, _relay_miss_factor, _serve, _survival,
+                    _user_chain, _user_rates, evaluate, primary_rate_bound,
+                    sensing_terms)
 
 # od searches all N! rank orders up to here, the N first-rank ones above
 DENSE_ORDER_LIMIT = 5
@@ -235,17 +236,19 @@ class _Evaluator:
                            for k in range(outages.n_relays)]
         self.relay_outages = outages.pu_relay.tolist(), outages.su_relay.tolist()
         self.direct = float(outages.pu_pd), float(outages.su_sd)
-        self.serve_p, self.serve_s = _serve(outages)
+        self.serve_p, self.serve_s = _serve(outages, sensing)
         # per user: the (f, choice, capture weights) it last scored
         self._last = [(None, None, None), (None, None, None)]
 
-    def _user(self, space: _Space, groups: tuple):
-        """The user rates of a search point (`rates._user_chain`), read
-        from its captures without building parameters.  A move changes one
-        group, and a trial point shares the others with the point it came
-        from, so a user whose f and choice are the very objects it last
-        scored reuses its capture weights (at five relays under od, half
-        the work of a perfect-sensing score)."""
+    def _user(self, space: _Space, groups: tuple,
+              survival: tuple = (1.0, 1.0)):
+        """The user rates of a search point (`rates._user_chain`) at the
+        survival factors `survival`, read from its captures without
+        building parameters.  A move changes one group, and a trial point
+        shares the others with the point it came from, so a user whose f
+        and choice are the very objects it last scored reuses its capture
+        weights (at five relays under od, half the work of a
+        perfect-sensing score)."""
         caps = []
         for user, relay, (f, choice) in zip((0, 1), self.relay_outages,
                                             space.sides(groups)):
@@ -254,7 +257,7 @@ class _Evaluator:
                 last = self._last[user] = (
                     f, choice, space.capture(_acceptance(relay, f), choice))
             caps.append(last[2])
-        return _user_chain(*self.direct, *caps, self.traffic)
+        return _user_chain(*self.direct, *caps, self.traffic, *survival)
 
     def _residuals(self, rates, d_p: float, d_s: float) -> dict:
         """Constraint residuals (negative: violated) of an operating point
@@ -289,9 +292,9 @@ class _Evaluator:
         over plain floats, always in full: `bound`, the incumbent merit of
         `_local_search`, is not used."""
         omega, alpha = space.omega_alpha(groups)
-        rates = _sensed(_relay_chain(self._user(space, groups), omega, alpha,
-                                     self.serve_p, self.serve_s),
-                        self.traffic, omega, self.sensing)
+        rates = _relay_chain(
+            self._user(space, groups, _survival(omega, self.sensing)),
+            omega, alpha, self.serve_p, self.serve_s)
         d_p, d_s, _ = _outcome(rates, self.traffic)
         return _violation(self._residuals(rates, d_p, d_s)), -rates.mu_s
 
@@ -580,8 +583,8 @@ def maximize_secondary_throughput(
     check_integer("seed", seed, 0)
     n = network.n_relays
     outages = network.outages(strategy)
-    ceiling = secondary_rate_ceiling(outages, qos, network.sensing,
-                                     strategy=strategy)
+    terms = sensing_terms(network.sensing)
+    ceiling = secondary_rate_ceiling(outages, qos, terms, strategy=strategy)
 
     # a primary queue that cannot be stabilized even at the rate bound
     # makes the whole problem infeasible outright, and so does a ceiling
@@ -590,13 +593,13 @@ def maximize_secondary_throughput(
     # without ceilings, delay elsewhere
     traffic = qos.traffic
     mu_p_cap = primary_rate_bound(outages, strategy)
-    if network.sensing is not None and n > 0:
-        mu_p_cap *= float(np.max(1.0 - network.sensing.p_md_primary ** 2))
+    if terms is not None and n > 0:
+        mu_p_cap *= float(np.max(terms.survive_p))
     unstable = traffic.lambda_p >= mu_p_cap - EPS_STAB
     if unstable or ceiling is None:
         unstable = unstable or secondary_rate_ceiling(
             outages, QosSpec(math.inf, math.inf, traffic),
-            network.sensing, strategy=strategy) is None
+            terms, strategy=strategy) is None
         return OptResult(
             best_params=None, best_mu_s=0.0, feasible=False,
             constraint_residuals={"stability_p": float(
@@ -605,9 +608,9 @@ def maximize_secondary_throughput(
             first_violation="stability" if unstable else "delay",
             ceiling=ceiling, stopped_at_ceiling=False)
 
-    space = _Space(strategy, n, schedule=network.sensing is not None)
-    scorer = (_CaptureScorer(outages, qos) if network.sensing is None else
-              _Evaluator(outages, qos, sensing_terms(network.sensing)))
+    space = _Space(strategy, n, schedule=terms is not None)
+    scorer = (_CaptureScorer(outages, qos) if terms is None else
+              _Evaluator(outages, qos, terms))
     starts = _designed_starts(space, outages)
     if n == 0:  # nothing moves: every start is the one point, scored once
         starts, restarts = starts[:1], 0
@@ -669,17 +672,6 @@ def _pooled_arrivals(lam: float, direct_outage: float,
     bracket = 1.0 - direct_outage + direct_outage * capture
     pooled = lam / bracket * direct_outage * capture
     return np.where(bracket > 0, pooled, 0.0)
-
-
-def _capture_cap(outage: np.ndarray, strategy: StrategyKind | None) -> float:
-    """The largest capture total one user's relays reach under `strategy`
-    (None: any), with relay outages `outage` (step 1 of
-    `secondary_rate_ceiling`)."""
-    if strategy is StrategyKind.RANDOM:
-        return float(np.max(1.0 - outage, initial=0.0))
-    if strategy is StrategyKind.ROUND_ROBIN:
-        return float(np.mean(1.0 - outage)) if len(outage) else 0.0
-    return float(1.0 - np.prod(outage))
 
 
 def secondary_rate_ceiling(outages: OutageTable, qos: QosSpec,
@@ -748,18 +740,17 @@ def secondary_rate_ceiling(outages: OutageTable, qos: QosSpec,
     Lambda_S = lambda_s su_sd C_s / (1 - su_sd + su_sd C_s) with the
     perfect-sensing mu_p: the smaller pi_p0 and pi_s0 cancel against the
     smaller service.  Every term keeps the direction it grows in, so the
-    cells are scored as above and None is still a proof.  The rates
-    `apply_sensing_errors` recovers by dividing and multiplying back are
-    off by a few units in the last place, which CEILING_ROUNDING covers.
-    Where every factor is at most 1 the bound is at most the
-    perfect-sensing one.
+    cells are scored as above and None is still a proof.  Where every
+    factor is at most 1 the bound is at most the perfect-sensing one.
     """
     lam_p, lam_s = qos.traffic.lambda_p, qos.traffic.lambda_s
     pu_pd, su_sd = float(outages.pu_pd), float(outages.su_sd)
-    edges_p = np.linspace(0.0, _capture_cap(outages.pu_relay, strategy),
-                          CEILING_MESH + 1)
-    edges_s = np.linspace(0.0, _capture_cap(outages.su_relay, strategy),
-                          CEILING_MESH + 1)
+    # step 1's caps: 1 - the best-case miss of `primary_rate_bound`
+    kind = StrategyKind.ORDERED if strategy is None else strategy
+    edges_p, edges_s = (
+        np.linspace(0.0, 1.0 - _relay_miss_factor(relay, kind),
+                    CEILING_MESH + 1)
+        for relay in (outages.pu_relay, outages.su_relay))
     serve = 1.0 - np.concatenate((outages.relay_pd, outages.relay_sd))
     scale_p = scale_s = 1.0
     if sensing is not None:

@@ -130,6 +130,7 @@ class RateReport:
 
     strategy: StrategyKind
     traffic: TrafficParams
+    outages: OutageTable     # the table the rates were evaluated over
     mu_p: float
     mu_s: float
     pi_p0: float
@@ -214,10 +215,17 @@ def _check_relay_count(outages: OutageTable, params: StrategyParams) -> None:
                           f"outage table over {outages.n_relays}")
 
 
-def _serve(outages: OutageTable) -> tuple[list, list]:
-    """Per relay, 1 - outage of its links to the two destinations."""
-    return ([1.0 - v for v in outages.relay_pd.tolist()],
-            [1.0 - v for v in outages.relay_sd.tolist()])
+def _serve(outages: OutageTable,
+           terms: SensingTerms | None = None) -> tuple[list, list]:
+    """Per relay, 1 - outage of its links to the two destinations, times
+    the probability (1 - p_false_alarm)^2 that the relay raises no false
+    alarm in either sensing interval under the sensing errors `terms`."""
+    serve = ([1.0 - v for v in outages.relay_pd.tolist()],
+             [1.0 - v for v in outages.relay_sd.tolist()])
+    if terms is None:
+        return serve
+    return tuple([s * f for s, f in zip(side, terms.no_false_alarm)]
+                 for side in serve)
 
 
 def _relay_service(omega, alpha, serve_p: list, serve_s: list,
@@ -312,30 +320,35 @@ class _Rates(NamedTuple):
 
 
 def _user_rates(outages: OutageTable, params: StrategyParams,
-                traffic: TrafficParams) -> _Rates:
+                traffic: TrafficParams, surv_p: float = 1.0,
+                surv_s: float = 1.0) -> _Rates:
     """User rates, empty probabilities and relay arrival rates.  They
     depend on the acceptance probabilities and the rank orders or
-    assignment only: `omega` and `alpha` are not read."""
+    assignment, and on the survival factors of `_survival`, only: `omega`
+    and `alpha` are not read."""
     cap_p = capture_weights(outages.pu_relay.tolist(), params.f_p.tolist(),
                             params, "p")
     cap_s = capture_weights(outages.su_relay.tolist(), params.f_s.tolist(),
                             params, "s")
     return _user_chain(float(outages.pu_pd), float(outages.su_sd), cap_p,
-                      cap_s, traffic)
+                       cap_s, traffic, surv_p, surv_s)
 
 
 def _user_chain(pu_pd: float, su_sd: float, cap_p: list, cap_s: list,
-               traffic: TrafficParams) -> _Rates:
+                traffic: TrafficParams, surv_p: float = 1.0,
+                surv_s: float = 1.0) -> _Rates:
     """`_user_rates` from the capture weights on: the direct-link outages
     `pu_pd`, `su_sd` and the capture weights of each user give the user
-    rates, empty probabilities and relay arrival rates."""
-    mu_p = (1.0 - pu_pd) + pu_pd * _array_sum(cap_p)
+    rates, empty probabilities and relay arrival rates.  A user's service
+    and its hand-off to the relays are scaled by its survival factor
+    (1.0 under perfect sensing, where the product is exact)."""
+    mu_p = ((1.0 - pu_pd) + pu_pd * _array_sum(cap_p)) * surv_p
     stable_p, pi_p0 = _flagged_pi0(traffic.lambda_p, mu_p)
-    mu_s = pi_p0 * ((1.0 - su_sd) + su_sd * _array_sum(cap_s))
+    mu_s = pi_p0 * ((1.0 - su_sd) + su_sd * _array_sum(cap_s)) * surv_s
     stable_s, pi_s0 = _flagged_pi0(traffic.lambda_s, mu_s)
 
-    to_relay_p = (1.0 - pi_p0) * pu_pd
-    to_relay_s = (1.0 - pi_s0) * pi_p0 * su_sd
+    to_relay_p = (1.0 - pi_p0) * pu_pd * surv_p
+    to_relay_s = (1.0 - pi_s0) * pi_p0 * su_sd * surv_s
     return _Rates(mu_p, mu_s, pi_p0, pi_s0, stable_p, stable_s,
                   [to_relay_p * c for c in cap_p],
                   [to_relay_s * c for c in cap_s])
@@ -357,9 +370,9 @@ def _floats(report: RateReport) -> _Rates:
 
 
 def _report(strategy: StrategyKind, traffic: TrafficParams,
-            rates: _Rates) -> RateReport:
+            outages: OutageTable, rates: _Rates) -> RateReport:
     return RateReport(
-        strategy=strategy, traffic=traffic, mu_p=rates.mu_p,
+        strategy=strategy, traffic=traffic, outages=outages, mu_p=rates.mu_p,
         mu_s=rates.mu_s, pi_p0=rates.pi_p0, pi_s0=rates.pi_s0,
         lambda_pk=np.array(rates.lambda_pk),
         lambda_sk=np.array(rates.lambda_sk),
@@ -375,17 +388,19 @@ def rate_report(outages: OutageTable, params: StrategyParams,
     an unstable queue is never empty (empty probability 0), which is what
     every downstream formula then consumes.  The chain runs over plain
     floats in numpy's order of operations."""
-    return _report(params.strategy, traffic,
+    return _report(params.strategy, traffic, outages,
                    _chain(outages, params, traffic))
 
 
 def _chain(outages: OutageTable, params: StrategyParams,
-           traffic: TrafficParams) -> _Rates:
-    """`rate_report` over plain floats."""
+           traffic: TrafficParams, terms: SensingTerms | None = None
+           ) -> _Rates:
+    """`rate_report` over plain floats, under the sensing errors `terms`
+    (None: perfect sensing)."""
     _check_relay_count(outages, params)
-    return _relay_chain(_user_rates(outages, params, traffic),
-                        params.omega.tolist(), params.alpha.tolist(),
-                        *_serve(outages))
+    return _relay_chain(
+        _user_rates(outages, params, traffic, *_survival(params.omega, terms)),
+        params.omega.tolist(), params.alpha.tolist(), *_serve(outages, terms))
 
 
 def end_to_end_delays(report: RateReport,
@@ -434,8 +449,10 @@ class SensingTerms(NamedTuple):
     no_false_alarm: list    # (1 - p_false_alarm)**2, as floats
 
 
-def sensing_terms(se: SensingErrorParams | SensingTerms) -> SensingTerms:
-    if isinstance(se, SensingTerms):
+def sensing_terms(se: SensingErrorParams | SensingTerms | None
+                  ) -> SensingTerms | None:
+    """The terms of `se`; None (perfect sensing) stays None."""
+    if se is None or isinstance(se, SensingTerms):
         return se
     return SensingTerms(
         1.0 - se.p_md_primary ** 2,
@@ -443,16 +460,17 @@ def sensing_terms(se: SensingErrorParams | SensingTerms) -> SensingTerms:
         [(1.0 - fa) * (1.0 - fa) for fa in se.p_false_alarm.tolist()])
 
 
-def _survival(omega, terms: SensingTerms) -> tuple[float, float]:
+def _survival(omega, terms: SensingTerms | None) -> tuple[float, float]:
     """Probability that the transmission-scheduled relay does not disrupt
     the primary / the secondary user, averaged over the schedule `omega`
-    (an array or a sequence of floats).
+    (an array or a sequence of floats); 1.0 each under perfect sensing
+    (`terms` None).
 
     Disrupting the primary takes a misdetection in both sensing intervals;
     the secondary is safe if the relay either detects it or false-alarms
     on the (idle) first interval.
     """
-    if len(omega) == 0:
+    if terms is None or len(omega) == 0:
         return 1.0, 1.0
     omega = np.asarray(omega, dtype=float)
     return (float(np.dot(omega, terms.survive_p)),
@@ -463,52 +481,20 @@ def apply_sensing_errors(report: RateReport, params: StrategyParams,
                          se: SensingErrorParams | SensingTerms) -> RateReport:
     """Rates under imperfect sensing at the relays, with every relaying
     queue treated as backlogged (dummy packets), which makes the results
-    lower bounds on the true rates.
+    lower bounds on the true rates.  `report` is the perfect-sensing
+    report of `params`; its outage table and traffic are read.
 
-    The per-slot (conditional) service probabilities shrink by the
-    schedule-averaged survival factor, the empty-queue probabilities are
-    recomputed from the reduced service rates, and the whole chain is
-    re-evaluated: fuller user queues mean fewer idle slots, which reduces
-    the relaying queues' service on top of the false-alarm factor
-    (a relay transmits only when it raises no false alarm in either
-    sensing interval).  The chain runs over plain floats in numpy's
-    order of operations.
+    The chain of `rate_report` runs once more with the sensing errors as
+    factors: each user's service and its hand-off to the relays shrink by
+    the schedule-averaged survival factor (`_survival`), the empty-queue
+    probabilities follow from the reduced service rates, and each relay's
+    service shrinks with them (fuller user queues mean fewer idle slots)
+    and by the probability that the relay raises no false alarm in either
+    sensing interval (`_serve`).
     """
-    return _report(report.strategy, report.traffic, _sensed(
-        _floats(report), report.traffic, params.omega, sensing_terms(se)))
-
-
-def _sensed(rates: _Rates, traffic: TrafficParams, omega,
-            terms: SensingTerms) -> _Rates:
-    """`apply_sensing_errors` over plain floats, at the schedule `omega`."""
-    surv_p, surv_s = _survival(omega, terms)
-    mu_p = rates.mu_p * surv_p
-    stable_p, pi_p0 = _flagged_pi0(traffic.lambda_p, mu_p)
-
-    # Conditional secondary bracket, recovered from the perfect-sensing
-    # rates; whenever a guard trips the factor multiplying it is 0.
-    bracket_s = rates.mu_s / rates.pi_p0 if rates.pi_p0 > 0 else 0.0
-    mu_s = pi_p0 * bracket_s * surv_s
-    stable_s, pi_s0 = _flagged_pi0(traffic.lambda_s, mu_s)
-
-    # per-relay capture weights, recovered from the relay arrivals
-    n = len(rates.lambda_pk)
-    cap_p = ([lam / (1.0 - rates.pi_p0) for lam in rates.lambda_pk]
-             if rates.pi_p0 < 1.0 else [0.0] * n)
-    cap_s_denom = (1.0 - rates.pi_s0) * rates.pi_p0
-    cap_s = ([lam / cap_s_denom for lam in rates.lambda_sk]
-             if cap_s_denom > 0 else [0.0] * n)
-    to_relay_p = (1.0 - pi_p0) * surv_p
-    to_relay_s = (1.0 - pi_s0) * pi_p0 * surv_s
-
-    idle_perfect = rates.pi_p0 * rates.pi_s0
-    scale_relay = pi_p0 * pi_s0 / idle_perfect if idle_perfect > 0 else 0.0
-    no_fa = terms.no_false_alarm
-    return _Rates(
-        mu_p, mu_s, pi_p0, pi_s0, stable_p, stable_s,
-        [to_relay_p * c for c in cap_p], [to_relay_s * c for c in cap_s],
-        [mu * scale_relay * f for mu, f in zip(rates.mu_pk, no_fa)],
-        [mu * scale_relay * f for mu, f in zip(rates.mu_sk, no_fa)])
+    return _report(report.strategy, report.traffic, report.outages,
+                   _chain(report.outages, params, report.traffic,
+                          sensing_terms(se)))
 
 
 @dataclass(frozen=True)
@@ -560,8 +546,6 @@ def evaluate(outages: OutageTable, params: StrategyParams,
     and end-to-end delays at one operating point: the float chain of
     `rate_report`, `apply_sensing_errors` and `end_to_end_delays`, run
     once."""
-    rates = _chain(outages, params, traffic)
-    if sensing is not None:
-        rates = _sensed(rates, traffic, params.omega, sensing_terms(sensing))
-    return Evaluation(_report(params.strategy, traffic, rates),
+    rates = _chain(outages, params, traffic, sensing_terms(sensing))
+    return Evaluation(_report(params.strategy, traffic, outages, rates),
                       *_outcome(rates, traffic))

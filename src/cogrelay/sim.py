@@ -801,14 +801,12 @@ def run_replicated(cfg, params, traffic, *, replications: int,
         return runs[0]
 
     def merge(name):
+        """The mean over the replications with a sample (NaN where none
+        has one), and the half-width of their spread."""
         vals = np.array([getattr(r, name) for r in runs], dtype=float)
-        est = float(np.nanmean(vals)) if np.any(np.isfinite(vals)) else math.nan
-        hw = _batch_ci(vals)
-        return est, hw
-
-    def merge_vec(name):
-        vals = np.array([getattr(r, name) for r in runs], dtype=float)
-        return np.nanmean(vals, axis=0), _half_widths(vals)
+        sampled = ~np.isnan(vals)
+        return (_per(np.where(sampled, vals, 0.0).sum(axis=0),
+                     sampled.sum(axis=0)), _half_widths(vals))
 
     ci = {}
     scalars = {}
@@ -816,12 +814,13 @@ def run_replicated(cfg, params, traffic, *, replications: int,
                       ("pi_p0_hat", "pi_p0"), ("pi_s0_hat", "pi_s0"),
                       ("d_p_total_hat", "d_p_total"),
                       ("d_s_total_hat", "d_s_total")):
-        scalars[name], ci[key] = merge(name)
+        est, hw = merge(name)
+        scalars[name], ci[key] = float(est), float(hw)
     vectors = {}
     for name, key in (("lambda_pk_hat", "lambda_pk"),
                       ("lambda_sk_hat", "lambda_sk"),
                       ("mu_pk_hat", "mu_pk"), ("mu_sk_hat", "mu_sk")):
-        vectors[name], ci[key] = merge_vec(name)
+        vectors[name], ci[key] = merge(name)
 
     return SimEstimate(
         mu_p_hat=scalars["mu_p_hat"], mu_s_hat=scalars["mu_s_hat"],

@@ -263,8 +263,8 @@ class TestCompare:
         spec.sim.slots = 100_000
         true_chain = rates._chain
 
-        def corrupted(outages, params, traffic):
-            floats = true_chain(outages, params, traffic)
+        def corrupted(outages, params, traffic, terms=None):
+            floats = true_chain(outages, params, traffic, terms)
             return floats._replace(mu_s=floats.mu_s + 0.05)
 
         # the single analytic path, `evaluate`, looks its rate chain (the

@@ -1,23 +1,24 @@
 """Property-based differential tests.
 
 `rate_report` against the exhaustive slot-outcome oracle in `support`,
-on generated configurations; `rate_report` and `apply_sensing_errors`
-against the numpy array formulas they replaced, bit for bit; the
-dominance of perfect sensing over sensing errors; the relay-count
-certificate under sensing errors against the perfect-sensing one and
-against random points scored through `evaluate`; the parameters the QoS
-search builds for a point (`_Space.to_params`) against the same points
-built by the oracle in `support`; the search's float moves and merits
-against the numpy moves and the merits through checked parameters
-(`support`); the search with the incumbent bound against the search that
-scores every trial point in full; the closed-form relay schedule of the
-perfect-sensing search against random schedules scored through
-`evaluate`; the relay-count ladder against independent searches at each
-count; and the invariants of acceptance criteria 04 and 05 on
-generated configurations: od with a first-rank profile serves every
-queue at least as fast as random assignment with that profile, and no
-strategy gives the secondary more than `1 - lambda_p`, with and without
-sensing errors.
+on generated configurations; `rate_report` against the numpy array
+formulas it replaced, and `apply_sensing_errors` and `evaluate` against
+the sensing-error model in numpy, bit for bit; the perfect-sensing bits
+under zero sensing errors; the dominance of perfect sensing over sensing
+errors; the relay-count certificate under sensing errors against the
+perfect-sensing one and against random points scored through `evaluate`;
+the parameters the QoS search builds for a point (`_Space.to_params`)
+against the same points built by the oracle in `support`; the search's
+float moves and merits against the numpy moves and the merits through
+checked parameters (`support`); the search with the incumbent bound
+against the search that scores every trial point in full; the
+closed-form relay schedule of the perfect-sensing search against random
+schedules scored through `evaluate`; the relay-count ladder against
+independent searches at each count; and the invariants of acceptance
+criteria 04 and 05 on generated configurations: od with a first-rank
+profile serves every queue at least as fast as random assignment with
+that profile, and no strategy gives the secondary more than
+`1 - lambda_p`, with and without sensing errors.
 """
 
 import itertools
@@ -180,10 +181,9 @@ def test_rate_report_matches_oracle(point, load_p, load_s):
     assert np.allclose(report.lambda_sk, lam_sk_o, rtol=0, atol=1e-12)
 
 
-def numpy_rates(outages: OutageTable, params: StrategyParams,
-                traffic: TrafficParams) -> dict:
-    """The rate chain as numpy array arithmetic, the form `rate_report`
-    had before it ran over plain floats."""
+def numpy_captures(outages: OutageTable,
+                   params: StrategyParams) -> tuple[np.ndarray, np.ndarray]:
+    """Each user's capture weights as numpy array arithmetic."""
     n = params.n_relays
 
     def capture(outage_relay, f, dist):
@@ -200,8 +200,15 @@ def numpy_rates(outages: OutageTable, params: StrategyParams,
                 miss *= 1.0 - accept[k]
         return weights
 
-    cap_p = capture(outages.pu_relay, params.f_p, params.order_p)
-    cap_s = capture(outages.su_relay, params.f_s, params.order_s)
+    return (capture(outages.pu_relay, params.f_p, params.order_p),
+            capture(outages.su_relay, params.f_s, params.order_s))
+
+
+def numpy_rates(outages: OutageTable, params: StrategyParams,
+                traffic: TrafficParams) -> dict:
+    """The rate chain as numpy array arithmetic, the form `rate_report`
+    had before it ran over plain floats."""
+    cap_p, cap_s = numpy_captures(outages, params)
     mu_p = (1.0 - outages.pu_pd) + outages.pu_pd * cap_p.sum()
     _, pi_p0 = rates._flagged_pi0(traffic.lambda_p, mu_p)
     mu_s = pi_p0 * ((1.0 - outages.su_sd) + outages.su_sd * cap_s.sum())
@@ -230,10 +237,13 @@ def test_rate_report_bits_match_numpy_formulas(n, strategy, seed):
         assert _hexes(getattr(report, name)) == _hexes(want), name
 
 
-def numpy_sensing(report: rates.RateReport, params: StrategyParams,
-                  se: SensingErrorParams) -> dict:
-    """`apply_sensing_errors` as numpy array arithmetic, the form it had
-    before it ran over plain floats."""
+def numpy_sensing(outages: OutageTable, params: StrategyParams,
+                  traffic: TrafficParams, se: SensingErrorParams) -> dict:
+    """The model of `apply_sensing_errors` as numpy array arithmetic, from
+    the captures: the schedule-averaged survival factors scale each
+    user's service and its hand-off to the relays, and each relay's
+    service is scaled by the idle slots of the reduced user rates and by
+    (1 - p_false_alarm)^2."""
     n = params.n_relays
     if n == 0:
         surv_p = surv_s = 1.0
@@ -241,23 +251,18 @@ def numpy_sensing(report: rates.RateReport, params: StrategyParams,
         surv_p = float(params.omega @ (1.0 - se.p_md_primary ** 2))
         surv_s = float(params.omega @ (
             1.0 - se.p_md_secondary * (1.0 - se.p_false_alarm)))
-    no_fa = (1.0 - se.p_false_alarm) ** 2 if n else np.zeros(0)
-    mu_p = report.mu_p * surv_p
-    _, pi_p0 = rates._flagged_pi0(report.traffic.lambda_p, mu_p)
-    bracket_s = report.mu_s / report.pi_p0 if report.pi_p0 > 0 else 0.0
-    mu_s = pi_p0 * bracket_s * surv_s
-    _, pi_s0 = rates._flagged_pi0(report.traffic.lambda_s, mu_s)
-    cap_p = (report.lambda_pk / (1.0 - report.pi_p0)
-             if report.pi_p0 < 1.0 else np.zeros(n))
-    cap_s_denom = (1.0 - report.pi_s0) * report.pi_p0
-    cap_s = (report.lambda_sk / cap_s_denom if cap_s_denom > 0
-             else np.zeros(n))
-    idle_perfect = report.pi_p0 * report.pi_s0
-    scale_relay = pi_p0 * pi_s0 / idle_perfect if idle_perfect > 0 else 0.0
-    lambda_pk = (1.0 - pi_p0) * surv_p * cap_p
-    lambda_sk = (1.0 - pi_s0) * pi_p0 * surv_s * cap_s
-    mu_pk = report.mu_pk * scale_relay * no_fa
-    mu_sk = report.mu_sk * scale_relay * no_fa
+    no_fa = (1.0 - se.p_false_alarm) ** 2
+    cap_p, cap_s = numpy_captures(outages, params)
+    mu_p = ((1.0 - outages.pu_pd) + outages.pu_pd * cap_p.sum()) * surv_p
+    _, pi_p0 = rates._flagged_pi0(traffic.lambda_p, mu_p)
+    mu_s = (pi_p0 * ((1.0 - outages.su_sd) + outages.su_sd * cap_s.sum())
+            * surv_s)
+    _, pi_s0 = rates._flagged_pi0(traffic.lambda_s, mu_s)
+    lambda_pk = (1.0 - pi_p0) * outages.pu_pd * surv_p * cap_p
+    lambda_sk = (1.0 - pi_s0) * pi_p0 * outages.su_sd * surv_s * cap_s
+    idle = params.omega * pi_p0 * pi_s0
+    mu_pk = idle * params.alpha * ((1.0 - outages.relay_pd) * no_fa)
+    mu_sk = idle * (1.0 - params.alpha) * ((1.0 - outages.relay_sd) * no_fa)
     return {"mu_p": mu_p, "mu_s": mu_s, "pi_p0": pi_p0, "pi_s0": pi_s0,
             "lambda_pk": lambda_pk, "lambda_sk": lambda_sk,
             "mu_pk": mu_pk, "mu_sk": mu_sk,
@@ -282,19 +287,47 @@ def test_sensing_errors_bits_match_numpy_formulas(n, strategy, seed,
     outages = random_outages(rng, n, low=0.0, high=1.0)
     params = random_params(rng, n, strategy)
     se = random_sensing_errors(rng, n, high)
-    report = rate_report(outages, params, TrafficParams(lambda_p, lambda_s))
+    traffic = TrafficParams(lambda_p, lambda_s)
+    report = rate_report(outages, params, traffic)
     adjusted = rates.apply_sensing_errors(report, params, se)
-    # the per-relay terms a search works out once give the same bits
+    # the per-relay terms a search works out once give the same bits, and
+    # so does `evaluate`, which runs the same chain
     prepared = rates.apply_sensing_errors(report, params,
                                           rates.sensing_terms(se))
-    for name, want in numpy_sensing(report, params, se).items():
-        for got in (getattr(adjusted, name), getattr(prepared, name)):
+    evaluated = evaluate(outages, params, traffic, se).report
+    for name, want in numpy_sensing(outages, params, traffic, se).items():
+        for got in (getattr(adjusted, name), getattr(prepared, name),
+                    getattr(evaluated, name)):
             if name.startswith("stable"):
                 assert got.dtype == bool and np.array_equal(got, want), name
             else:
                 assert _hexes(got) == _hexes(want), name
     assert adjusted.stable_p == rates.is_stable(lambda_p, adjusted.mu_p)
     assert adjusted.stable_s == rates.is_stable(lambda_s, adjusted.mu_s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 5), strategy=st.sampled_from(list(StrategyKind)),
+       seed=st.integers(0, 2 ** 32 - 1), lambda_p=LOAD, lambda_s=LOAD)
+def test_zero_sensing_errors_keep_every_bit(n, strategy, seed, lambda_p,
+                                            lambda_s):
+    # with no sensing error and a schedule that sums to exactly 1 every
+    # factor the errors put on the chain is exactly 1.0, so the chain
+    # under sensing errors gives the perfect-sensing rates bit for bit
+    rng = np.random.default_rng(seed)
+    outages = random_outages(rng, n, low=0.0, high=1.0)
+    params = random_params(rng, n, strategy)
+    if n:
+        params = replace(params, omega=np.eye(n)[rng.integers(n)])
+    traffic = TrafficParams(lambda_p, lambda_s)
+    report = rate_report(outages, params, traffic)
+    zero = SensingErrorParams(np.zeros(n), np.zeros(n), np.zeros(n))
+    for got in (apply_sensing_errors(report, params, zero),
+                evaluate(outages, params, traffic, zero).report):
+        for name in ("mu_p", "mu_s", "pi_p0", "pi_s0", "lambda_pk",
+                     "lambda_sk", "mu_pk", "mu_sk"):
+            assert _hexes(getattr(got, name)) == _hexes(
+                getattr(report, name)), name
 
 
 @settings(max_examples=300, deadline=None)
@@ -319,8 +352,10 @@ def test_perfect_sensing_dominates_sensing_errors(n, strategy, seed):
                                getattr(perfect.report, name),
                                rtol=0, atol=1e-15), name
     if errors.status == "ok":
-        # the tolerances absorb the rounding of rates recovered by
-        # dividing and multiplying back (1 + 1e-12 relative)
+        # sensing errors enter the one chain as factors of at most 1, up
+        # to rounding: the tolerances (1e-12 relative) cover a survival
+        # factor that rounds to within a few units in the last place of
+        # 1, where the schedule sums to a little over 1
         assert perfect.status == "ok"
         assert perfect.d_p <= errors.d_p * (1 + 1e-12)
         assert perfect.d_s <= errors.d_s * (1 + 1e-12)

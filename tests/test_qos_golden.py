@@ -22,8 +22,13 @@ strategy and a search stopped at it, which moved the point, the
 evaluations, the restarts and the ceiling of `fig3_rd_0.3` and
 `table1_rd_0.3` (the latter no longer exhausts its budget), with
 `best_mu_s` unchanged, and the ceilings alone of `fig3_rr_0.3` and
-`table1_rr_0.3`.  A change that means to alter search results must say
-so and record them again with
+`table1_rr_0.3`; and again once the rate chain took the sensing errors
+as factors, instead of recovering the captures and the secondary's
+bracket from the perfect-sensing rates by division, which moved only
+residuals of `fig11_od_0.3_sensing` and
+`min_relays_three_relays_od_sensing`, by a few units in the last place.
+A change that means to alter search results must say so and record them
+again with
 
     PYTHONPATH=src python tests/test_qos_golden.py
 """

@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from cogrelay import sim
 from cogrelay.channel import StrategyKind
 from cogrelay.errors import ConfigError, UnstableQueueError
 from cogrelay.network import OutageTable, SensingErrorParams, TrafficParams
@@ -311,3 +313,37 @@ class TestReplications:
         est = run_replicated(TABLE_ROWS12, od2(), traffic,
                              replications=4, slots=100_000, seed=78)
         assert abs(est.mu_p_hat - report.mu_p) < 0.01
+
+    @pytest.mark.parametrize("replications", [2, 3])
+    def test_merge_keeps_nan_of_an_unsampled_relay(self, replications):
+        # rr over two relays, all scheduled on relay 1 and nothing
+        # admitted by relay 2: relay 2's queues are never nonempty, so
+        # their service estimates are NaN in every replication and stay
+        # NaN in the merge, without a warning; each estimate is the mean
+        # over the replications with a sample, its half-width the spread
+        # of those replications (`sim._batch_ci`)
+        params = StrategyParams(StrategyKind.ROUND_ROBIN, [1.0, 0.0],
+                                [0.5, 0.5], [1.0, 0.0], [1.0, 0.0])
+        traffic = TrafficParams(0.3, 0.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = run_replicated(TABLE_ROWS12, params, traffic,
+                                 replications=replications, slots=2_000,
+                                 seed=79)
+        assert np.isnan(est.mu_pk_hat[1]) and np.isnan(est.mu_sk_hat[1])
+        assert est.mu_pk_hat[0] > 0
+        runs = [run(TABLE_ROWS12, params, traffic, slots=2_000,
+                    seed=derive_replication_seed(79, i))
+                for i in range(replications)]
+        for name, key in (("mu_p_hat", "mu_p"), ("d_s_total_hat", "d_s_total"),
+                          ("lambda_pk_hat", "lambda_pk"),
+                          ("mu_pk_hat", "mu_pk"), ("mu_sk_hat", "mu_sk")):
+            vals = np.array([getattr(r, name) for r in runs]).reshape(
+                replications, -1)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                want = np.nanmean(vals, axis=0)
+            spread = [sim._batch_ci(column) for column in vals.T]
+            assert np.array_equal(np.ravel(getattr(est, name)), want,
+                                  equal_nan=True), name
+            assert np.array_equal(np.ravel(est.ci[key]), spread), name
