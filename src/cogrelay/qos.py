@@ -33,15 +33,17 @@ straight from those floats, through the capture and rate steps that
 `rates.evaluate` runs too; parameters are built, and checked, only for
 the point a search reports.  An evaluation is a trial point the search
 visits, scored or found in a neighbourhood memo; under perfect sensing a
-point that cannot beat a feasible incumbent gets a lower bound instead
-of the water-filling (`_local_search`).  Every result is that of
-scoring each point in full.  On a 2-core Xeon with Python 3.11 an
-evaluation costs about 17 us of the benchmark's `optimize-perfect`
-`wall_s` (fig3, two relays; 16 us before the search stopped at the
-certificate, while the 15 searches timed in-process take about 11 us an
-evaluation either way) and about 39 us in the fig11 od search under
-sensing errors at lambda_p 0.3 (three relays; `BENCH_qos.json`,
-`stop_at_certificate` and `one_rate_chain`).
+point that cannot beat a feasible incumbent gets a lower bound from its
+mu_s alone, the head of the user chain (`rates._user_head`), instead of
+the rest of the chain and the water-filling (`_local_search`).  Every
+result is that of scoring each point in full.  On a 2-core Xeon with
+Python 3.11 an evaluation costs about 14 us of the benchmark's
+`optimize-perfect` `wall_s` (fig3, two relays; 17 us before bounded
+points stopped at mu_s and the water-filling lost its generator sums;
+timed in-process, the 15 searches take about 8-9 us an evaluation,
+against 10-11 us) and about 39 us in the fig11 od search under sensing
+errors at lambda_p 0.3 (three relays; `BENCH_qos.json`, `lean_scorer`
+and `one_rate_chain`).
 """
 
 from __future__ import annotations
@@ -60,8 +62,8 @@ from .orders import OrderDistribution, first_rank_perm, rank_order
 from .rates import (EPS_STAB, SIMPLEX_TOL, SensingTerms, StrategyParams,
                     _acceptance, _array_sum, _ordered_capture, _outcome,
                     _relay_chain, _relay_miss_factor, _serve, _survival,
-                    _user_chain, _user_rates, evaluate, primary_rate_bound,
-                    sensing_terms)
+                    _user_chain, _user_head, _user_rates, _user_tail,
+                    evaluate, primary_rate_bound, sensing_terms)
 
 # od searches all N! rank orders up to here, the N first-rank ones above
 DENSE_ORDER_LIMIT = 5
@@ -147,7 +149,8 @@ class _Space:
     def sides(self, groups: tuple) -> tuple:
         """Each user's (f, decoder weights) at a point: its rank weights
         under od, the assignment under rd and rr."""
-        f_p, f_s = (groups[i] for i in self._f)
+        i, j = self._f
+        f_p, f_s = groups[i], groups[j]
         if self.strategy is StrategyKind.ROUND_ROBIN:
             return (f_p, self._uniform), (f_s, self._uniform)
         if self.strategy is StrategyKind.RANDOM:
@@ -223,7 +226,7 @@ class _Evaluator:
     Merit is lexicographic: total constraint violation first (0 means
     feasible), then the negated secondary rate.  What both scorers read
     is kept here: the outages as plain floats and, per user, the capture
-    weights it last scored (`_user`).
+    weights it last scored (`_captures`).
     """
 
     def __init__(self, outages: OutageTable, qos: QosSpec,
@@ -240,24 +243,21 @@ class _Evaluator:
         # per user: the (f, choice, capture weights) it last scored
         self._last = [(None, None, None), (None, None, None)]
 
-    def _user(self, space: _Space, groups: tuple,
-              survival: tuple = (1.0, 1.0)):
-        """The user rates of a search point (`rates._user_chain`) at the
-        survival factors `survival`, read from its captures without
-        building parameters.  A move changes one group, and a trial point
-        shares the others with the point it came from, so a user whose f
-        and choice are the very objects it last scored reuses its capture
-        weights (at five relays under od, half the work of a
-        perfect-sensing score)."""
+    def _captures(self, space: _Space, groups: tuple) -> list:
+        """Each user's capture weights at a search point, read from its
+        groups without building parameters.  A move changes one group,
+        and a trial point shares the others with the point it came from,
+        so a user whose f and choice are the very objects it last scored
+        reuses its capture weights (at five relays under od, half the
+        work of a perfect-sensing score)."""
         caps = []
-        for user, relay, (f, choice) in zip((0, 1), self.relay_outages,
-                                            space.sides(groups)):
+        for user, (f, choice) in enumerate(space.sides(groups)):
             last = self._last[user]
             if last[0] is not f or last[1] is not choice:
-                last = self._last[user] = (
-                    f, choice, space.capture(_acceptance(relay, f), choice))
+                last = self._last[user] = (f, choice, space.capture(
+                    _acceptance(self.relay_outages[user], f), choice))
             caps.append(last[2])
-        return _user_chain(*self.direct, *caps, self.traffic, *survival)
+        return caps
 
     def _residuals(self, rates, d_p: float, d_s: float) -> dict:
         """Constraint residuals (negative: violated) of an operating point
@@ -288,12 +288,13 @@ class _Evaluator:
     def score(self, space: _Space, groups: tuple,
               bound: tuple | None = None) -> tuple:
         """The merit of a search point (see `_Space`): `evaluate`'s
-        chain from the point's captures (`_user`) and its schedule groups,
-        over plain floats, always in full: `bound`, the incumbent merit of
-        `_local_search`, is not used."""
+        chain from the point's captures (`_captures`) and its schedule
+        groups, over plain floats, always in full: `bound`, the incumbent
+        merit of `_local_search`, is not used."""
         omega, alpha = space.omega_alpha(groups)
         rates = _relay_chain(
-            self._user(space, groups, _survival(omega, self.sensing)),
+            _user_chain(*self.direct, *self._captures(space, groups),
+                        self.traffic, *_survival(omega, self.sensing)),
             omega, alpha, self.serve_p, self.serve_s)
         d_p, d_s, _ = _outcome(rates, self.traffic)
         return _violation(self._residuals(rates, d_p, d_s)), -rates.mu_s
@@ -325,31 +326,40 @@ def _least_mass(lam: float, mu: float, lam_k: list, c_k: list,
     Returns (excess, z): excess = max(0, D - d_max), the part of the
     ceiling no schedule helps with (the delay is 1/mu when lam = 0), and
     z the mass per relay (0 where a relay has no arrivals), or None when
-    no schedule meets the ceiling (B <= 0 with relay arrivals).
+    no schedule meets the ceiling (B <= 0 with relay arrivals).  Over
+    plain floats: each pass sums S from the left in relay order, and the
+    pass that clamps no slack is the last.
     """
-    z = [0.0] * len(lam_k)
     if lam == 0.0:      # the queue is never backlogged: nothing is relayed
-        return max(0.0, 1.0 / mu - d_max), z
+        over = 1.0 / mu - d_max
+        return (over if over > 0.0 else 0.0), [0.0] * len(lam_k)
     own = (1.0 - lam) / (mu - lam)
-    excess = max(0.0, own - d_max)
-    free = [k for k, l in enumerate(lam_k) if l > 0.0]
+    over = own - d_max
+    excess = over if over > 0.0 else 0.0
+    z = [0.0] * len(lam_k)
+    # (k, a_k, c_k) of each relay with arrivals
+    free = [(k, l * (1.0 - l), c_k[k]) for k, l in enumerate(lam_k)
+            if l > 0.0]
     if not free:
         return excess, z
     budget = lam * (d_max - own)
     if budget <= 0.0:
         return excess, None
-    spread = [l * (1.0 - l) for l in lam_k]
     while free:
-        ratio = sum(math.sqrt(spread[k] / c_k[k]) for k in free) / budget
+        total = 0.0
+        for _, a, c in free:
+            total += math.sqrt(a / c)
+        ratio = total / budget
         kept = []
-        for k in free:
-            slack = ratio * math.sqrt(spread[k] * c_k[k])
+        for relay in free:
+            k, a, c = relay
+            slack = ratio * math.sqrt(a * c)
             if slack < EPS_STAB:            # clamped for good
                 slack = EPS_STAB
-                budget -= spread[k] / EPS_STAB
+                budget -= a / EPS_STAB
             else:
-                kept.append(k)
-            z[k] = (lam_k[k] + slack) / c_k[k]
+                kept.append(relay)
+            z[k] = (lam_k[k] + slack) / c
         if len(kept) == len(free):
             break
         free = kept
@@ -375,41 +385,57 @@ class _CaptureScorer(_Evaluator):
 
     def score(self, space: _Space, groups: tuple,
               bound: tuple | None = None) -> tuple:
-        """The merit of a search point, from its captures (`_user`).
+        """The merit of a search point, from its captures (`_captures`).
 
+        The head of the user chain (`rates._user_head`) gives mu_s.
         `bound` is the incumbent merit of the local search.  Where it is
         feasible, (0, 0, m), and the point's -mu_s is at least m, the point
-        cannot beat it, and the score is (0, 0, -mu_s) without the
-        water-filling of `_solve`: at or below the point's merit, and not
-        below the bound."""
-        user = self._user(space, groups)
+        cannot beat it, and the score is (0, 0, -mu_s) without the rest of
+        the chain (`rates._user_tail`) and the water-filling of `_solve`:
+        at or below the point's merit, and not below the bound.  Three in
+        five of the points the benchmark's fig3 searches score end here."""
+        cap_p, cap_s = self._captures(space, groups)
+        head = _user_head(*self.direct, cap_p, cap_s, self.traffic)
         if (bound is not None and bound[:2] == (0.0, 0.0)
-                and -user.mu_s >= bound[2]):
-            return 0.0, 0.0, -user.mu_s
-        return self._solve(user)[0]
+                and -head[3] >= bound[2]):
+            return 0.0, 0.0, -head[3]
+        return self._solve(_user_tail(head, *self.direct, cap_p, cap_s,
+                                      self.traffic))[0]
 
     def _solve(self, user) -> tuple:
         """The merit, and the per-relay z and y at the least masses (None
-        where a user's queue or relays leave no finite mass)."""
+        where a user's queue or relays leave no finite mass), at the user
+        rates `user` (a `rates._Rates`).  The stability violation is
+        summed from the left: the user queues' shortfalls, or, where they
+        have none, lambda + EPS_STAB of each relaying queue with arrivals
+        and no service, the primary's relays first."""
         lam_p, lam_s = self.traffic.lambda_p, self.traffic.lambda_s
-        stab = (max(0.0, -(user.mu_p - lam_p - EPS_STAB))
-                + max(0.0, -(user.mu_s - lam_s - EPS_STAB)))
+        short_p = user.mu_p - lam_p - EPS_STAB
+        short_s = user.mu_s - lam_s - EPS_STAB
+        stab = ((-short_p if short_p < 0.0 else 0.0)
+                + (-short_s if short_s < 0.0 else 0.0))
         idle = user.pi_p0 * user.pi_s0
         c_p = [idle * v for v in self.serve_p]
         c_s = [idle * v for v in self.serve_s]
-        if stab == 0.0:
-            stab = sum(lam + EPS_STAB for lam, c in zip(
-                user.lambda_pk + user.lambda_sk, c_p + c_s)
-                if lam > 0.0 and c <= 0.0)
+        if stab == 0.0:     # arrivals at relaying queues no schedule serves
+            for lams, cs in ((user.lambda_pk, c_p), (user.lambda_sk, c_s)):
+                for lam, c in zip(lams, cs):
+                    if lam > 0.0 and c <= 0.0:
+                        stab += lam + EPS_STAB
         if stab > 0.0:
             return (stab, math.inf, -user.mu_s), None
         excess_p, z = _least_mass(lam_p, user.mu_p, user.lambda_pk, c_p,
                                   self.qos.d_p_max)
         excess_s, y = _least_mass(lam_s, user.mu_s, user.lambda_sk, c_s,
                                   self.qos.d_s_max)
-        mass = _BIG if z is None or y is None else min(_BIG, sum(z) + sum(y))
-        merit = (0.0, excess_p + excess_s + max(0.0, mass - 1.0), -user.mu_s)
-        return merit, (z, y)
+        mass = _BIG
+        if z is not None and y is not None:
+            total = sum(z) + sum(y)
+            if total < _BIG:
+                mass = total
+        over = mass - 1.0
+        return (0.0, excess_p + excess_s + (over if over > 0.0 else 0.0),
+                -user.mu_s), (z, y)
 
     def result_params(self, params: StrategyParams) -> StrategyParams:
         """`params` with the schedule of its capture point.
@@ -475,9 +501,11 @@ def _local_search(space, scorer, start, budget_left):
     Each move of a pass is built from the point where the pass started
     and replaces one group of the current point.  Every group keeps the
     merits of the points that differ from the current point in that group
-    alone, so a trial point seen before is looked up, not scored again; a
-    lookup still counts as an evaluation.  An accepted move changes one
-    group and clears the others' memos, and each scale starts fresh.
+    alone, so a trial point seen before is looked up, not built or scored
+    again; a lookup still counts as an evaluation.  No merit in a memo is
+    below the incumbent, so a lookup is never accepted.  An accepted move
+    changes one group and clears the others' memos, and each scale starts
+    fresh.
 
     A trial point is scored with this search's incumbent merit as the
     bound of `scorer.score`, which may then return a lower bound that is
@@ -500,11 +528,11 @@ def _local_search(space, scorer, start, budget_left):
             for g, vec in _coordinate_moves(space, point, scale):
                 if used >= budget_left:
                     break
-                trial = point[:g] + (vec,) + point[g + 1:]
-                cand = memo[g].get(vec)
-                if cand is None:
-                    cand = memo[g][vec] = scorer.score(space, trial, best)
                 used += 1
+                if vec in memo[g]:
+                    continue
+                trial = point[:g] + (vec,) + point[g + 1:]
+                cand = memo[g][vec] = scorer.score(space, trial, best)
                 if cand < best:
                     best = cand
                     point = trial

@@ -341,12 +341,32 @@ def _user_chain(pu_pd: float, su_sd: float, cap_p: list, cap_s: list,
     `pu_pd`, `su_sd` and the capture weights of each user give the user
     rates, empty probabilities and relay arrival rates.  A user's service
     and its hand-off to the relays are scaled by its survival factor
-    (1.0 under perfect sensing, where the product is exact)."""
+    (1.0 under perfect sensing, where the product is exact).  The chain
+    is `_user_head`, then `_user_tail`."""
+    return _user_tail(_user_head(pu_pd, su_sd, cap_p, cap_s, traffic,
+                                 surv_p, surv_s),
+                      pu_pd, su_sd, cap_p, cap_s, traffic, surv_p, surv_s)
+
+
+def _user_head(pu_pd: float, su_sd: float, cap_p: list, cap_s: list,
+               traffic: TrafficParams, surv_p: float = 1.0,
+               surv_s: float = 1.0) -> tuple:
+    """The head of `_user_chain`, which takes the same arguments:
+    (mu_p, stable_p, pi_p0, mu_s).  A caller that needs only mu_s stops
+    here; the rest of the chain is `_user_tail`."""
     mu_p = ((1.0 - pu_pd) + pu_pd * _array_sum(cap_p)) * surv_p
     stable_p, pi_p0 = _flagged_pi0(traffic.lambda_p, mu_p)
     mu_s = pi_p0 * ((1.0 - su_sd) + su_sd * _array_sum(cap_s)) * surv_s
-    stable_s, pi_s0 = _flagged_pi0(traffic.lambda_s, mu_s)
+    return mu_p, stable_p, pi_p0, mu_s
 
+
+def _user_tail(head: tuple, pu_pd: float, su_sd: float, cap_p: list,
+               cap_s: list, traffic: TrafficParams, surv_p: float = 1.0,
+               surv_s: float = 1.0) -> _Rates:
+    """The rest of `_user_chain` after its `head` (`_user_head` of the
+    same arguments): pi_s0 and the relay arrival rates."""
+    mu_p, stable_p, pi_p0, mu_s = head
+    stable_s, pi_s0 = _flagged_pi0(traffic.lambda_s, mu_s)
     to_relay_p = (1.0 - pi_p0) * pu_pd * surv_p
     to_relay_s = (1.0 - pi_s0) * pi_p0 * su_sd * surv_s
     return _Rates(mu_p, mu_s, pi_p0, pi_s0, stable_p, stable_s,

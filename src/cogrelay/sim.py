@@ -598,19 +598,14 @@ def _per(num, den):
     return num / np.where(den > 0, den, np.nan)
 
 
-def _batch_ci(values: np.ndarray) -> float:
-    vals = values[np.isfinite(values)]
-    if vals.size < 2:
-        return math.inf
-    return 1.96 * float(np.std(vals, ddof=1)) / math.sqrt(vals.size)
-
-
 def _half_widths(per_batch: np.ndarray) -> np.ndarray:
-    """`_batch_ci` of every entry of a per-batch quantity (batch axis
-    first), bit for bit.  The entries with the same number of finite
-    batches take one `np.std` over a matrix of their finite values, one
-    contiguous row per entry as the 1-D call's array is, so both sum in
-    the same order."""
+    """The batch-means half-width of every entry of a per-batch quantity
+    (batch axis first): 1.96 times the sample standard deviation of the
+    entry's finite batches over the square root of their count, inf with
+    fewer than two.  The entries with the same number of finite batches
+    take one `np.std` over a matrix of their finite values, one
+    contiguous row per entry, so each sums in the order of `np.std` over
+    that entry's finite values alone, bit for bit."""
     rows = per_batch.reshape(per_batch.shape[0], -1).T
     finite = np.isfinite(rows)
     sizes = finite.sum(axis=1)

@@ -1,8 +1,9 @@
 """Shared test helpers: the exhaustive slot-outcome oracle, the per-slot
 simulator loop, a relaxation bound on the delay-limited secondary rate,
-the QoS search's closed-form schedule, the QoS search's moves and merit
-over arrays and parameters, random configuration generators, and
-equality of simulator estimates.
+the QoS search's closed-form schedule and its water-filling as first
+written, the QoS search's moves and merit over arrays and parameters,
+random configuration generators, equality of simulator estimates and
+the batch-means half-width of one estimate.
 
 The oracle enumerates every joint decode/acceptance outcome of one slot
 instead of using the prefix-product formulas, so it is an independent
@@ -23,7 +24,7 @@ from cogrelay.network import (OutageTable, SensingErrorParams,
                               TrafficParams)
 from cogrelay.orders import OrderDistribution
 from cogrelay.qos import QosSpec, _CaptureScorer, _violation
-from cogrelay.rates import StrategyParams, _user_rates
+from cogrelay.rates import EPS_STAB, StrategyParams, _user_rates
 from cogrelay.sim import SimEstimate
 
 ROUNDING = 1e-12   # relative allowance of `delay_limited_secondary_ceiling`
@@ -375,6 +376,40 @@ def closed_form(outages: OutageTable, params: StrategyParams,
     return feasible, scorer.result_params(params)
 
 
+def oracle_least_mass(lam: float, mu: float, lam_k: list, c_k: list,
+                      d_max: float) -> tuple[float, list | None]:
+    """`qos._least_mass` as first written, with generator sums, the
+    spread of every relay and `max` for the clamps: the oracle of the
+    rewritten function's bits, (excess, z) at the same inputs."""
+    z = [0.0] * len(lam_k)
+    if lam == 0.0:
+        return max(0.0, 1.0 / mu - d_max), z
+    own = (1.0 - lam) / (mu - lam)
+    excess = max(0.0, own - d_max)
+    free = [k for k, l in enumerate(lam_k) if l > 0.0]
+    if not free:
+        return excess, z
+    budget = lam * (d_max - own)
+    if budget <= 0.0:
+        return excess, None
+    spread = [l * (1.0 - l) for l in lam_k]
+    while free:
+        ratio = sum(math.sqrt(spread[k] / c_k[k]) for k in free) / budget
+        kept = []
+        for k in free:
+            slack = ratio * math.sqrt(spread[k] * c_k[k])
+            if slack < EPS_STAB:
+                slack = EPS_STAB
+                budget -= spread[k] / EPS_STAB
+            else:
+                kept.append(k)
+            z[k] = (lam_k[k] + slack) / c_k[k]
+        if len(kept) == len(free):
+            break
+        free = kept
+    return excess, z
+
+
 def oracle_normalized(v: np.ndarray) -> np.ndarray:
     total = v.sum()
     if total <= 0:
@@ -508,6 +543,17 @@ def random_sensing_errors(rng: np.random.Generator, n: int,
     return SensingErrorParams(rng.uniform(0, high, n),
                               rng.uniform(0, high, n),
                               rng.uniform(0, high, n))
+
+
+def oracle_batch_ci(values: np.ndarray) -> float:
+    """The batch-means half-width of one estimate from its per-batch
+    values: 1.96 sample standard deviations of the finite ones over the
+    square root of their count, inf with fewer than two; the reference of
+    `sim._half_widths`, which works out every entry at once."""
+    vals = values[np.isfinite(values)]
+    if vals.size < 2:
+        return math.inf
+    return 1.96 * float(np.std(vals, ddof=1)) / math.sqrt(vals.size)
 
 
 def estimates_equal(a: SimEstimate, b: SimEstimate) -> bool:

@@ -13,7 +13,8 @@ float moves and merits against the numpy moves and the merits through
 checked parameters (`support`); the search with the incumbent bound
 against the search that scores every trial point in full; the
 closed-form relay schedule of the perfect-sensing search against random
-schedules scored through `evaluate`; the relay-count ladder against
+schedules scored through `evaluate`, and its water-filling against the
+one first written (`support`), bit for bit; the relay-count ladder against
 independent searches at each count; and the invariants of acceptance
 criteria 04 and 05 on generated configurations: od with a first-rank
 profile serves every queue at least as fast as random assignment with
@@ -39,9 +40,9 @@ from cogrelay.orders import OrderDistribution
 from cogrelay.rates import (StrategyParams, apply_sensing_errors, evaluate,
                             rate_report, secondary_rate_cap)
 from support import (as_groups, checked_params, closed_form,
-                     oracle_coordinate_moves, oracle_merit, oracle_user_rates,
-                     random_outages, random_params, random_sensing_errors,
-                     random_simplex)
+                     oracle_coordinate_moves, oracle_least_mass, oracle_merit,
+                     oracle_user_rates, random_outages, random_params,
+                     random_sensing_errors, random_simplex)
 
 # exact 0 and 1 next to the open interval: outages and acceptance
 # probabilities at the ends are where the prefix products are exact
@@ -614,6 +615,73 @@ def test_closed_form_property_meets_both_verdicts():
         found += count
     assert 0.2 <= np.mean(verdicts) <= 0.8
     assert found >= 100
+
+
+@st.composite
+def least_mass_inputs(draw, branch: str) -> tuple:
+    """Arguments (lam, mu, lam_k, c_k, d_max) of `qos._least_mass` over 0
+    to 6 relays, with a stable user queue and c_k > 0 wherever lam_k > 0,
+    that take `branch`: "idle" (lam == 0), "unrelayed" (no relay with
+    arrivals), "no_budget" (arrivals, and d_max at most the queue's own
+    delay), "clamped" (a slack clamped at EPS_STAB: every slack under an
+    infinite ceiling, or that of a relay with lam_k = 1 and no spread or
+    with arrivals of 1e-12 or less, its share of the budget spent and the
+    others solved again; the test assumes the last clamp) or "any"."""
+    relayed = branch in ("no_budget", "clamped")
+    n = draw(st.integers(1 if relayed else 0, 6))
+    lam = 0.0 if branch == "idle" else draw(st.floats(1e-6, 0.99))
+    mu = draw(st.floats(1e-3 if branch == "idle" else lam + rates.EPS_STAB,
+                        1.0))
+    lam_k = [0.0] * n if branch == "unrelayed" else draw(st.lists(
+        st.one_of(st.just(0.0), st.just(1.0), st.floats(1e-12, 1.0)),
+        min_size=n, max_size=n))
+    if relayed and not any(lam_k):
+        lam_k[draw(st.integers(0, n - 1))] = draw(st.floats(1e-12, 1.0))
+    c_k = [draw(st.floats(1e-9, 1.0)) if l > 0.0 else
+           draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0))) for l in lam_k]
+    if lam == 0.0:
+        return lam, mu, lam_k, c_k, draw(st.one_of(
+            st.just(math.inf), st.floats(0.5, 60.0)))
+    own = (1.0 - lam) / (mu - lam)
+    if branch == "no_budget":
+        d_max = own * draw(st.floats(0.5, 1.0))
+    elif branch == "clamped":
+        clamp = draw(st.sampled_from(["ceiling", "spread", "arrivals"]))
+        first = next(k for k, l in enumerate(lam_k) if l > 0.0)
+        if clamp == "spread":
+            lam_k[first] = 1.0
+        elif clamp == "arrivals":
+            lam_k[first] = draw(st.floats(1e-15, 1e-12))
+        d_max = (math.inf if clamp == "ceiling" else
+                 own + draw(st.floats(1e-3, 50.0)))
+    else:
+        d_max = draw(st.one_of(st.just(math.inf), st.floats(1.0, 60.0)))
+    return lam, mu, lam_k, c_k, d_max
+
+
+@pytest.mark.parametrize("branch", ["idle", "unrelayed", "no_budget",
+                                    "clamped", "any"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_least_mass_matches_first_water_filling(branch, data):
+    """The rewritten water-filling gives the bits of the one first written
+    (`oracle_least_mass`) in each of its branches: (excess, z), every
+    float by `float.hex`, and None where the oracle gives None."""
+    args = data.draw(least_mass_inputs(branch))
+    excess, z = qos._least_mass(*args)
+    excess_0, z_0 = oracle_least_mass(*args)
+    assert _hexes(excess) == _hexes(excess_0)
+    assert (z is None) == (z_0 is None)
+    if z_0 is not None:
+        assert list(map(_hexes, z)) == list(map(_hexes, z_0))
+    lam, _, lam_k, c_k, _ = args
+    if branch == "unrelayed" or lam == 0.0:
+        assert z_0 == [0.0] * len(lam_k)
+    if branch == "no_budget":
+        assert z_0 is None
+    if branch == "clamped":
+        assume(any(l > 0.0 and v == (l + rates.EPS_STAB) / c
+                   for l, c, v in zip(lam_k, c_k, z_0)))
 
 
 def edge_errors(rng: np.random.Generator, n: int) -> SensingErrorParams:

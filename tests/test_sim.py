@@ -4,7 +4,6 @@ import warnings
 import numpy as np
 import pytest
 
-from cogrelay import sim
 from cogrelay.channel import StrategyKind
 from cogrelay.errors import ConfigError, UnstableQueueError
 from cogrelay.network import OutageTable, SensingErrorParams, TrafficParams
@@ -14,7 +13,7 @@ from cogrelay.rates import (StrategyParams, apply_sensing_errors,
 from cogrelay.sim import (conditional_service, derive_replication_seed, run,
                           run_replicated)
 
-from support import estimates_equal
+from support import estimates_equal, oracle_batch_ci
 
 TABLE_ROWS12 = OutageTable(0.1, 0.2, [0.1, 0.02], [0.1, 0.1],
                            [0.1, 0.1], [0.1, 0.1])
@@ -321,7 +320,7 @@ class TestReplications:
         # their service estimates are NaN in every replication and stay
         # NaN in the merge, without a warning; each estimate is the mean
         # over the replications with a sample, its half-width the spread
-        # of those replications (`sim._batch_ci`)
+        # of those replications (`oracle_batch_ci`)
         params = StrategyParams(StrategyKind.ROUND_ROBIN, [1.0, 0.0],
                                 [0.5, 0.5], [1.0, 0.0], [1.0, 0.0])
         traffic = TrafficParams(0.3, 0.2)
@@ -343,7 +342,7 @@ class TestReplications:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 want = np.nanmean(vals, axis=0)
-            spread = [sim._batch_ci(column) for column in vals.T]
+            spread = [oracle_batch_ci(column) for column in vals.T]
             assert np.array_equal(np.ravel(getattr(est, name)), want,
                                   equal_nan=True), name
             assert np.array_equal(np.ravel(est.ci[key]), spread), name

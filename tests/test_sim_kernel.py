@@ -21,7 +21,7 @@ from cogrelay.network import OutageTable, SensingErrorParams, TrafficParams
 from cogrelay.orders import OrderDistribution
 from cogrelay.rates import StrategyParams, apply_sensing_errors, rate_report
 
-from support import estimates_equal, slot_kernel
+from support import estimates_equal, oracle_batch_ci, slot_kernel
 
 TABLE_ROWS12 = OutageTable(0.1, 0.2, [0.1, 0.02], [0.1, 0.1],
                            [0.1, 0.1], [0.1, 0.1])
@@ -304,8 +304,8 @@ _HALF_WIDTH_VALUES = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(batches=st.integers(1, 40), entries=st.integers(1, 6), data=st.data())
 def test_half_widths_match_batch_ci(batches, entries, data):
-    # every entry's half-width bit for bit as `_batch_ci` of its column,
-    # with NaN and inf batches, all-NaN columns and a single batch
+    # every entry's half-width bit for bit as `oracle_batch_ci` of its
+    # column, with NaN and inf batches, all-NaN columns and a single batch
     size = batches * 2 * entries
     per_batch = np.array(data.draw(st.lists(
         _HALF_WIDTH_VALUES, min_size=size, max_size=size))).reshape(
@@ -316,7 +316,7 @@ def test_half_widths_match_batch_ci(batches, entries, data):
     got = sim._half_widths(per_batch)
     assert got.shape == (2, entries)
     for c, j in itertools.product(range(2), range(entries)):
-        want = sim._batch_ci(per_batch[:, c, j])
+        want = oracle_batch_ci(per_batch[:, c, j])
         assert float(got[c, j]).hex() == want.hex(), (c, j)
 
 
