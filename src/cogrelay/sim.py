@@ -16,10 +16,12 @@ With true queues and sensing errors a relay's queue decides whether a
 user's slot collides, so there the kernel iterates the recursions to
 their causal fixed point over windows of slots.  Traced runs go through
 the same kernel, which decodes the trace rows from its per-slot arrays.
-The kernel hands `_tally` every queue's arrivals, departures and length
-slot by slot, and `_tally` alone writes the per-batch counters, one row
-of four per queue.  The test suite keeps a per-slot loop over the same
-draws as the kernel's oracle.
+The kernel writes every queue's arrivals, departures, nonempty slots
+and length slot by slot into two matrices, and `_tally` alone writes
+the per-batch counters, four per queue, from a fixed handful of batch
+sums whatever the relay count.  The test suite keeps a per-slot loop
+over the same draws, and the tally as first written, as the kernel's
+oracle.
 
 Queue-delay estimates use the time-average queue length divided by the
 delivery rate; with arrivals applied at slot start and a packet counted
@@ -47,17 +49,20 @@ QUEUE_GUARD = 10_000_000  # abort threshold: the configuration is unstable
 CHUNK = 1 << 16
 # The least window of slots a coupled pass of `_lindley_kernel` covers.
 # At N = 2 in 65,536-slot chunks a pass costs about 55 ns a slot of its
-# window, plus about 0.3 ms that a narrower window does not save (numpy
+# window, plus about 0.2 ms that a narrower window does not save (numpy
 # calls, and the relay events before the window, which it keeps): a
-# window of a few thousand slots spends about as much on either.
+# window of a few thousand slots spends about as much on either.  Floors
+# of 2,048 and 8,192 slots are each slower on one of three stress cases
+# with high misdetection, and alike on fig11's own sensing errors.
 _WINDOW = 4096
 # A coupled pass after one that got slots wrong covers this many mean
 # gaps between those slots, and one after a window that came back right
 # this many times its width.  On nine 40,000-slot runs with fig11's
-# sensing errors 8 is the least that keeps the fewest passes (4 takes 4
-# more, 16 the same over more slots); without the growth after a right
-# window a stress case of table1 rd takes 128 passes instead of 119.
-_WIDEN = 8
+# sensing errors 4, 6, 8 and 16 take 35, 32, 30 and 28 passes over
+# 813,000-885,000 slots, in the same time; on the three stress cases 6
+# is 3-10% faster than 8, which sweeps 5-18% more slots.  Without the
+# growth after a right window the nine runs take 39 passes.
+_WIDEN = 6
 
 # A cumulative distribution this long or shorter is searched by a scan
 # (`_pick`).  Runs come in chunks of CHUNK slots plus one remainder.  On
@@ -113,42 +118,60 @@ class _Stats(NamedTuple):
     idle: np.ndarray        # (batches,): slots with neither user backlogged
 
 
-def _tally(stats, start, m, flows, delivered, collisions, idle):
+def _tally(stats, start, m, flags, lengths, events):
     """Count slots `start .. start + m - 1` into the batches they fall in.
 
-    `flows[c][j]` is queue j of class c (j = 0 the user, 1 + k relay k)
-    as three per-slot arrays: its arrivals (admissions at a relay), its
-    departures, and the queue length the slot's accounting sees.  A user
-    queue is counted after the slot's arrival, a relay queue at slot
-    start, so a packet admitted to a relay counts there from the next
-    slot.  `delivered[c]` marks each slot that brought a class-c packet
-    to the destination; `collisions` is None where none can occur.
-    Every array may run past `m`.  The sums are exact integers, as they
-    are in float64, so the float64 counters get the same bits: int32
-    holds a count of flags in a chunk, int64 a sum of queue lengths.
+    `flags[c, j]` is queue j of class c (j = 0 the user, 1 + k relay k)
+    as three rows of per-slot marks: its arrivals (admissions at a
+    relay), its departures, and whether it is nonempty; `lengths[c, j]`
+    is the queue length the slot's accounting sees.  A user queue is
+    counted after the slot's arrival, a relay queue at slot start, so a
+    packet admitted to a relay counts there from the next slot.  The rows
+    of `events` mark the slots that brought a primary and a secondary
+    packet to the destination, that collided, and where neither user was
+    backlogged.  Every array may run past `m`.  The sums are exact
+    integers, as they are in float64, so the float64 counters get the
+    same bits: int32 holds a count of marks in a chunk, and a sum of
+    queue lengths where the bound below fits it, int64 any other.
     """
     n_batches = stats.slots.size
-    b0 = min(start // stats.batch_len, n_batches - 1)
-    b1 = min((start + m - 1) // stats.batch_len, n_batches - 1)
+    size = stats.batch_len
+    b0 = min(start // size, n_batches - 1)
+    b1 = min((start + m - 1) // size, n_batches - 1)
     # where each batch's slots start in the chunk, and where the last ends
-    bounds = np.maximum(np.arange(b0, b1 + 2) * stats.batch_len - start, 0)
+    bounds = np.maximum(np.arange(b0, b1 + 2) * size - start, 0)
     bounds[-1] = m
-    seg = bounds[:-1]
     at = slice(b0, b1 + 1)
+    stats.slots[at] += bounds[1:] - bounds[:-1]
+    stats.queues[at, :, :, :3] += np.moveaxis(
+        _batch_sums(flags, bounds, size, np.int32), -1, 0)
+    # a queue grows by at most a packet a slot, so its lengths sum below
+    # this bound, and where that fits int32 holds them (4x faster to sum)
+    most = m * (int(lengths[..., 0].max()) + m)
+    stats.queues[at, :, :, 3] += np.moveaxis(_batch_sums(
+        lengths, bounds, size, np.int32 if most < 2 ** 31 else np.int64),
+        -1, 0)
+    counts = _batch_sums(events, bounds, size, np.int32)
+    stats.delivered[at] += counts[:2].T
+    stats.collisions[at] += counts[2]
+    stats.idle[at] += counts[3]
 
-    def sums(x, dtype=np.int32):
-        return np.add.reduceat(x[:m], seg, dtype=dtype)
 
-    stats.slots[at] += bounds[1:] - seg
-    for c, queues in enumerate(flows):
-        for j, (arrivals, departures, length) in enumerate(queues):
-            for f, x in enumerate((arrivals, departures, length > 0)):
-                stats.queues[at, c, j, f] += sums(x)
-            stats.queues[at, c, j, 3] += sums(length, np.int64)
-        stats.delivered[at, c] += sums(delivered[c])
-    if collisions is not None:
-        stats.collisions[at] += sums(collisions)
-    stats.idle[at] += sums(idle)
+def _batch_sums(x, bounds, size, dtype):
+    """Sums in `dtype` of `x` over its last axis, one per segment
+    `bounds[i] .. bounds[i + 1] - 1`.  The segments between the first
+    and the last hold `size` slots each and are summed as one reshape,
+    which casts in buffers (`np.add.reduceat` with a dtype casts its
+    whole input first).  The first and the last are summed on their own:
+    a chunk may start inside a batch, the last batch takes the slots
+    left over, and the guard may cut a chunk short."""
+    out = np.empty(x.shape[:-1] + (bounds.size - 1,), dtype=dtype)
+    for i in {0, bounds.size - 2}:
+        out[..., i] = x[..., bounds[i]:bounds[i + 1]].sum(axis=-1, dtype=dtype)
+    whole = x[..., bounds[1]:bounds[-2]]
+    out[..., 1:-1] = whole.reshape(x.shape[:-1] + (-1, size)).sum(
+        axis=-1, dtype=dtype)
+    return out
 
 
 def _lindley(x, q0):
@@ -157,7 +180,19 @@ def _lindley(x, q0):
     chunk's increments sum to at most CHUNK in size, so int32 holds the
     queue while it stays below 2**31 - CHUNK; numpy raises past that."""
     s = np.cumsum(x, dtype=np.int32)
-    return s - np.minimum(np.minimum.accumulate(s), -int(q0))
+    low = np.minimum.accumulate(s)
+    np.minimum(low, -int(q0), out=low)
+    return np.subtract(s, low, out=s)
+
+
+def _arrivals(rng, count, lam):
+    """`rng.random(count) < lam`, a row of Bernoulli arrivals.  The draws
+    lie in [0, 1), so at `lam` 0 or 1 the row is a constant and is
+    skipped, one generator step a double."""
+    if lam == 0.0 or lam == 1.0:
+        rng.bit_generator.advance(count)
+        return np.full(count, lam == 1.0)
+    return rng.random(count) < lam
 
 
 def _before(q, q0):
@@ -270,32 +305,38 @@ def _lindley_kernel(model, rng, start, count, queues, stats, trace):
     perfect sensing no relay senses idle under a user, and saturated
     relays always transmit, so one pass over the chunk is exact.  With
     true queues the pass runs on a guess of which of those slots collide
-    (all of them at first) and reads the truth back from the relay
-    queues.  The truth of a slot depends only on the slots before it, so
-    the slots before the first one the guess got wrong are exact, and
-    the next pass, with the truth it read as the guess, starts there.
-    The fixed point is unique, and every pass fixes at least one more
-    slot.  The first pass guesses blind, so the second covers the rest of
-    the chunk; each later one covers a window from the first open slot,
-    `_WIDEN` times the mean gap between the wrong slots of the pass
-    before it (its width over their count) but at least `_WINDOW`, and
-    after a window that came back right, `_WIDEN` times its width from
-    its end.  A window that would leave less than itself takes the rest.
-    So where wrong slots are dense a pass sweeps a few thousand slots,
-    and a chunk where they are sparse takes a few passes over its rest.
+    and reads the truth back from the relay queues.  The truth of a slot
+    depends only on the slots before it, so the slots before the first
+    one the guess got wrong are exact, and the next pass, with the truth
+    it read as the guess, starts there.  The fixed point is unique, and
+    every pass fixes at least one more slot.  The first pass guesses that
+    no relay queue holds a packet, as it mostly does not (each of
+    fig11's holds one in 0.5-14% of the slots), and covers the chunk;
+    each later one covers a window from the first open slot, `_WIDEN`
+    times the mean gap between the wrong slots of the pass before it
+    (its width over their count) but at least `_WINDOW`, and after a
+    window that came back right, `_WIDEN` times its width from its end.
+    A window that would leave less than itself takes the rest.  So where
+    wrong slots are dense a pass sweeps a few thousand slots, and a
+    chunk where they are sparse takes a few passes over its rest.
 
     The draws are taken one row at a time and cut at once to the few
     bits the chain needs, so that no chunk of floats stays live; a row
-    the chunk does not use is skipped, one generator step a double.  A
-    relay queue is kept as the slots where it may change: a pass keeps
-    those before its window and redoes those in it.  A slot's draws pick
-    its relay and rank order by counting cumulative entries (`_pick`).
-    Every strategy captures through rank orders, rd's and rr's holding
-    one relay, the assigned decoder, so a slot's winner is one lookup in
-    the run's capture table (`_captures`), with no per-row gather, and
-    its trace mask one rule.  The trace rows are decoded from the exact
-    per-slot arrays and the relay-decoding bits kept for the traced
-    slots.
+    the chunk does not use, or an arrival row at load 0 or 1, is
+    skipped, one generator step a double.  A relay queue is kept as the
+    slots where it may change: a pass keeps those before its window and
+    redoes those in it.  A slot's draws pick its relay and rank order by
+    counting cumulative entries (`_pick`).  Every strategy captures
+    through rank orders, rd's and rr's holding one relay, the assigned
+    decoder, so a slot's winner is one lookup in the run's capture table
+    (`_captures`), with no per-row gather, and its trace mask one rule.
+    Every queue's per-slot marks and lengths go into the two matrices
+    that `_tally` counts: the passes write the user rows and each relay
+    queue's admissions and sends, and the relay queues' lengths,
+    nonempty marks and departures follow from their events, expanded
+    slot by slot once the chunk is exact.  The trace rows are decoded
+    from the exact per-slot arrays and the relay-decoding bits kept for
+    the traced slots.
     """
     (n, ordered, saturated, errors, lam_p, lam_s, pbar_ppd, pbar_ssd,
      pbar_pk, pbar_sk, pbar_kpd, pbar_ksd, omega_cum, alpha,
@@ -304,11 +345,10 @@ def _lindley_kernel(model, rng, start, count, queues, stats, trace):
     errors = errors and n > 0      # with no relay nothing senses
     coupled = errors and not saturated
     shown = min(max(len(trace) - start, 0), count)   # slots traced
-    arr_p = rng.random(count) < lam_p
-    arr_s = rng.random(count) < lam_s
+    arr_p, arr_s = _arrivals(rng, count, lam_p), _arrivals(rng, count, lam_s)
     u_dest = rng.random(count)
-    direct_p = u_dest < pbar_ppd
-    direct_s = u_dest < pbar_ssd
+    direct = u_dest < np.array([[pbar_ppd], [pbar_ssd]])
+    direct_p, direct_s = direct
     r = _pick(omega_cum[:n - 1], rng.random(count))   # scheduled relay
     r_ix = r.astype(np.intp)   # numpy gathers by np.intp without a cast
     # rd and rr draw the assigned decoder, their one-relay order, from
@@ -327,14 +367,15 @@ def _lindley_kernel(model, rng, start, count, queues, stats, trace):
     del u_dest
     if errors:
         # the scheduled relay's verdict on each sensing interval
-        u = rng.random(count)
-        clear1 = u >= pfa[r_ix]    # an idle first interval is heard idle
-        miss_p = u < pmd_p[r_ix]   # the primary is missed in the first
-        u = rng.random(count)
-        miss_p &= u < pmd_p[r_ix]  # and in the second
+        false_alarm, missed = pfa[r_ix], pmd_p[r_ix]
+        rng.random(out=u)           # the order's draws are spent
+        clear1 = u >= false_alarm   # an idle first interval is heard idle
+        miss_p = u < missed         # the primary is missed in the first
+        rng.random(out=u)
+        miss_p &= u < missed        # and in the second
         miss_s = clear1 & (u < pmd_s[r_ix])
-        hears_idle = clear1 & (u >= pfa[r_ix])
-        del clear1
+        hears_idle = clear1 & (u >= false_alarm)
+        del clear1, false_alarm, missed
     else:
         rng.bit_generator.advance(2 * count)   # the rows go unused
     del u, r_ix
@@ -361,20 +402,23 @@ def _lindley_kernel(model, rng, start, count, queues, stats, trace):
     base_p = direct_p | (win_p >= 0)   # served unless the slot collides
     base_s = direct_s | (win_s >= 0)
 
-    # the user queues slot by slot, after the slot's arrivals
-    qp_in = np.empty(count, dtype=np.int32)
-    qs_in = np.empty(count, dtype=np.int32)
-    dep_p = np.empty(count, dtype=bool)
-    dep_s = np.empty(count, dtype=bool)
+    # every queue's per-slot marks and lengths, and the slots' events, as
+    # `_tally` counts them; the sweeps write the user rows
+    flags = np.empty((2, 1 + n, 3, count), dtype=bool)
+    lengths = np.empty((2, 1 + n, count), dtype=np.int32)
+    events = np.empty((4, count), dtype=bool)
+    flags[0, 0, 0], flags[1, 0, 0] = arr_p, arr_s
+    (arr_p, dep_p, pu_tx), (arr_s, dep_s, backlog_s) = flags[:, 0]
+    qp_in, qs_in = lengths[:, 0]
+    idle = events[3]
     # each relay queue as the slots where it may change and its level
-    # before the first of them and after each
-    relay_adm = np.empty((2, n, count), dtype=bool)
-    relay_out = np.empty((2, n, count), dtype=bool)   # sends if nonempty
+    # before the first of them and after each; its rows of `flags` hold
+    # its admissions and the slots where it sends if nonempty
     relay = [[(np.empty(0, dtype=np.intp), queues[c, 1 + k:2 + k].astype(
         np.int32)) for k in range(n)] for c in (0, 1)]
-    # the guess that the scheduled relay's chosen queue holds a packet (a
-    # saturated relay always has one to send)
-    busy = np.ones(count, dtype=bool) if errors else None
+    # the guess that the scheduled relay's chosen queue holds a packet: a
+    # saturated relay always has one to send, a true one is guessed empty
+    busy = np.full(count, saturated) if errors else None
 
     def sweep(lo, hi):
         """Every queue in slots `lo .. hi - 1`, from its state after slot
@@ -385,20 +429,23 @@ def _lindley_kernel(model, rng, start, count, queues, stats, trace):
             serve_p = serve_p & ~(miss_p[at] & busy[at])
             serve_s = serve_s & ~(miss_s[at] & busy[at])
         q0 = int(queues[0, 0] if lo == 0 else qp_in[lo - 1] - dep_p[lo - 1])
-        qp_in[at] = _before(_lindley(np.subtract(
-            arr_p[at], serve_p, dtype=np.int8), q0), q0) + arr_p[at]
-        pu_tx = qp_in[at] > 0
-        dep_p[at] = pu_tx & serve_p
-        serve_s &= ~pu_tx
+        np.add(_before(_lindley(np.subtract(
+            arr_p[at], serve_p, dtype=np.int8), q0), q0), arr_p[at],
+            out=qp_in[at])
+        tx = np.greater(qp_in[at], 0, out=pu_tx[at])
+        np.logical_and(tx, serve_p, out=dep_p[at])
+        serve_s &= ~tx
         q0 = int(queues[1, 0] if lo == 0 else qs_in[lo - 1] - dep_s[lo - 1])
-        qs_in[at] = _before(_lindley(np.subtract(
-            arr_s[at], serve_s, dtype=np.int8), q0), q0) + arr_s[at]
-        dep_s[at] = (qs_in[at] > 0) & serve_s
+        np.add(_before(_lindley(np.subtract(
+            arr_s[at], serve_s, dtype=np.int8), q0), q0), arr_s[at],
+            out=qs_in[at])
+        backlog = np.greater(qs_in[at], 0, out=backlog_s[at])
+        np.logical_and(backlog, serve_s, out=dep_s[at])
+        sends = np.logical_not(tx | backlog, out=idle[at])
         if n == 0:
             return
-        sends = ~pu_tx & (qs_in[at] == 0)
         if errors:
-            sends &= hears_idle[at]
+            sends = sends & hears_idle[at]
         caps = (dep_p[at] & ~direct_p[at], dep_s[at] & ~direct_s[at])
         wins = (win_p[at], win_s[at])
         sent = (send_p[at] & sends, send_s[at] & sends)
@@ -407,8 +454,9 @@ def _lindley_kernel(model, rng, start, count, queues, stats, trace):
             at_k = r_at == k
             for c in (0, 1):
                 adm = np.logical_and(caps[c], wins[c] == k,
-                                     out=relay_adm[c, k, at])
-                out = np.logical_and(sent[c], at_k, out=relay_out[c, k, at])
+                                     out=flags[c, 1 + k, 0, at])
+                out = np.logical_and(sent[c], at_k,
+                                     out=flags[c, 1 + k, 1, at])
                 # the slots from `lo` on are redone, those from `hi` on
                 # dropped until a later pass reaches them
                 ev, level = relay[c][k]
@@ -423,6 +471,7 @@ def _lindley_kernel(model, rng, start, count, queues, stats, trace):
     if coupled:
         # the slots a guess can matter in, grouped by the queue each reads
         rows = np.flatnonzero(miss_p | miss_s)
+        missed = miss_p[rows], miss_s[rows]
         reads = [(c, k, np.flatnonzero((use_p[rows] == (c == 0))
                                        & (r[rows] == k)))
                  for c in (0, 1) for k in range(n)]
@@ -437,16 +486,15 @@ def _lindley_kernel(model, rng, start, count, queues, stats, trace):
                 truth[sel] = level[np.searchsorted(ev, rows[sel])] > 0
             at = rows[j0:j1]
             # the relay sensed idle while a user transmitted
-            unheard = np.where(qp_in[at] > 0, miss_p[at],
-                               miss_s[at] & (qs_in[at] > 0))
+            unheard = np.where(pu_tx[at], missed[0][j0:j1],
+                               missed[1][j0:j1] & backlog_s[at])
             wrong = unheard & (truth[j0:j1] != busy[at])
             busy[at] = truth[j0:j1]
             if wrong.any():
                 first = int(at[wrong.argmax()])
                 assert first > last, "a pass fixed no slot"
-                # the first pass guessed blind: the next takes the rest
-                width = (count if last < 0 else max(_WINDOW, _WIDEN * (
-                    hi - lo) // int(np.count_nonzero(wrong))))
+                width = max(_WINDOW, _WIDEN * (hi - lo)
+                            // int(np.count_nonzero(wrong)))
                 lo = last = first
             elif hi < count:
                 width = _WIDEN * (hi - lo)
@@ -465,30 +513,24 @@ def _lindley_kernel(model, rng, start, count, queues, stats, trace):
         status = 1 if qp_in[m - 1] - dep_p[m - 1] > QUEUE_GUARD else 2
     del over
     last = m - 1
-    queues[:, 0] = (qp_in[last] - dep_p[last], qs_in[last] - dep_s[last])
-    pu_tx = qp_in > 0
-    backlog_s = qs_in > 0
-    idle = ~pu_tx & ~backlog_s
-    collisions = None
-    if errors:
-        collisions = busy & ((pu_tx & miss_p) | (~pu_tx & backlog_s & miss_s))
-    flows = ([(arr_p, dep_p, qp_in)], [(arr_s, dep_s, qs_in)])
-    delivered = [dep_p & direct_p, dep_s & direct_s]
-    shown = min(shown, m)
-    held = np.empty((2, n, shown), dtype=np.int32)   # traced relay levels
+    events[2] = (busy & np.where(pu_tx, miss_p, backlog_s & miss_s)
+                 if errors else False)
     for c in (0, 1):
         for k, (ev, level) in enumerate(relay[c]):
             # the level before each slot: its last change before it
             edges = np.empty(ev.size + 2, dtype=np.intp)
             edges[0], edges[1:-1], edges[-1] = -1, ev, count - 1
-            prev = np.repeat(level, edges[1:] - edges[:-1])
-            adm = relay_adm[c, k]
-            dep = relay_out[c, k] & (prev > 0)
-            queues[c, 1 + k] = prev[last] + adm[last] - dep[last]
-            flows[c].append((adm, dep, prev))
-            delivered[c] |= dep
-            held[c, k] = prev[:shown]
-    _tally(stats, start, m, flows, delivered, collisions, idle)
+            lengths[c, 1 + k] = np.repeat(level, edges[1:] - edges[:-1])
+    held = flags[:, 1:, 2]
+    np.greater(lengths[:, 1:], 0, out=held)
+    flags[:, 1:, 1] &= held      # a relay sends only a packet it holds
+    queues[:, 0] = lengths[:, 0, last] - flags[:, 0, 1, last]
+    queues[:, 1:] = (lengths[:, 1:, last] + flags[:, 1:, 0, last]
+                     - flags[:, 1:, 1, last])
+    np.logical_or.reduce(flags[:, 1:, 1], axis=1, out=events[:2])
+    events[:2] |= flags[:, 0, 1] & direct
+    _tally(stats, start, m, flags, lengths, events)
+    shown = min(shown, m)
     if shown == 0:
         return status
 
@@ -508,8 +550,8 @@ def _lindley_kernel(model, rng, start, count, queues, stats, trace):
                                    np.where(su, miss_s[t], hears_idle[t]))
         else:
             senses_idle = ~user
-        relayed = senses_idle & (held[np.where(use_p[t], 0, 1), r_t,
-                                      np.arange(shown)] > 0)
+        relayed = senses_idle & held[np.where(use_p[t], 0, 1), r_t,
+                                     np.arange(shown)]
         relay_tx = relayed | (senses_idle & saturated)
         clash = user & relay_tx
         relay_only = relay_tx & ~user

@@ -1,9 +1,10 @@
 """Shared test helpers: the exhaustive slot-outcome oracle, the per-slot
-simulator loop, a relaxation bound on the delay-limited secondary rate,
-the QoS search's closed-form schedule and its water-filling as first
-written, the QoS search's moves and merit over arrays and parameters,
-random configuration generators, equality of simulator estimates and
-the batch-means half-width of one estimate.
+simulator loop and the per-queue tally it counts with, a relaxation
+bound on the delay-limited secondary rate, the QoS search's closed-form
+schedule and its water-filling as first written, the QoS search's moves
+and merit over arrays and parameters, random configuration generators,
+equality of simulator estimates and the batch-means half-width of one
+estimate.
 
 The oracle enumerates every joint decode/acceptance outcome of one slot
 instead of using the prefix-product formulas, so it is an independent
@@ -96,7 +97,7 @@ def draw(rng, count, n):
 
 def slot_kernel(model, rng, start, count, queues, stats, trace):
     """Walk the chunk of `count` slots that starts at slot `start` of the
-    run, on `draw(rng, count, n)`, then tally them with `sim._tally`.
+    run, on `draw(rng, count, n)`, then tally them with `oracle_tally`.
     `queues[c, j]` is the class-c queue j (0 the user, 1 + k relay k),
     carried across chunks; the first `len(trace)` slots of the run are
     written to `trace`.  Returns 0, or 1 (2) when the primary (secondary)
@@ -279,8 +280,43 @@ def slot_kernel(model, rng, start, count, queues, stats, trace):
                              q0[c][1 + k] + np.cumsum(x, dtype=np.int32) - x))
         delivered.append((out & (admitted < 0)) | relay_out)
     idle = (flows[0][0][2] == 0) & (flows[1][0][2] == 0)
-    sim._tally(stats, start, m, flows, delivered, collided, idle)
+    oracle_tally(stats, start, m, flows, delivered, collided, idle)
     return status
+
+
+def oracle_tally(stats, start, m, flows, delivered, collisions, idle):
+    """`sim._tally` as first written, one queue at a time: count slots
+    `start .. start + m - 1` into the batches they fall in.
+
+    `flows[c][j]` is queue j of class c (j = 0 the user, 1 + k relay k)
+    as three per-slot arrays: its arrivals (admissions at a relay), its
+    departures, and the queue length the slot's accounting sees.
+    `delivered[c]` marks each slot that brought a class-c packet to the
+    destination; `collisions` is None where none can occur.  Every array
+    may run past `m`.  Each batch's slots are summed by `np.add.reduceat`
+    over the batch starts."""
+    n_batches = stats.slots.size
+    b0 = min(start // stats.batch_len, n_batches - 1)
+    b1 = min((start + m - 1) // stats.batch_len, n_batches - 1)
+    # where each batch's slots start in the chunk, and where the last ends
+    bounds = np.maximum(np.arange(b0, b1 + 2) * stats.batch_len - start, 0)
+    bounds[-1] = m
+    seg = bounds[:-1]
+    at = slice(b0, b1 + 1)
+
+    def sums(x, dtype=np.int32):
+        return np.add.reduceat(x[:m], seg, dtype=dtype)
+
+    stats.slots[at] += bounds[1:] - seg
+    for c, queues in enumerate(flows):
+        for j, (arrivals, departures, length) in enumerate(queues):
+            for f, x in enumerate((arrivals, departures, length > 0)):
+                stats.queues[at, c, j, f] += sums(x)
+            stats.queues[at, c, j, 3] += sums(length, np.int64)
+        stats.delivered[at, c] += sums(delivered[c])
+    if collisions is not None:
+        stats.collisions[at] += sums(collisions)
+    stats.idle[at] += sums(idle)
 
 
 def delay_limited_secondary_ceiling(outages: OutageTable,

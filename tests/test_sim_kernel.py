@@ -1,8 +1,9 @@
 """Kernel-level checks: the Lindley chunk kernel and the per-slot loop of
 `support.slot_kernel` are the same function of the draws, trace rows
-included, and the random-draw layout is stable across chunking.  Both
-count through `sim._tally`, so a fault in the tally shows in
-`test_sim_golden.py`, not here."""
+included, and the random-draw layout is stable across chunking.  The
+loop counts through `support.oracle_tally`, the tally as first written,
+one queue at a time, and the kernel through `sim._tally`, so the
+lockstep checks cover the tally too."""
 
 import copy
 import dataclasses
@@ -11,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cogrelay.sim as sim
@@ -21,7 +22,8 @@ from cogrelay.network import OutageTable, SensingErrorParams, TrafficParams
 from cogrelay.orders import OrderDistribution
 from cogrelay.rates import StrategyParams, apply_sensing_errors, rate_report
 
-from support import estimates_equal, oracle_batch_ci, slot_kernel
+from support import (estimates_equal, oracle_batch_ci, oracle_tally,
+                     slot_kernel)
 
 TABLE_ROWS12 = OutageTable(0.1, 0.2, [0.1, 0.02], [0.1, 0.1],
                            [0.1, 0.1], [0.1, 0.1])
@@ -117,12 +119,16 @@ def _loop_and_fast(call):
     return loop, call()
 
 
+_SATURATED = (1.0, 0.0)   # the loads of `compare`'s saturated runs
+
+
 def _check_case(n, strategy, mode, errors, seed, slots, batches,
-                saturate=False, uniform=False):
+                uniform=False, lam=None):
+    """`lam`, the two loads, replaces the random ones."""
     rng = np.random.default_rng(seed)
     out, params, traffic, sensing = random_case(rng, n, strategy, uniform)
-    if saturate:
-        traffic = TrafficParams(1.0, 0.0)
+    if lam is not None:
+        traffic = TrafficParams(*lam)
     loop, fast = _loop_and_fast(lambda: sim.run(
         out, params, traffic, sensing=sensing if errors else None,
         mode=mode, slots=slots, seed=seed, batches=batches))
@@ -141,6 +147,23 @@ def test_lindley_kernel_matches_loop(monkeypatch, n, strategy, mode, errors):
     _check_case(n, strategy, mode, errors, seed, slots=2_503, batches=7)
 
 
+@pytest.mark.parametrize("n", (0, 1, 3, 5))
+@pytest.mark.parametrize("strategy", _STRATEGIES)
+@pytest.mark.parametrize("mode,errors", _MODES)
+@pytest.mark.parametrize("lam", (_SATURATED, (0.0, 1.0)),
+                         ids=("primary_saturated", "secondary_saturated"))
+def test_lindley_kernel_matches_loop_saturated_sources(monkeypatch, n,
+                                                       strategy, mode,
+                                                       errors, lam):
+    # loads of exactly 0 and 1, whose arrival rows the kernel skips and
+    # the slot loop draws and compares
+    monkeypatch.setattr(sim, "CHUNK", 1000)
+    seed = 9000 + 100 * n + 10 * _STRATEGIES.index(strategy) + \
+        _MODES.index((mode, errors)) + 5 * lam.index(1.0)
+    _check_case(n, strategy, mode, errors, seed, slots=2_503, batches=7,
+                lam=lam)
+
+
 @pytest.mark.parametrize("n,strategy,mode,errors,saturate", [
     (0, StrategyKind.ROUND_ROBIN, "true_queues", False, True),
     (1, StrategyKind.RANDOM, "saturated_relays", True, False),
@@ -151,7 +174,8 @@ def test_lindley_kernel_matches_loop(monkeypatch, n, strategy, mode, errors):
 def test_lindley_kernel_matches_loop_across_chunks(n, strategy, mode, errors,
                                                    saturate):
     _check_case(n, strategy, mode, errors, seed=4000 + n,
-                slots=sim.CHUNK + 7_777, batches=9, saturate=saturate)
+                slots=sim.CHUNK + 7_777, batches=9,
+                lam=_SATURATED if saturate else None)
 
 
 @settings(max_examples=60, deadline=None)
@@ -163,7 +187,8 @@ def test_lindley_kernel_matches_loop_property(n, strategy, mode, saturate,
                                               slots, batches, chunk, seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sim, "CHUNK", chunk)
-        _check_case(n, strategy, *mode, seed, slots, batches, saturate)
+        _check_case(n, strategy, *mode, seed, slots, batches,
+                    lam=_SATURATED if saturate else None)
 
 
 @pytest.mark.parametrize("n", (3, 4, 5))
@@ -318,6 +343,58 @@ def test_half_widths_match_batch_ci(batches, entries, data):
     for c, j in itertools.product(range(2), range(entries)):
         want = oracle_batch_ci(per_batch[:, c, j])
         assert float(got[c, j]).hex() == want.hex(), (c, j)
+
+
+@st.composite
+def _tally_chunks(draw):
+    """A chunk of a run: relay count, batches, run length, the chunk's
+    first slot, its length, the slots it counts (fewer where the guard
+    cut it), the queues' scale at its start, and a seed."""
+    n = draw(st.integers(0, 6))
+    batches = draw(st.integers(1, 29))
+    slots = draw(st.integers(batches, 3_000))
+    start = draw(st.integers(0, slots - 1))
+    count = draw(st.integers(1, slots - start))
+    m = draw(st.integers(1, count))
+    queue = draw(st.sampled_from((0, 3, 1 << 24)))
+    return n, batches, slots, start, count, m, queue, draw(
+        st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(chunk=_tally_chunks())
+# from inside the last batch to the end of its leftover slots, cut short
+@example(chunk=(2, 10, 1_003, 950, 53, 40, 0, 1))
+# from inside a batch over whole ones into a partial one, with queue
+# lengths that int32 cannot sum
+@example(chunk=(6, 29, 3_000, 150, 2_000, 2_000, 1 << 24, 2))
+def test_tally_matches_oracle_tally(chunk):
+    # the batch sums of `sim._tally` against the per-queue sums of the
+    # tally as first written, bit for bit, on counters that already hold
+    # counts; queues grow by at most a packet a slot, as in a run
+    n, batches, slots, start, count, m, queue, seed = chunk
+    rng = np.random.default_rng(seed)
+    lengths = np.maximum(rng.integers(0, queue + 1, (2, 1 + n, 1)) + np.cumsum(
+        rng.integers(-1, 2, (2, 1 + n, count)), axis=-1), 0).astype(np.int32)
+    flags = rng.random((2, 1 + n, 3, count)) < rng.random()
+    flags[:, :, 2] = lengths > 0
+    events = rng.random((4, count)) < rng.random()
+
+    def counters():
+        fill = np.random.default_rng(seed)
+        return sim._Stats(slots // batches, *(
+            fill.integers(0, 1000, shape).astype(float)
+            for shape in (batches, (batches, 2, 1 + n, 4), (batches, 2),
+                          batches, batches)))
+
+    got, want = counters(), counters()
+    sim._tally(got, start, m, flags, lengths, events)
+    oracle_tally(want, start, m, tuple(
+        [(flags[c, j, 0], flags[c, j, 1], lengths[c, j])
+         for j in range(1 + n)] for c in (0, 1)),
+        events[:2], events[2], events[3])
+    for name, a, b in zip(want._fields, want, got):
+        assert np.array_equal(a, b), name
 
 
 @pytest.mark.parametrize("lam_p,lam_s,queue", [(1.0, 0.0, "primary"),
