@@ -2,7 +2,7 @@
 
 Verbs: analyze (closed-form only), simulate, compare (analytic vs
 simulation with pass/fail), optimize and min-relays.  Exit codes:
-0 success, 1 validation or parse failure, 2 comparison failure.
+0 success, 1 usage, validation or parse failure, 2 comparison failure.
 """
 
 from __future__ import annotations
@@ -16,8 +16,16 @@ from .experiments import (STRATEGY_NAMES, compare_analytic_sim, load_spec,
                           run_min_relays, run_optimize, run_sweep, write_rows)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, as on any other input failure."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"error: {message}\n")
+
+
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cogrelay",
         description="Relay-assisted primary/secondary network analysis")
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -40,14 +48,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(spec, args):
-    sim = spec.sim
-    if args.seed is not None:
-        sim = replace(sim, seed=args.seed)
-    if args.slots is not None:
-        sim = replace(sim, slots=args.slots)
-    if args.replications is not None:
-        sim = replace(sim, replications=args.replications)
-    spec.sim = sim
+    spec.sim = replace(spec.sim, **{
+        name: getattr(args, name) for name in ("seed", "slots", "replications")
+        if getattr(args, name) is not None})
     if args.strategy is not None:
         spec.strategies = [STRATEGY_NAMES[args.strategy]]
     return spec

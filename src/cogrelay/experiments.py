@@ -75,6 +75,23 @@ STRATEGY_NAMES = {"od": StrategyKind.ORDERED, "rd": StrategyKind.RANDOM,
 
 MAX_SWEEP_POINTS = 10_000  # every verb runs every point of a sweep
 
+# the links of [network]: outage probabilities under these names, or
+# physical channels under <link>_gamma and <link>_sigma
+_LINKS = ("pu_pd", "su_sd", "pu_relay", "su_relay", "relay_pd", "relay_sd")
+# every section and every key that some spec reads in it, whichever
+# network form and strategies it has; `load_spec` rejects any other
+_SPEC_KEYS = {name: set(keys.split()) for name, keys in {
+    "experiment": "scenario strategies sweep sweep_start sweep_stop "
+                  "sweep_step out",
+    "network": "p_md_primary p_md_secondary p_false_alarm slot_seconds "
+               "sensing_seconds feedback_seconds packet_bits bandwidth_hz "
+               + " ".join(f"{link} {link}_gamma {link}_sigma"
+                          for link in _LINKS),
+    "strategy": "omega alpha f_p f_s beta order perm_p perm_s",
+    "traffic": "lambda_p lambda_s", "qos": "d_p_max d_s_max",
+    "sim": "slots replications seed", "optimizer": "budget restarts n_max",
+}.items()}
+
 
 @dataclass
 class SimSettings:
@@ -131,6 +148,8 @@ def _parse_sections(text: str) -> dict[str, dict[str, list[tuple[int, str]]]]:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip().lower()
+            if current not in _SPEC_KEYS:
+                raise SpecParseError(f"unknown section [{current}]", lineno)
             sections.setdefault(current, {})
             continue
         if "=" not in line:
@@ -140,7 +159,10 @@ def _parse_sections(text: str) -> dict[str, dict[str, list[tuple[int, str]]]]:
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
             raise SpecParseError("empty key", lineno)
-        sections[current].setdefault(key.lower(), []).append((lineno, value))
+        key = key.lower()
+        if key not in _SPEC_KEYS[current]:
+            raise SpecParseError(f"unknown key {key!r} in [{current}]", lineno)
+        sections[current].setdefault(key, []).append((lineno, value))
     if not sections:
         raise SpecParseError("spec file is empty")
     return sections
@@ -214,18 +236,12 @@ class _Section:
 def _build_network(section: _Section) -> tuple[NetworkConfig, int]:
     sensing = None
     if section.get("p_false_alarm") is not None:
-        sensing = SensingErrorParams(
-            section.vector("p_md_primary"),
-            section.vector("p_md_secondary"),
-            section.vector("p_false_alarm"))
+        sensing = SensingErrorParams(*(section.vector(name) for name in (
+            "p_md_primary", "p_md_secondary", "p_false_alarm")))
     if section.get("pu_pd") is not None:
-        pu_relay = section.vector("pu_relay", np.zeros(0))
-        table = OutageTable(section.number("pu_pd"), section.number("su_sd"),
-                            pu_relay,
-                            section.vector("su_relay", np.zeros(0)),
-                            section.vector("relay_pd", np.zeros(0)),
-                            section.vector("relay_sd", np.zeros(0)))
-        channels = table
+        channels = OutageTable(section.number("pu_pd"), section.number("su_sd"),
+                               *(section.vector(link, np.zeros(0))
+                                 for link in _LINKS[2:]))
     else:
         timing = SlotTiming(section.number("slot_seconds"),
                             section.number("sensing_seconds", 0.0),
@@ -243,11 +259,11 @@ def _build_network(section: _Section) -> tuple[NetworkConfig, int]:
                 raise ConfigError(f"{prefix} gamma/sigma lengths differ")
             return tuple(LinkParams(g, s) for g, s in zip(gammas, sigmas))
 
-        channels = PhysicalChannels(
-            timing,
-            links("pu_pd")[0], links("su_sd")[0],
-            links("pu_relay"), links("su_relay"),
-            links("relay_pd"), links("relay_sd"))
+        pu_pd, su_sd, *relays = (links(link) for link in _LINKS)
+        if len(pu_pd) != 1 or len(su_sd) != 1:
+            raise SpecParseError("pu_pd and su_sd take one gamma and one "
+                                 "sigma each")
+        channels = PhysicalChannels(timing, pu_pd[0], su_sd[0], *relays)
     traffic = TrafficParams(0.0, 0.0)  # replaced after [traffic] parses
     return NetworkConfig(channels, traffic, sensing), channels.n_relays
 

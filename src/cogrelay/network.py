@@ -5,6 +5,7 @@ directly as an outage matrix."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,7 +38,8 @@ class TrafficParams:
 
 @dataclass(frozen=True)
 class SensingErrorParams:
-    """Per-relay misdetection and false-alarm probabilities.
+    """Per-relay misdetection and false-alarm probabilities, and the
+    factors through which the rate chain and the QoS search read them.
 
     `p_md_primary[k]` / `p_md_secondary[k]`: relay k declares a busy sensing
     interval idle while the primary / secondary user transmits.
@@ -50,21 +52,41 @@ class SensingErrorParams:
 
     def __post_init__(self):
         n = np.asarray(self.p_md_primary).size
-        object.__setattr__(self, "p_md_primary",
-                           _prob_vector(self.p_md_primary, n, "p_md_primary"))
-        object.__setattr__(self, "p_md_secondary",
-                           _prob_vector(self.p_md_secondary, n, "p_md_secondary"))
-        object.__setattr__(self, "p_false_alarm",
-                           _prob_vector(self.p_false_alarm, n, "p_false_alarm"))
+        for name in ("p_md_primary", "p_md_secondary", "p_false_alarm"):
+            object.__setattr__(self, name,
+                               _prob_vector(getattr(self, name), n, name))
 
     @property
     def n_relays(self) -> int:
         return self.p_false_alarm.size
 
+    @cached_property
+    def survive_p(self) -> np.ndarray:
+        """P(relay k detects the primary in at least one interval)."""
+        return 1.0 - self.p_md_primary ** 2
+
+    @cached_property
+    def survive_s(self) -> np.ndarray:
+        """P(relay k detects the secondary or false-alarms on [0, tau])."""
+        return 1.0 - self.p_md_secondary * (1.0 - self.p_false_alarm)
+
+    @cached_property
+    def no_false_alarm(self) -> list:
+        """P(relay k raises no false alarm in either interval), as floats."""
+        return [(1.0 - fa) * (1.0 - fa) for fa in self.p_false_alarm.tolist()]
+
     def take(self, n: int) -> "SensingErrorParams":
         return SensingErrorParams(self.p_md_primary[:n],
                                   self.p_md_secondary[:n],
                                   self.p_false_alarm[:n])
+
+
+def check_sensing(sensing: SensingErrorParams | None, n: int) -> None:
+    """The relay-count check of every entry point that takes sensing
+    errors: `sensing` is None (perfect sensing) or over n relays."""
+    if sensing is not None and sensing.n_relays != n:
+        raise ConfigError(f"sensing errors are over {sensing.n_relays} "
+                          f"relays, the channels over {n}")
 
 
 @dataclass(frozen=True)
@@ -166,9 +188,7 @@ class NetworkConfig:
     sensing: SensingErrorParams | None = None
 
     def __post_init__(self):
-        if self.sensing is not None and \
-                self.sensing.n_relays != self.channels.n_relays:
-            raise ConfigError("sensing-error vectors must match n_relays")
+        check_sensing(self.sensing, self.channels.n_relays)
 
     @property
     def n_relays(self) -> int:

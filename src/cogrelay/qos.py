@@ -57,13 +57,13 @@ import numpy as np
 from .channel import StrategyKind
 from .errors import ConfigError, NoFeasibleRelayCount, check_integer
 from .network import (NetworkConfig, OutageTable, SensingErrorParams,
-                      TrafficParams)
+                      TrafficParams, check_sensing)
 from .orders import OrderDistribution, first_rank_perm, rank_order
-from .rates import (EPS_STAB, SIMPLEX_TOL, SensingTerms, StrategyParams,
-                    _acceptance, _array_sum, _ordered_capture, _outcome,
-                    _relay_chain, _relay_miss_factor, _serve, _survival,
-                    _user_chain, _user_head, _user_rates, _user_tail,
-                    evaluate, primary_rate_bound, sensing_terms)
+from .rates import (EPS_STAB, SIMPLEX_TOL, StrategyParams, _acceptance,
+                    _array_sum, _ordered_capture, _outcome, _relay_chain,
+                    _relay_miss_factor, _serve, _survival, _user_chain,
+                    _user_head, _user_rates, _user_tail, evaluate,
+                    primary_rate_bound)
 
 # od searches all N! rank orders up to here, the N first-rank ones above
 DENSE_ORDER_LIMIT = 5
@@ -230,7 +230,7 @@ class _Evaluator:
     """
 
     def __init__(self, outages: OutageTable, qos: QosSpec,
-                 sensing: SensingTerms | None = None):
+                 sensing: SensingErrorParams | None = None):
         self.outages = outages
         self.sensing = sensing
         self.qos = qos
@@ -611,8 +611,8 @@ def maximize_secondary_throughput(
     check_integer("seed", seed, 0)
     n = network.n_relays
     outages = network.outages(strategy)
-    terms = sensing_terms(network.sensing)
-    ceiling = secondary_rate_ceiling(outages, qos, terms, strategy=strategy)
+    ceiling = secondary_rate_ceiling(outages, qos, network.sensing,
+                                     strategy=strategy)
 
     # a primary queue that cannot be stabilized even at the rate bound
     # makes the whole problem infeasible outright, and so does a ceiling
@@ -621,13 +621,13 @@ def maximize_secondary_throughput(
     # without ceilings, delay elsewhere
     traffic = qos.traffic
     mu_p_cap = primary_rate_bound(outages, strategy)
-    if terms is not None and n > 0:
-        mu_p_cap *= float(np.max(terms.survive_p))
+    if network.sensing is not None and n > 0:
+        mu_p_cap *= float(np.max(network.sensing.survive_p))
     unstable = traffic.lambda_p >= mu_p_cap - EPS_STAB
     if unstable or ceiling is None:
         unstable = unstable or secondary_rate_ceiling(
             outages, QosSpec(math.inf, math.inf, traffic),
-            terms, strategy=strategy) is None
+            network.sensing, strategy=strategy) is None
         return OptResult(
             best_params=None, best_mu_s=0.0, feasible=False,
             constraint_residuals={"stability_p": float(
@@ -636,9 +636,9 @@ def maximize_secondary_throughput(
             first_violation="stability" if unstable else "delay",
             ceiling=ceiling, stopped_at_ceiling=False)
 
-    space = _Space(strategy, n, schedule=terms is not None)
-    scorer = (_CaptureScorer(outages, qos) if terms is None else
-              _Evaluator(outages, qos, terms))
+    space = _Space(strategy, n, schedule=network.sensing is not None)
+    scorer = (_CaptureScorer(outages, qos) if network.sensing is None else
+              _Evaluator(outages, qos, network.sensing))
     starts = _designed_starts(space, outages)
     if n == 0:  # nothing moves: every start is the one point, scored once
         starts, restarts = starts[:1], 0
@@ -703,8 +703,7 @@ def _pooled_arrivals(lam: float, direct_outage: float,
 
 
 def secondary_rate_ceiling(outages: OutageTable, qos: QosSpec,
-                           sensing: SensingErrorParams | SensingTerms
-                           | None = None, *,
+                           sensing: SensingErrorParams | None = None, *,
                            strategy: StrategyKind | None = None
                            ) -> float | None:
     """Upper bound on the secondary service rate of any operating point of
@@ -757,13 +756,14 @@ def secondary_rate_ceiling(outages: OutageTable, qos: QosSpec,
     bound does not cover.
 
     Sensing errors.  `apply_sensing_errors` scales mu_p by the schedule
-    average of 1 - p_md_primary[k]^2, the secondary's conditional
-    service (1 - su_sd + su_sd C_s) by that of survive_s[k], and relay
-    k's service by (1 - p_false_alarm[k])^2.  The relaxation takes each
-    average at its largest value over the relays, and the relay service
-    of step 3 at max_k (1 - relay outage_k) (1 - p_false_alarm[k])^2
-    over both relay outages.  `StrategyParams` lets the schedule sum to
-    1 + SIMPLEX_TOL, so the three factors are raised by that much too.
+    average of `sensing.survive_p`, the secondary's conditional service
+    (1 - su_sd + su_sd C_s) by that of `survive_s`, and relay k's service
+    by `no_false_alarm[k]`.  The relaxation takes each average at its
+    largest value over the relays, and the relay service of step 3 at
+    max_k (1 - relay outage_k) no_false_alarm[k] over both relay outages.
+    `StrategyParams` lets the schedule sum to 1 + SIMPLEX_TOL, so the
+    three factors are raised by that much too.  Sensing errors over
+    another relay count than `outages` raise ConfigError.
     The pooled arrivals stay Lambda_P = lambda_p pu_pd C_p / mu_p and
     Lambda_S = lambda_s su_sd C_s / (1 - su_sd + su_sd C_s) with the
     perfect-sensing mu_p: the smaller pi_p0 and pi_s0 cancel against the
@@ -781,17 +781,12 @@ def secondary_rate_ceiling(outages: OutageTable, qos: QosSpec,
         for relay in (outages.pu_relay, outages.su_relay))
     serve = 1.0 - np.concatenate((outages.relay_pd, outages.relay_sd))
     scale_p = scale_s = 1.0
-    if sensing is not None:
-        terms = sensing_terms(sensing)
-        if len(terms.no_false_alarm) != outages.n_relays:
-            raise ConfigError(
-                f"sensing errors are over {len(terms.no_false_alarm)} "
-                f"relays, the outage table over {outages.n_relays}")
-        if outages.n_relays:
-            slack = 1.0 + SIMPLEX_TOL
-            scale_p = float(np.max(terms.survive_p)) * slack
-            scale_s = float(np.max(terms.survive_s)) * slack
-            serve = serve * np.tile(terms.no_false_alarm, 2) * slack
+    check_sensing(sensing, outages.n_relays)
+    if sensing is not None and outages.n_relays:
+        slack = 1.0 + SIMPLEX_TOL
+        scale_p = float(np.max(sensing.survive_p)) * slack
+        scale_s = float(np.max(sensing.survive_s)) * slack
+        serve = serve * np.tile(sensing.no_false_alarm, 2) * slack
     relay_best = np.max(serve, initial=0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         # primary terms, one per C_p cell

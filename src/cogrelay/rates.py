@@ -4,7 +4,10 @@ Mean service and arrival rates for every queue in the system (two user
 queues plus two relaying queues per relay), empty-queue probabilities,
 best-case rate bounds, queueing delays and the sensing-error corrections.
 `evaluate` runs the whole chain for one operating point and is what the
-sweeps, the comparison harness and the QoS search call.
+sweeps, the comparison harness and the QoS search call.  Sensing errors
+come as a `SensingErrorParams` and enter the chain through its per-relay
+factors (`survive_p`, `survive_s`, `no_false_alarm`); errors over another
+relay count than the outage table raise ConfigError.
 
 The system is triangular: the primary queue is a plain Geo/Geo/1 queue, the
 secondary sees service only when the primary is empty, and the relaying
@@ -23,7 +26,8 @@ import numpy as np
 
 from .channel import StrategyKind
 from .errors import ConfigError, UnstableQueueError
-from .network import OutageTable, SensingErrorParams, TrafficParams
+from .network import (OutageTable, SensingErrorParams, TrafficParams,
+                      check_sensing)
 from .orders import OrderDistribution
 
 # Strict stability inequalities carry a concrete numerical margin:
@@ -216,15 +220,15 @@ def _check_relay_count(outages: OutageTable, params: StrategyParams) -> None:
 
 
 def _serve(outages: OutageTable,
-           terms: SensingTerms | None = None) -> tuple[list, list]:
+           sensing: SensingErrorParams | None = None) -> tuple[list, list]:
     """Per relay, 1 - outage of its links to the two destinations, times
-    the probability (1 - p_false_alarm)^2 that the relay raises no false
-    alarm in either sensing interval under the sensing errors `terms`."""
+    `sensing.no_false_alarm`, the probability that the relay raises no
+    false alarm in either sensing interval (None: perfect sensing)."""
     serve = ([1.0 - v for v in outages.relay_pd.tolist()],
              [1.0 - v for v in outages.relay_sd.tolist()])
-    if terms is None:
+    if sensing is None:
         return serve
-    return tuple([s * f for s, f in zip(side, terms.no_false_alarm)]
+    return tuple([s * f for s, f in zip(side, sensing.no_false_alarm)]
                  for side in serve)
 
 
@@ -413,14 +417,17 @@ def rate_report(outages: OutageTable, params: StrategyParams,
 
 
 def _chain(outages: OutageTable, params: StrategyParams,
-           traffic: TrafficParams, terms: SensingTerms | None = None
+           traffic: TrafficParams, sensing: SensingErrorParams | None = None
            ) -> _Rates:
-    """`rate_report` over plain floats, under the sensing errors `terms`
+    """`rate_report` over plain floats, under the sensing errors `sensing`
     (None: perfect sensing)."""
     _check_relay_count(outages, params)
+    check_sensing(sensing, outages.n_relays)
     return _relay_chain(
-        _user_rates(outages, params, traffic, *_survival(params.omega, terms)),
-        params.omega.tolist(), params.alpha.tolist(), *_serve(outages, terms))
+        _user_rates(outages, params, traffic,
+                    *_survival(params.omega, sensing)),
+        params.omega.tolist(), params.alpha.tolist(),
+        *_serve(outages, sensing))
 
 
 def end_to_end_delays(report: RateReport,
@@ -459,62 +466,35 @@ def _delays(rates: _Rates, traffic: TrafficParams) -> tuple[float, float]:
     return d_p, d_s
 
 
-class SensingTerms(NamedTuple):
-    """The per-relay factors of the sensing-error correction.  They depend
-    on the error probabilities alone, so a search works them out once and
-    passes them wherever a `SensingErrorParams` is taken."""
-
-    survive_p: np.ndarray   # 1 - p_md_primary**2
-    survive_s: np.ndarray   # 1 - p_md_secondary * (1 - p_false_alarm)
-    no_false_alarm: list    # (1 - p_false_alarm)**2, as floats
-
-
-def sensing_terms(se: SensingErrorParams | SensingTerms | None
-                  ) -> SensingTerms | None:
-    """The terms of `se`; None (perfect sensing) stays None."""
-    if se is None or isinstance(se, SensingTerms):
-        return se
-    return SensingTerms(
-        1.0 - se.p_md_primary ** 2,
-        1.0 - se.p_md_secondary * (1.0 - se.p_false_alarm),
-        [(1.0 - fa) * (1.0 - fa) for fa in se.p_false_alarm.tolist()])
-
-
-def _survival(omega, terms: SensingTerms | None) -> tuple[float, float]:
+def _survival(omega, sensing: SensingErrorParams | None
+              ) -> tuple[float, float]:
     """Probability that the transmission-scheduled relay does not disrupt
-    the primary / the secondary user, averaged over the schedule `omega`
-    (an array or a sequence of floats); 1.0 each under perfect sensing
-    (`terms` None).
-
-    Disrupting the primary takes a misdetection in both sensing intervals;
-    the secondary is safe if the relay either detects it or false-alarms
-    on the (idle) first interval.
-    """
-    if terms is None or len(omega) == 0:
+    the primary / the secondary user: `sensing.survive_p` and
+    `survive_s` averaged over the schedule `omega` (an array or a
+    sequence of floats); 1.0 each under perfect sensing (`sensing` None)."""
+    if sensing is None or len(omega) == 0:
         return 1.0, 1.0
     omega = np.asarray(omega, dtype=float)
-    return (float(np.dot(omega, terms.survive_p)),
-            float(np.dot(omega, terms.survive_s)))
+    return (float(np.dot(omega, sensing.survive_p)),
+            float(np.dot(omega, sensing.survive_s)))
 
 
 def apply_sensing_errors(report: RateReport, params: StrategyParams,
-                         se: SensingErrorParams | SensingTerms) -> RateReport:
+                         se: SensingErrorParams) -> RateReport:
     """Rates under imperfect sensing at the relays, with every relaying
     queue treated as backlogged (dummy packets), which makes the results
     lower bounds on the true rates.  `report` is the perfect-sensing
     report of `params`; its outage table and traffic are read.
 
-    The chain of `rate_report` runs once more with the sensing errors as
-    factors: each user's service and its hand-off to the relays shrink by
-    the schedule-averaged survival factor (`_survival`), the empty-queue
-    probabilities follow from the reduced service rates, and each relay's
-    service shrinks with them (fuller user queues mean fewer idle slots)
-    and by the probability that the relay raises no false alarm in either
-    sensing interval (`_serve`).
+    The chain of `rate_report` runs once more with the factors of `se`:
+    each user's service and its hand-off to the relays shrink by the
+    schedule average of `survive_p` or `survive_s` (`_survival`), the
+    empty-queue probabilities follow from the reduced service rates, and
+    each relay's service shrinks with them (fuller user queues mean fewer
+    idle slots) and by `no_false_alarm` (`_serve`).
     """
     return _report(report.strategy, report.traffic, report.outages,
-                   _chain(report.outages, params, report.traffic,
-                          sensing_terms(se)))
+                   _chain(report.outages, params, report.traffic, se))
 
 
 @dataclass(frozen=True)
@@ -560,12 +540,11 @@ def _outcome(rates: _Rates, traffic: TrafficParams) -> tuple:
 
 def evaluate(outages: OutageTable, params: StrategyParams,
              traffic: TrafficParams,
-             sensing: SensingErrorParams | SensingTerms | None = None
-             ) -> Evaluation:
+             sensing: SensingErrorParams | None = None) -> Evaluation:
     """Rates, sensing-error correction (when `sensing` is given), status
     and end-to-end delays at one operating point: the float chain of
     `rate_report`, `apply_sensing_errors` and `end_to_end_delays`, run
     once."""
-    rates = _chain(outages, params, traffic, sensing_terms(sensing))
+    rates = _chain(outages, params, traffic, sensing)
     return Evaluation(_report(params.strategy, traffic, outages, rates),
                       *_outcome(rates, traffic))

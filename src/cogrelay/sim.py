@@ -41,9 +41,9 @@ import numpy as np
 from .channel import StrategyKind
 from .errors import ConfigError, UnstableQueueError, check_integer
 from .network import (NetworkConfig, OutageTable, SensingErrorParams,
-                      TrafficParams)
+                      TrafficParams, check_sensing)
 from .orders import support_arrays
-from .rates import StrategyParams
+from .rates import StrategyParams, _check_relay_count
 
 QUEUE_GUARD = 10_000_000  # abort threshold: the configuration is unstable
 CHUNK = 1 << 16
@@ -689,10 +689,8 @@ def run(cfg: OutageTable | NetworkConfig, params: StrategyParams,
     else:
         outages = cfg
     n = outages.n_relays
-    if params.n_relays != n:
-        raise ConfigError("params sized for a different relay count")
-    if sensing is not None and sensing.n_relays != n:
-        raise ConfigError("sensing-error vectors sized for a different relay count")
+    _check_relay_count(outages, params)
+    check_sensing(sensing, n)
     if trace_limit > 0 and n > 63:
         raise ConfigError(f"a traced run holds decode_mask in 64 bits, so "
                           f"at most 63 relays; got {n}")
@@ -845,29 +843,16 @@ def run_replicated(cfg, params, traffic, *, replications: int,
         return (_per(np.where(sampled, vals, 0.0).sum(axis=0),
                      sampled.sum(axis=0)), _half_widths(vals))
 
-    ci = {}
-    scalars = {}
-    for name, key in (("mu_p_hat", "mu_p"), ("mu_s_hat", "mu_s"),
-                      ("pi_p0_hat", "pi_p0"), ("pi_s0_hat", "pi_s0"),
-                      ("d_p_total_hat", "d_p_total"),
-                      ("d_s_total_hat", "d_s_total")):
-        est, hw = merge(name)
-        scalars[name], ci[key] = float(est), float(hw)
-    vectors = {}
-    for name, key in (("lambda_pk_hat", "lambda_pk"),
-                      ("lambda_sk_hat", "lambda_sk"),
-                      ("mu_pk_hat", "mu_pk"), ("mu_sk_hat", "mu_sk")):
-        vectors[name], ci[key] = merge(name)
+    ci, merged = {}, {}
+    for key in ("mu_p", "mu_s", "pi_p0", "pi_s0", "d_p_total", "d_s_total",
+                "lambda_pk", "lambda_sk", "mu_pk", "mu_sk"):
+        est, hw = merge(f"{key}_hat")
+        if np.ndim(est) == 0:   # a scalar estimate stays a float
+            est, hw = float(est), float(hw)
+        merged[f"{key}_hat"], ci[key] = est, hw
 
     return SimEstimate(
-        mu_p_hat=scalars["mu_p_hat"], mu_s_hat=scalars["mu_s_hat"],
-        pi_p0_hat=scalars["pi_p0_hat"], pi_s0_hat=scalars["pi_s0_hat"],
-        lambda_pk_hat=vectors["lambda_pk_hat"],
-        lambda_sk_hat=vectors["lambda_sk_hat"],
-        mu_pk_hat=vectors["mu_pk_hat"], mu_sk_hat=vectors["mu_sk_hat"],
-        d_p_total_hat=scalars["d_p_total_hat"],
-        d_s_total_hat=scalars["d_s_total_hat"],
-        ci=ci, seed=seed, slots=slots * replications,
+        **merged, ci=ci, seed=seed, slots=slots * replications,
         collisions=sum(r.collisions for r in runs),
         nonempty_p=sum(r.nonempty_p for r in runs),
         nonempty_s=sum(r.nonempty_s for r in runs),

@@ -581,6 +581,17 @@ def random_sensing_errors(rng: np.random.Generator, n: int,
                               rng.uniform(0, high, n))
 
 
+def oracle_sensing_terms(se: SensingErrorParams) -> tuple:
+    """The per-relay factors of the sensing-error correction as first
+    written, from the error probabilities: (1 - p_md_primary^2,
+    1 - p_md_secondary (1 - p_false_alarm), the floats (1 - fa)(1 - fa));
+    the reference of `SensingErrorParams.survive_p`, `survive_s` and
+    `no_false_alarm`."""
+    return (1.0 - se.p_md_primary ** 2,
+            1.0 - se.p_md_secondary * (1.0 - se.p_false_alarm),
+            [(1.0 - fa) * (1.0 - fa) for fa in se.p_false_alarm.tolist()])
+
+
 def oracle_batch_ci(values: np.ndarray) -> float:
     """The batch-means half-width of one estimate from its per-batch
     values: 1.96 sample standard deviations of the finite ones over the

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -190,6 +191,30 @@ class TestLoadSpec:
         with pytest.raises(SpecParseError):
             load_spec(write_spec(tmp_path, text))
 
+    @pytest.mark.parametrize("old, new, name", [
+        ("lambda_p = 0.1", "lamda_p = 0.3", "'lamda_p' in [traffic]"),
+        ("omega = 0.5, 0.5", "omgea = 0.9, 0.1", "'omgea' in [strategy]"),
+        ("[traffic]", "[trafic]", "[trafic]"),
+        ("[sim]", "[Simulation]", "[simulation]")])
+    def test_unknown_key_or_section_rejected(self, tmp_path, old, new, name):
+        # a misspelled name would otherwise be dropped, and its default used
+        text = GOOD_SPEC.replace(old, new)
+        with pytest.raises(SpecParseError, match=re.escape(name)) as err:
+            load_spec(write_spec(tmp_path, text))
+        assert err.value.line == text.splitlines().index(new) + 1
+
+    def test_every_mode_keys_accepted(self, tmp_path):
+        # keys another mode reads are not misspellings: physical links next
+        # to an outage table, and od's perm lines or rd's beta under the
+        # other strategy
+        links = "\n".join(f"{link}_{part} = 1" for link in (
+            "pu_pd", "su_sd", "pu_relay", "su_relay", "relay_pd", "relay_sd")
+            for part in ("gamma", "sigma"))
+        text = GOOD_SPEC.replace("strategies = od, rd", "strategies = rr")
+        text = text.replace("[strategy]", f"slot_seconds = 1\n{links}\n"
+                            f"[strategy]\norder = uniform")
+        assert load_spec(write_spec(tmp_path, text)).network.n_relays == 2
+
 
 class TestRunSweep:
     def test_rows_cover_points_strategies_methods(self, tmp_path):
@@ -365,6 +390,37 @@ class TestCli:
 
     def test_missing_file_exits_one(self, tmp_path):
         assert main(["analyze", "--spec", str(tmp_path / "nope.cfg")]) == 1
+
+    @pytest.mark.parametrize("old, new, name", [
+        ("lambda_p = 0.1", "lamda_p = 0.3", "lamda_p"),
+        ("[strategy]", "[stratgy]", "stratgy")])
+    def test_misspelled_spec_name_exits_one(self, tmp_path, capsys, old, new,
+                                            name):
+        spec_path = write_spec(tmp_path, GOOD_SPEC.replace(old, new))
+        assert main(["analyze", "--spec", str(spec_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: line ")
+        assert name in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("args", [
+        ["--bogus"], [], ["--slots", "abc"]])
+    def test_usage_error_exits_one(self, tmp_path, capsys, args):
+        # an unknown option, a missing --spec and a malformed number are
+        # usage errors, exit 1 as every other input failure; 2 is kept for
+        # a failed comparison
+        spec_args = [] if args == [] else ["--spec", str(tmp_path / "s.cfg")]
+        with pytest.raises(SystemExit) as done:
+            main(["analyze", *spec_args, *args])
+        assert done.value.code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            main(["--help"])
+        assert done.value.code == 0
+        assert "usage: cogrelay" in capsys.readouterr().out
 
     @pytest.mark.parametrize("verb, flag, value", [
         ("simulate", "--seed", "-1"),

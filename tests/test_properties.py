@@ -3,23 +3,25 @@
 `rate_report` against the exhaustive slot-outcome oracle in `support`,
 on generated configurations; `rate_report` against the numpy array
 formulas it replaced, and `apply_sensing_errors` and `evaluate` against
-the sensing-error model in numpy, bit for bit; the perfect-sensing bits
-under zero sensing errors; the dominance of perfect sensing over sensing
-errors; the relay-count certificate under sensing errors against the
-perfect-sensing one and against random points scored through `evaluate`;
-the parameters the QoS search builds for a point (`_Space.to_params`)
-against the same points built by the oracle in `support`; the search's
-float moves and merits against the numpy moves and the merits through
-checked parameters (`support`); the search with the incumbent bound
-against the search that scores every trial point in full; the
-closed-form relay schedule of the perfect-sensing search against random
-schedules scored through `evaluate`, and its water-filling against the
-one first written (`support`), bit for bit; the relay-count ladder against
-independent searches at each count; and the invariants of acceptance
-criteria 04 and 05 on generated configurations: od with a first-rank
-profile serves every queue at least as fast as random assignment with
-that profile, and no strategy gives the secondary more than
-`1 - lambda_p`, with and without sensing errors.
+the sensing-error model in numpy, bit for bit; the sensing-error factors
+of `SensingErrorParams` against the expressions they replaced, bit for
+bit; the perfect-sensing bits under zero sensing errors; the dominance
+of perfect sensing over sensing errors; the relay-count certificate
+under sensing errors against the perfect-sensing one and against random
+points scored through `evaluate`; the parameters the QoS search builds
+for a point (`_Space.to_params`) against the same points built by the
+oracle in `support`; the search's float moves and merits against the
+numpy moves and the merits through checked parameters (`support`); the
+search with the incumbent bound against the search that scores every
+trial point in full; the closed-form relay schedule of the
+perfect-sensing search against random schedules scored through
+`evaluate`, and its water-filling against the one first written
+(`support`), bit for bit; the relay-count ladder against independent
+searches at each count; and the invariants of acceptance criteria 04 and
+05 on generated configurations: od with a first-rank profile serves
+every queue at least as fast as random assignment with that profile, and
+no strategy gives the secondary more than `1 - lambda_p`, with and
+without sensing errors.
 """
 
 import itertools
@@ -41,8 +43,8 @@ from cogrelay.rates import (StrategyParams, apply_sensing_errors, evaluate,
                             rate_report, secondary_rate_cap)
 from support import (as_groups, checked_params, closed_form,
                      oracle_coordinate_moves, oracle_least_mass, oracle_merit,
-                     oracle_user_rates, random_outages, random_params,
-                     random_sensing_errors, random_simplex)
+                     oracle_sensing_terms, oracle_user_rates, random_outages,
+                     random_params, random_sensing_errors, random_simplex)
 
 # exact 0 and 1 next to the open interval: outages and acceptance
 # probabilities at the ends are where the prefix products are exact
@@ -291,20 +293,32 @@ def test_sensing_errors_bits_match_numpy_formulas(n, strategy, seed,
     traffic = TrafficParams(lambda_p, lambda_s)
     report = rate_report(outages, params, traffic)
     adjusted = rates.apply_sensing_errors(report, params, se)
-    # the per-relay terms a search works out once give the same bits, and
-    # so does `evaluate`, which runs the same chain
-    prepared = rates.apply_sensing_errors(report, params,
-                                          rates.sensing_terms(se))
+    # `evaluate`, which runs the same chain, gives the same bits
     evaluated = evaluate(outages, params, traffic, se).report
     for name, want in numpy_sensing(outages, params, traffic, se).items():
-        for got in (getattr(adjusted, name), getattr(prepared, name),
-                    getattr(evaluated, name)):
+        for got in (getattr(adjusted, name), getattr(evaluated, name)):
             if name.startswith("stable"):
                 assert got.dtype == bool and np.array_equal(got, want), name
             else:
                 assert _hexes(got) == _hexes(want), name
     assert adjusted.stable_p == rates.is_stable(lambda_p, adjusted.mu_p)
     assert adjusted.stable_s == rates.is_stable(lambda_s, adjusted.mu_s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 6), data=st.data())
+def test_sensing_factors_bits_match_oracle(n, data):
+    """`SensingErrorParams`' three factors are the expressions they
+    replaced (`oracle_sensing_terms`), bit for bit, computed once."""
+    se = SensingErrorParams(*(data.draw(probs(n)) for _ in range(3)))
+    survive_p, survive_s, no_false_alarm = oracle_sensing_terms(se)
+    assert _hexes(se.survive_p) == _hexes(survive_p)
+    assert _hexes(se.survive_s) == _hexes(survive_s)
+    assert type(se.no_false_alarm) is list
+    assert [float.hex(v) for v in se.no_false_alarm] == (
+        [float.hex(v) for v in no_false_alarm])
+    for name in ("survive_p", "survive_s", "no_false_alarm"):
+        assert getattr(se, name) is getattr(se, name)
 
 
 @settings(max_examples=300, deadline=None)
@@ -436,8 +450,7 @@ def search_problems(draw, strategy: StrategyKind, n: int):
     outages = random_outages(rng, n, 0.01, 0.6)
     if space.schedule:
         return space, point, qos._Evaluator(
-            outages, target,
-            rates.sensing_terms(random_sensing_errors(rng, n, 0.5)))
+            outages, target, random_sensing_errors(rng, n, 0.5))
     return space, point, qos._CaptureScorer(outages, target)
 
 
@@ -729,9 +742,8 @@ def check_sensing_ceiling(seed: int, n: int,
     errors = edge_errors(rng, n)
     perfect = qos.secondary_rate_ceiling(outages, target)
     aware = qos.secondary_rate_ceiling(outages, target, errors)
-    terms = rates.sensing_terms(errors)
     factors = ((1.0 + rates.SIMPLEX_TOL) * np.concatenate(
-        (terms.survive_p, terms.survive_s, terms.no_false_alarm))
+        (errors.survive_p, errors.survive_s, errors.no_false_alarm))
         if n else np.ones(1))
     if factors.max() <= 1.0:
         assert perfect is not None or aware is None

@@ -17,7 +17,7 @@ from cogrelay.qos import (QosSpec, maximize_secondary_throughput,
                           minimize_relay_count, secondary_rate_ceiling)
 from cogrelay.rates import (EPS_STAB, StrategyParams, end_to_end_delays,
                             evaluate, primary_rate_bound, rate_report,
-                            secondary_rate_cap, sensing_terms)
+                            secondary_rate_cap)
 from support import (capture_merit, closed_form,
                      delay_limited_secondary_ceiling, random_outages,
                      random_params, random_sensing_errors)
@@ -836,21 +836,12 @@ class TestSecondaryRateCeiling:
         assert ev.report.mu_s <= secondary_rate_ceiling(TABLE_ROWS12, qos,
                                                         errors)
 
-    def test_takes_sensing_terms_as_well(self):
-        spec = load_spec(CONFIGS / "fig11_minrelays_n3.cfg")
-        outages = spec.network.outages(StrategyKind.ORDERED)
-        qos = QosSpec(10.0, 20.0, TrafficParams(0.3, 0.2))
-        errors = spec.network.sensing
-        assert secondary_rate_ceiling(outages, qos, errors) == (
-            secondary_rate_ceiling(outages, qos, sensing_terms(errors)))
-
     @pytest.mark.parametrize("n, m", [(2, 1), (2, 3), (0, 2)])
     def test_sensing_errors_over_other_relays_raise(self, n, m):
         errors = SensingErrorParams([0.1] * m, [0.1] * m, [0.1] * m)
         qos = QosSpec(4.0, 8.0, TrafficParams(0.3, 0.2))
-        for sensing in (errors, sensing_terms(errors)):
-            with pytest.raises(ConfigError):
-                secondary_rate_ceiling(TABLE_ROWS12.take(n), qos, sensing)
+        with pytest.raises(ConfigError):
+            secondary_rate_ceiling(TABLE_ROWS12.take(n), qos, errors)
 
     def test_criterion_07_table(self):
         def ceiling(lam_p):

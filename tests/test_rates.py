@@ -6,9 +6,12 @@ import pytest
 
 from cogrelay.channel import StrategyKind
 from cogrelay.errors import ConfigError, UnstableQueueError
-from cogrelay.network import OutageTable, SensingErrorParams, TrafficParams
-from cogrelay.orders import OrderDistribution
 import cogrelay.rates as rates
+import cogrelay.sim as sim
+from cogrelay.network import (NetworkConfig, OutageTable, SensingErrorParams,
+                              TrafficParams)
+from cogrelay.orders import OrderDistribution
+from cogrelay.qos import QosSpec, secondary_rate_ceiling
 from cogrelay.rates import (EPS_STAB, StrategyParams, apply_sensing_errors,
                             end_to_end_delays, evaluate, max_service_rates,
                             queue_delay, rate_report, relay_service_rates,
@@ -441,6 +444,29 @@ class TestRelayCountMismatch:
     def test_relay_service_rates_rejects(self):
         with pytest.raises(ConfigError, match="relays"):
             relay_service_rates(TABLE_ROWS12, self.ONE_RELAY, 0.9, 0.9)
+
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_sensing_errors_over_other_relays_reject(self, m):
+        # every entry point that takes sensing errors checks their relay
+        # count in one way; `evaluate` and `apply_sensing_errors` used to
+        # fail inside numpy
+        errors = SensingErrorParams([0.1] * m, [0.1] * m, [0.1] * m)
+        params = od_params([0.5, 0.5], [0.5, 0.5], [1, 1], [1, 1])
+        traffic = TrafficParams(0.3, 0.2)
+        report = rate_report(TABLE_ROWS12, params, traffic)
+        calls = [
+            lambda: evaluate(TABLE_ROWS12, params, traffic, errors),
+            lambda: apply_sensing_errors(report, params, errors),
+            lambda: secondary_rate_ceiling(
+                TABLE_ROWS12, QosSpec(4.0, 8.0, traffic), errors),
+            lambda: sim.run(TABLE_ROWS12, params, traffic, sensing=errors,
+                            slots=10, seed=0),
+            lambda: NetworkConfig(TABLE_ROWS12, traffic, errors)]
+        for call in calls:
+            with pytest.raises(ConfigError) as err:
+                call()
+            assert str(err.value) == (f"sensing errors are over {m} relays, "
+                                      f"the channels over 2")
 
 
 class TestExhaustiveOracle:
